@@ -31,40 +31,45 @@ CIRELSON_LIMIT = 2.0 * math.sqrt(2.0)
 BOUND_TOL = 1e-9
 
 
-def analyzer_angle(alpha: float) -> float:
-    """Reduce an analyzer angle into [0, 2*pi)."""
-    a = float(alpha)
-    if not math.isfinite(a):
-        raise ValueError(f"analyzer angle must be finite, got {alpha!r}")
-    a %= TWO_PI
-    # Float modulo may return the modulus itself for tiny negative inputs.
-    if a >= TWO_PI:
-        a = 0.0
-    return a
+def _scalar_or_array(values):
+    """A float for a 0-d result, the array otherwise."""
+    return float(values) if values.ndim == 0 else values
 
 
-def theta_param(theta: float) -> float:
-    """Validate the setting parameter theta, restricted to [0, pi]."""
-    t = float(theta)
-    if not math.isfinite(t) or not 0.0 <= t <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    return t
+def _validated(value, ok, message: str) -> np.ndarray:
+    """``value`` as a float array, once ``ok`` accepts every entry."""
+    v = np.asarray(value, dtype=float)
+    bad = ~ok(v)
+    if bad.any():
+        got = value if v.ndim == 0 else float(v[bad][0])
+        raise ValueError(f"{message}, got {got!r}")
+    return v
 
 
-def xi_param(xi: float) -> float:
-    """Reduce the state mixing angle xi into [0, pi); S is pi-periodic in xi."""
-    x = float(xi)
-    if not math.isfinite(x):
-        raise ValueError(f"xi must be finite, got {xi!r}")
-    x %= math.pi
-    if x >= math.pi:
-        x = 0.0
-    return x
+def analyzer_angle(alpha):
+    """Reduce analyzer angles into [0, 2*pi); a scalar gives a float, an array an array."""
+    # Float modulo may return the modulus itself for tiny negative inputs; the
+    # second modulo maps it to 0 and leaves every value below it unchanged.
+    a = _validated(alpha, np.isfinite, "analyzer angle must be finite") % TWO_PI % TWO_PI
+    return _scalar_or_array(a)
+
+
+def theta_param(theta):
+    """Validate the setting parameter theta, restricted to [0, pi]; arrays entrywise."""
+    # NaN fails both comparisons.
+    t = _validated(theta, lambda t: (0.0 <= t) & (t <= math.pi), "theta must lie in [0, pi]")
+    return _scalar_or_array(t)
+
+
+def xi_param(xi):
+    """Reduce the state mixing angle xi into [0, pi); S is pi-periodic in xi. Arrays entrywise."""
+    x = _validated(xi, np.isfinite, "xi must be finite") % math.pi % math.pi
+    return _scalar_or_array(x)
 
 
 @dataclass(frozen=True)
 class SettingsQuartet:
-    """The four analyzer angles (a1, a2 | b1, b2) derived from one theta."""
+    """The four analyzer angles (a1, a2 | b1, b2) derived from theta (floats or arrays)."""
 
     a1: float
     a2: float
@@ -72,7 +77,7 @@ class SettingsQuartet:
     b2: float
 
 
-def settings_quartet(theta: float) -> SettingsQuartet:
+def settings_quartet(theta) -> SettingsQuartet:
     """Settings (2*theta, 0 | theta, 3*theta) for a given theta."""
     t = theta_param(theta)
     return SettingsQuartet(
@@ -103,16 +108,9 @@ class Observable:
 
 
 def observable(alpha: float) -> Observable:
-    """O(alpha) = cos(alpha) Z + sin(alpha) X, cross-checked against the projector form."""
+    """O(alpha) = cos(alpha) Z + sin(alpha) X."""
     a = analyzer_angle(alpha)
-    m = math.cos(a) * PAULI_Z + math.sin(a) * PAULI_X
-    s, s_perp = analyzer_basis(a)
-    from_projectors = np.outer(s, s) - np.outer(s_perp, s_perp)
-    if np.max(np.abs(m - from_projectors)) > ALGEBRA_TOL:
-        raise ArithmeticError("observable construction paths disagree")
-    if np.max(np.abs(m @ m - np.eye(2))) > ALGEBRA_TOL:
-        raise ArithmeticError("observable is not an involution")
-    return Observable(alpha=a, matrix=m)
+    return Observable(alpha=a, matrix=math.cos(a) * PAULI_Z + math.sin(a) * PAULI_X)
 
 
 def state_phi(xi: float) -> np.ndarray:
@@ -149,46 +147,63 @@ class CoincidenceProbabilities:
         return self.p_pp + self.p_mm - self.p_pm - self.p_mp
 
 
-def coincidence_probabilities(alpha: float, beta: float, xi: float) -> CoincidenceProbabilities:
-    """Squared overlaps of the source ket with the four analyzer product kets."""
-    a_half = 0.5 * analyzer_angle(alpha)
-    b_half = 0.5 * analyzer_angle(beta)
-    ca, sa = math.cos(a_half), math.sin(a_half)
-    cb, sb = math.cos(b_half), math.sin(b_half)
-    x = xi_param(xi)
-    c, s = math.cos(x), math.sin(x)
+def _probabilities(alpha, beta, xi) -> tuple:
+    """(p_pp, p_pm, p_mp, p_mm): squared overlaps of the source ket with the
+    four analyzer product kets.
+
+    The S kernel: takes angles already reduced by analyzer_angle and xi_param
+    and broadcasts over arrays of them.
+    """
+    a_half = 0.5 * alpha
+    b_half = 0.5 * beta
+    ca, sa = np.cos(a_half), np.sin(a_half)
+    cb, sb = np.cos(b_half), np.sin(b_half)
+    c, s = np.cos(xi), np.sin(xi)
 
     def amp(a0, a1, b0, b1):
         # <phi(xi)| (a0,a1) x (b0,b1); all amplitudes involved are real.
         return (c * a0 * b0 + s * a0 * b1 - s * a1 * b0 + c * a1 * b1) * SQRT1_2
 
-    return CoincidenceProbabilities(
-        p_pp=amp(ca, sa, cb, sb) ** 2,
-        p_pm=amp(ca, sa, sb, -cb) ** 2,
-        p_mp=amp(sa, -ca, cb, sb) ** 2,
-        p_mm=amp(sa, -ca, sb, -cb) ** 2,
+    return (
+        amp(ca, sa, cb, sb) ** 2,
+        amp(ca, sa, sb, -cb) ** 2,
+        amp(sa, -ca, cb, sb) ** 2,
+        amp(sa, -ca, sb, -cb) ** 2,
     )
 
 
-def correlation(alpha: float, beta: float, xi: float) -> float:
-    """<O_a(alpha) O_b(beta)> as the signed sum of coincidence probabilities."""
-    return coincidence_probabilities(alpha, beta, xi).correlation()
+def coincidence_probabilities(alpha: float, beta: float, xi: float) -> CoincidenceProbabilities:
+    """The validated probabilities for one analyzer pair and one state."""
+    probs = _probabilities(analyzer_angle(alpha), analyzer_angle(beta), xi_param(xi))
+    return CoincidenceProbabilities(*(float(p) for p in probs))
 
 
-def s_parameter(theta: float, xi: float) -> float:
-    """CHSH combination E(a1,b1) + E(a2,b1) + E(a1,b2) - E(a2,b2) at the theta settings."""
-    t = theta_param(theta)
+def _correlation(alpha, beta, xi):
+    p_pp, p_pm, p_mp, p_mm = _probabilities(alpha, beta, xi)
+    return p_pp + p_mm - p_pm - p_mp
+
+
+def correlation(alpha, beta, xi):
+    """<O_a(alpha) O_b(beta)> as the signed sum of coincidence probabilities; broadcasts."""
+    return _scalar_or_array(_correlation(analyzer_angle(alpha), analyzer_angle(beta), xi_param(xi)))
+
+
+def s_parameter(theta, xi):
+    """CHSH combination E(a1,b1) + E(a2,b1) + E(a1,b2) - E(a2,b2) at the theta settings.
+
+    Broadcasts over arrays of theta and xi; scalars give a float.
+    """
+    q = settings_quartet(theta)
     x = xi_param(xi)
-    q = settings_quartet(t)
     s = (
-        correlation(q.a1, q.b1, x)
-        + correlation(q.a2, q.b1, x)
-        + correlation(q.a1, q.b2, x)
-        - correlation(q.a2, q.b2, x)
+        _correlation(q.a1, q.b1, x)
+        + _correlation(q.a2, q.b1, x)
+        + _correlation(q.a1, q.b2, x)
+        - _correlation(q.a2, q.b2, x)
     )
-    if abs(s) > CIRELSON_LIMIT + BOUND_TOL:
-        raise ArithmeticError(f"S = {s!r} exceeds the quantum ceiling")
-    return s
+    if np.any(np.abs(s) > CIRELSON_LIMIT + BOUND_TOL):
+        raise ArithmeticError(f"|S| = {float(np.max(np.abs(s)))!r} exceeds the quantum ceiling")
+    return _scalar_or_array(s)
 
 
 def _family_coefficients(theta: float) -> tuple[float, float]:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import shutil
 import sys
 from dataclasses import dataclass
 
@@ -17,7 +19,6 @@ import numpy as np
 from .chsh import (
     CIRELSON_LIMIT,
     classical_bound,
-    family_extremum,
     haar_sample_s,
     quantum_bounds,
     s_parameter,
@@ -52,15 +53,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Theta and xi grids plus the output path for the surface sweep."""
-
-    theta_grid: GridSpec
-    xi_grid: GridSpec
-    output_path: str
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Simulated-run parameters: counting statistics, noise, seeding."""
 
@@ -81,11 +73,32 @@ def _fmt(value: float) -> str:
 
 
 def _write_rows(path: str, header: tuple[str, ...], rows) -> None:
+    """Write the CSV to ``path``; a regular file is replaced atomically.
+
+    When ``path`` is absent or (through any symlinks) a regular file, the CSV
+    is written under a temporary name beside the resolved file, which is then
+    renamed into place with the old file's permission bits.  An error or
+    interrupt part-way leaves the old file as it was and removes the temporary
+    file, so a truncated CSV never appears under the final name.  Any other
+    target, such as a device, FIFO or pipe, is written directly.
+    """
+    exists = os.path.exists(path)
+    atomic = not exists or os.path.isfile(path)
+    target = os.path.realpath(path) if atomic else path
+    tmp = f"{target}.{os.getpid()}.tmp" if atomic else None
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+        try:
+            with open(tmp or target, "w", encoding="ascii", newline="") as fh:
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join(row) + "\n")
+            if atomic:
+                if exists:
+                    shutil.copymode(target, tmp)
+                os.replace(tmp, target)
+        finally:
+            if atomic and os.path.exists(tmp):
+                os.unlink(tmp)
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
 
@@ -160,46 +173,44 @@ def resolve_noise(args: argparse.Namespace) -> NoiseModel:
     return NoiseModel(**fields)
 
 
-def cmd_surface(spec: SweepSpec) -> None:
-    thetas = spec.theta_grid.points()
-    xis = spec.xi_grid.points()
-    rows = []
-    for theta in thetas:
-        for xi in xis:
-            rows.append((_fmt(theta), _fmt(xi), _fmt(s_parameter(theta, xi))))
-    _write_rows(spec.output_path, ("theta", "xi", "s"), rows)
+def _sweep_rows(outer, cells, s):
+    """CSV rows (outer, inner, s, *extra), outer values running slowest.
+
+    ``cells[k]`` holds the preformatted (inner, *extra) columns, and ``s[i, k]``
+    is S at ``outer[i]`` and ``cells[k]``.
+    """
+    return (
+        (_fmt(o), cell[0], _fmt(value), *cell[1:])
+        for o, s_row in zip(outer, s)
+        for cell, value in zip(cells, s_row)
+    )
+
+
+def cmd_surface(theta_grid: GridSpec, xi_grid: GridSpec, out: str) -> None:
+    thetas, xis = theta_grid.points(), xi_grid.points()
+    s = s_parameter(thetas[:, None], xis[None, :])
+    _write_rows(out, ("theta", "xi", "s"), _sweep_rows(thetas, [(_fmt(xi),) for xi in xis], s))
 
 
 def cmd_sweep_xi(theta_list, xi_grid: GridSpec, out: str) -> None:
     if not theta_list:
         raise ValueError("theta list must not be empty")
-    classical = _fmt(classical_bound())
-    cirelson = _fmt(CIRELSON_LIMIT)
-    rows = []
-    for theta in theta_list:
-        for xi in xi_grid.points():
-            rows.append((_fmt(theta), _fmt(xi), _fmt(s_parameter(theta, xi)), classical, cirelson))
-    _write_rows(out, ("theta", "xi", "s", "classical_limit", "cirelson_limit"), rows)
+    xis = xi_grid.points()
+    s = s_parameter(np.asarray(theta_list)[:, None], xis[None, :])
+    limits = (_fmt(classical_bound()), _fmt(CIRELSON_LIMIT))
+    cells = [(_fmt(xi), *limits) for xi in xis]
+    header = ("theta", "xi", "s", "classical_limit", "cirelson_limit")
+    _write_rows(out, header, _sweep_rows(theta_list, cells, s))
 
 
 def cmd_sweep_theta(xi_list, theta_grid: GridSpec, out: str) -> None:
     if not xi_list:
         raise ValueError("xi list must not be empty")
     thetas = theta_grid.points()
+    s = s_parameter(thetas[None, :], np.asarray(xi_list)[:, None])
     envelopes = [quantum_bounds(theta) for theta in thetas]
-    rows = []
-    for xi in xi_list:
-        for theta, env in zip(thetas, envelopes):
-            rows.append(
-                (
-                    _fmt(xi),
-                    _fmt(theta),
-                    _fmt(s_parameter(theta, xi)),
-                    _fmt(env.s_min),
-                    _fmt(env.s_max),
-                )
-            )
-    _write_rows(out, ("xi", "theta", "s", "s_qmin", "s_qmax"), rows)
+    cells = [(_fmt(t), _fmt(env.s_min), _fmt(env.s_max)) for t, env in zip(thetas, envelopes)]
+    _write_rows(out, ("xi", "theta", "s", "s_qmin", "s_qmax"), _sweep_rows(xi_list, cells, s))
 
 
 def cmd_bounds(theta_grid: GridSpec, out: str) -> None:
@@ -222,10 +233,11 @@ def cmd_bounds(theta_grid: GridSpec, out: str) -> None:
 def cmd_simulate(theta_list, xi_list, cfg: RunConfig, out: str) -> None:
     if not theta_list or not xi_list:
         raise ValueError("theta and xi lists must not be empty")
+    ideals = s_parameter(np.asarray(theta_list)[:, None], np.asarray(xi_list)[None, :])
     rows = []
     for i, theta in enumerate(theta_list):
         for j, xi in enumerate(xi_list):
-            ideal = s_parameter(theta, xi)
+            ideal = ideals[i, j]
             for rep in range(cfg.replications):
                 est = estimate_s(
                     theta,
@@ -286,20 +298,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-grid", default=None, help="start:stop:count (default 0:pi:181)")
     p.add_argument("--xi-grid", default=None, help="start:stop:count (default 0:pi:181)")
     _add_common(p)
+    p.set_defaults(
+        func=lambda a: cmd_surface(
+            _grid_arg(a.theta_grid, a.degrees), _grid_arg(a.xi_grid, a.degrees), a.out
+        )
+    )
 
     p = sub.add_parser("sweep-xi", help="S versus xi for chosen theta values")
     p.add_argument("--theta-list", default=None, help="comma-separated theta values")
     p.add_argument("--xi-grid", default=None, help="start:stop:count (default 0:pi:181)")
     _add_common(p)
+    p.set_defaults(
+        func=lambda a: cmd_sweep_xi(
+            _list_arg(a.theta_list, a.degrees), _grid_arg(a.xi_grid, a.degrees), a.out
+        )
+    )
 
     p = sub.add_parser("sweep-theta", help="S versus theta with the spectral bound envelope")
     p.add_argument("--xi-list", default=None, help="comma-separated xi values")
     p.add_argument("--theta-grid", default=None, help="start:stop:count (default 0:pi:181)")
     _add_common(p)
+    p.set_defaults(
+        func=lambda a: cmd_sweep_theta(
+            _list_arg(a.xi_list, a.degrees), _grid_arg(a.theta_grid, a.degrees), a.out
+        )
+    )
 
     p = sub.add_parser("bounds", help="classical, spectral, and quantum-ceiling bounds per theta")
     p.add_argument("--theta-grid", default=None, help="start:stop:count (default 0:pi:181)")
     _add_common(p)
+    p.set_defaults(func=lambda a: cmd_bounds(_grid_arg(a.theta_grid, a.degrees), a.out))
 
     p = sub.add_parser("simulate", help="simulated S measurements with error bars")
     p.add_argument("--theta-list", default=None, help="comma-separated theta values")
@@ -308,74 +336,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=1, help="replications per (theta, xi)")
     _add_noise_flags(p)
     _add_common(p)
+    p.set_defaults(
+        func=lambda a: cmd_simulate(
+            _list_arg(a.theta_list, a.degrees),
+            _list_arg(a.xi_list, a.degrees),
+            RunConfig(a.pairs, resolve_noise(a), a.seed, a.replications),
+            a.out,
+        )
+    )
 
     p = sub.add_parser("sample", help="Bell-operator expectations of random pure states")
     p.add_argument("--theta", type=float, required=True, help="setting parameter theta")
     p.add_argument("--n", type=int, default=10000, help="number of random states")
     _add_common(p)
+    p.set_defaults(
+        func=lambda a: cmd_sample(
+            math.radians(a.theta) if a.degrees else a.theta, a.n, a.seed, a.out
+        )
+    )
 
     return parser
 
 
-def _default_grid() -> GridSpec:
-    return GridSpec(start=0.0, stop=math.pi, count=DEFAULT_GRID_COUNT)
-
-
 def _grid_arg(text: str | None, degrees: bool) -> GridSpec:
-    return _default_grid() if text is None else parse_grid(text, degrees)
+    if text is None:
+        return GridSpec(start=0.0, stop=math.pi, count=DEFAULT_GRID_COUNT)
+    return parse_grid(text, degrees)
 
 
 def _list_arg(text: str | None, degrees: bool) -> tuple[float, ...]:
     return DEFAULT_ANGLE_LIST if text is None else parse_angle_list(text, degrees)
 
 
-def _dispatch(args: argparse.Namespace) -> None:
-    if args.command == "surface":
-        cmd_surface(
-            SweepSpec(
-                theta_grid=_grid_arg(args.theta_grid, args.degrees),
-                xi_grid=_grid_arg(args.xi_grid, args.degrees),
-                output_path=args.out,
-            )
-        )
-    elif args.command == "sweep-xi":
-        cmd_sweep_xi(
-            _list_arg(args.theta_list, args.degrees),
-            _grid_arg(args.xi_grid, args.degrees),
-            args.out,
-        )
-    elif args.command == "sweep-theta":
-        cmd_sweep_theta(
-            _list_arg(args.xi_list, args.degrees),
-            _grid_arg(args.theta_grid, args.degrees),
-            args.out,
-        )
-    elif args.command == "bounds":
-        cmd_bounds(_grid_arg(args.theta_grid, args.degrees), args.out)
-    elif args.command == "simulate":
-        cfg = RunConfig(
-            pairs_per_setting=args.pairs,
-            noise=resolve_noise(args),
-            seed=args.seed,
-            replications=args.replications,
-        )
-        cmd_simulate(
-            _list_arg(args.theta_list, args.degrees),
-            _list_arg(args.xi_list, args.degrees),
-            cfg,
-            args.out,
-        )
-    elif args.command == "sample":
-        theta = math.radians(args.theta) if args.degrees else args.theta
-        cmd_sample(theta, args.n, args.seed, args.out)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {args.command!r}")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _dispatch(args)
+        args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"chshlab: error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,6 @@ from .linalg import (
     IDENTITY_2,
     IDENTITY_4,
     projector,
-    require_density_matrix,
     require_normalized,
     tensor,
 )
@@ -119,12 +118,14 @@ def prepare_via_hwp(xi: float) -> np.ndarray:
 
 
 def noisy_state(psi: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Werner mixture visibility * |psi><psi| + (1 - visibility) * I/4."""
+    """Werner mixture visibility * |psi><psi| + (1 - visibility) * I/4.
+
+    A mixture of a normalized ket's projector and I/4 with weights in [0, 1]
+    is a density matrix by construction, so only the ket is checked.
+    """
     psi = np.asarray(psi, dtype=complex)
     require_normalized(psi)
-    rho = noise.visibility * projector(psi) + (1.0 - noise.visibility) * 0.25 * IDENTITY_4
-    require_density_matrix(rho)
-    return rho
+    return noise.visibility * projector(psi) + (1.0 - noise.visibility) * 0.25 * IDENTITY_4
 
 
 def setting_probabilities(

@@ -139,14 +139,3 @@ def trace_expectation(rho: np.ndarray, m: np.ndarray) -> float:
         raise ArithmeticError(f"trace expectation has imaginary residue {val.imag:.3e}")
     return val.real
 
-
-def require_density_matrix(rho: np.ndarray, tol: float = ALGEBRA_TOL) -> None:
-    """Check Hermiticity, unit trace, and positivity (eigenvalues >= -1e-10)."""
-    rho = np.asarray(rho, dtype=complex)
-    require_hermitian(rho, tol)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-    smallest = float(herm_eigenvalues(rho, tol)[0])
-    if smallest < -1e-10:
-        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")

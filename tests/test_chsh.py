@@ -52,6 +52,17 @@ class TestAngleParams:
             with pytest.raises(ValueError):
                 theta_param(bad)
 
+    def test_array_with_one_bad_entry_rejected(self):
+        thetas = np.linspace(0.0, math.pi, 7)
+        bad_theta = thetas.copy()
+        bad_theta[3] = math.pi + 0.1
+        with pytest.raises(ValueError, match="theta"):
+            s_parameter(bad_theta, 0.0)
+        bad_xi = np.zeros(7)
+        bad_xi[5] = math.nan
+        with pytest.raises(ValueError, match="xi"):
+            s_parameter(thetas, bad_xi)
+
     def test_xi_reduces_to_half_turn(self):
         assert xi_param(math.pi + 0.25) == pytest.approx(0.25, abs=1e-12)
         assert 0.0 <= xi_param(-1e-18) < math.pi
@@ -225,10 +236,12 @@ class TestClosedForm:
     def test_agrees_with_s_parameter_on_grid(self):
         thetas = np.linspace(0.0, math.pi, 61)
         xis = np.linspace(0.0, math.pi, 61, endpoint=False)
-        worst = max(
-            abs(s_parameter(t, x) - s_closed_form(t, x)) for t in thetas for x in xis
-        )
-        assert worst <= 1e-12
+        closed = np.array([[s_closed_form(t, x) for x in xis] for t in thetas])
+        scalar = np.array([[s_parameter(t, x) for x in xis] for t in thetas])
+        array = s_parameter(thetas[:, None], xis[None, :])
+        assert array.shape == closed.shape
+        assert np.max(np.abs(scalar - closed)) <= 1e-12
+        assert np.max(np.abs(array - closed)) <= 1e-12
 
 
 class TestBellOperator:

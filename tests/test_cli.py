@@ -1,5 +1,7 @@
 import csv
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from chshlab.chsh import quantum_bounds, s_parameter
 from chshlab.cli import (
     GridSpec,
     RunConfig,
-    SweepSpec,
+    _write_rows,
     cmd_simulate,
     load_noise_config,
     main,
@@ -303,6 +305,49 @@ class TestErrorHandling:
         assert rc == 1
         capsys.readouterr()
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        def rows_then_failure():
+            for i in range(10_000):
+                yield (str(i), "0.5")
+            raise OSError("disk full")
+
+        target = tmp_path / "out.csv"
+        with pytest.raises(OSError, match="disk full"):
+            _write_rows(str(target), ("index", "s"), rows_then_failure())
+        assert list(tmp_path.iterdir()) == []
+
+        target.write_bytes(b"old,bytes\n")
+        with pytest.raises(OSError, match="disk full"):
+            _write_rows(str(target), ("index", "s"), rows_then_failure())
+        assert target.read_bytes() == b"old,bytes\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_symlink_target_written_through(self, tmp_path):
+        target = tmp_path / "data" / "bounds.csv"
+        target.parent.mkdir()
+        target.write_bytes(b"old,bytes\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run_cli("bounds", "--theta-grid", "0:1:3", "--out", link) == 0
+        assert link.is_symlink()
+        assert target.read_bytes().startswith(b"theta,classical_bound,")
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in target.parent.iterdir()) == ["bounds.csv"]
+
+    def test_fifo_written_directly(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        rc = run_cli("bounds", "--theta-grid", "0:1:3", "--out", fifo)
+        reader.join(timeout=10)
+        assert rc == 0
+        assert received[0].startswith(b"theta,classical_bound,")
+        assert received[0].count(b"\n") == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo"]
+
 
 class TestSweepSpecValidation:
     def test_grid_spec_invariants(self):
@@ -310,11 +355,3 @@ class TestSweepSpecValidation:
             GridSpec(start=1.0, stop=0.0, count=5)
         with pytest.raises(ValueError):
             GridSpec(start=0.0, stop=1.0, count=1)
-
-    def test_sweep_spec_holds_grids(self, tmp_path):
-        spec = SweepSpec(
-            theta_grid=GridSpec(0.0, PI, 3),
-            xi_grid=GridSpec(0.0, PI, 3),
-            output_path=str(tmp_path / "s.csv"),
-        )
-        assert spec.theta_grid.count == 3

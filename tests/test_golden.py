@@ -1,0 +1,53 @@
+"""Golden outputs: the sha256 of CLI outputs at fixed flags and seeds.
+
+Any change to an output byte fails here.  A deliberate change, such as a new
+RNG stream, rewrites the digests with ``PYTHONPATH=src python
+tests/test_golden.py`` and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from chshlab.cli import main
+
+PI_4 = "0.7853981633974483"
+DIGEST_FILE = Path(__file__).parent / "golden" / "sha256.json"
+
+CASES = {
+    "surface": ("surface",),
+    "sweep-xi": ("sweep-xi",),
+    "sweep-theta": ("sweep-theta",),
+    "bounds": ("bounds",),
+    # A degree grid puts near-zero S residues on cells the default grid lacks.
+    "surface-degrees-37": ("surface", "--theta-grid", "0:180:37", "--xi-grid", "0:180:37", "--degrees"),
+    "simulate": ("simulate", "--pairs", "10000", "--replications", "2", "--seed", "7"),
+    # 1e7 pairs per setting pins the large-n binomial path.
+    "simulate-large-n": (
+        "simulate", "--theta-list", PI_4, "--xi-list", "0", "--pairs", "10000000", "--seed", "7",
+    ),
+    "sample": ("sample", "--theta", PI_4, "--n", "1000", "--seed", "3"),
+}
+
+
+def output_digest(argv, directory) -> str:
+    out = Path(directory) / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_digest(name, tmp_path):
+    expected = json.loads(DIGEST_FILE.read_text())
+    assert output_digest(CASES[name], tmp_path) == expected[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: output_digest(argv, tmp) for name, argv in sorted(CASES.items())}
+    DIGEST_FILE.write_text(json.dumps(digests, indent=2) + "\n")
+    json.dump(digests, sys.stdout, indent=2)

@@ -14,7 +14,6 @@ from chshlab.linalg import (
     hermiticity_defect,
     jacobi_rotation,
     projector,
-    require_density_matrix,
     tensor,
     trace_expectation,
 )
@@ -214,17 +213,3 @@ class TestTraceExpectation:
         assert oracle == pytest.approx(0.9, abs=1e-12)
         assert trace_expectation(rho, ZZ) == pytest.approx(0.9, abs=1e-12)
 
-
-class TestDensityValidation:
-    def test_accepts_valid(self):
-        require_density_matrix(projector(PHI_PLUS))
-        require_density_matrix(IDENTITY_4 / 4.0)
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            require_density_matrix(0.5 * IDENTITY_4)
-
-    def test_rejects_negative_eigenvalue(self):
-        rho = 1.5 * projector(PHI_PLUS) - 0.5 * projector(SINGLET)
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            require_density_matrix(rho)
