@@ -8,7 +8,6 @@ from .chsh import (
     QuantumBounds,
     SettingsQuartet,
     analyzer_angle,
-    analyzer_basis,
     bell_operator,
     classical_bound,
     classical_s_values,
@@ -30,21 +29,15 @@ from .expsim import (
     NoiseModel,
     SEstimate,
     estimate_s,
-    noisy_state,
-    prepare_via_hwp,
-    run_setting,
     setting_probabilities,
 )
 from .linalg import (
-    IDENTITY_2,
-    IDENTITY_4,
     PAULI_X,
     PAULI_Z,
     expectation,
     herm_eigensystem,
     herm_eigenvalues,
     tensor,
-    trace_expectation,
 )
 from .rng import SplitMix64, derive_seed
 

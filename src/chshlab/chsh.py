@@ -88,17 +88,6 @@ def settings_quartet(theta) -> SettingsQuartet:
     )
 
 
-def analyzer_basis(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal analyzer kets (s, s_perp) over (H, V).
-
-    s(alpha) = cos(alpha/2)|H> + sin(alpha/2)|V>,
-    s_perp(alpha) = sin(alpha/2)|H> - cos(alpha/2)|V>.
-    """
-    half = 0.5 * analyzer_angle(alpha)
-    c, s = math.cos(half), math.sin(half)
-    return np.array([c, s]), np.array([s, -c])
-
-
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Dichotomic polarization observable with its defining analyzer angle."""

@@ -1,10 +1,13 @@
 """Monte Carlo simulation of the coincidence-counting measurement of S.
 
 The source emits the singlet; a half-wave plate on arm b rotates photon b by
-xi - pi/2 to prepare the mixing-angle state.  Imperfections are modeled as a
-depolarizing (Werner) admixture, fixed analyzer offsets, and a uniform
-accidental-coincidence floor.  Counts per setting are multinomial draws and S
-is estimated from count-normalized correlations with multinomial error bars.
+xi - pi/2, which prepares the mixing-angle state of chsh.state_phi (the tests
+check that equivalence), so the outcome probabilities come from the chsh
+kernel.  Imperfections are modeled as a depolarizing (Werner) admixture, fixed
+analyzer offsets, and a uniform accidental-coincidence floor; the admixture
+and the floor are affine in the pure-state probabilities, and the offsets
+shift the analyzer angles.  Counts per setting are multinomial draws and S is
+estimated from count-normalized correlations with multinomial error bars.
 """
 
 from __future__ import annotations
@@ -14,24 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import (
-    CoincidenceProbabilities,
-    analyzer_angle,
-    analyzer_basis,
-    settings_quartet,
-    theta_param,
-    xi_param,
-)
-from .linalg import (
-    IDENTITY_2,
-    IDENTITY_4,
-    projector,
-    require_normalized,
-    tensor,
-)
+from .chsh import _probabilities, analyzer_angle, settings_quartet, theta_param, xi_param
 from .rng import SplitMix64, derive_seed
-
-_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -105,70 +92,25 @@ class SEstimate:
             raise ValueError("std_err must be nonnegative")
 
 
-def prepare_via_hwp(xi: float) -> np.ndarray:
-    """Rotate photon b of the singlet by xi - pi/2, yielding the mixing-angle state.
+def setting_probabilities(alpha, beta, xi, noise: NoiseModel) -> np.ndarray:
+    """Outcome probabilities (p_pp, p_pm, p_mp, p_mm) on the last axis, one row per analyzer pair.
 
-    The rotation maps |H> -> cos(chi)|H> + sin(chi)|V> and
-    |V> -> -sin(chi)|H> + cos(chi)|V> with chi = xi - pi/2.
+    The pure-state probabilities come from the chsh kernel at the offset
+    analyzer angles; the Werner admixture and the accidental floor are affine
+    in them: p = (1 - f) * (v * p_pure + (1 - v) / 4) + f / 4.  Broadcasts
+    over arrays of alpha, beta and xi.
     """
-    chi = xi_param(xi) - 0.5 * math.pi
-    c, s = math.cos(chi), math.sin(chi)
-    rot = np.array([[c, -s], [s, c]], dtype=complex)
-    return tensor(IDENTITY_2, rot) @ _SINGLET
-
-
-def noisy_state(psi: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Werner mixture visibility * |psi><psi| + (1 - visibility) * I/4.
-
-    A mixture of a normalized ket's projector and I/4 with weights in [0, 1]
-    is a density matrix by construction, so only the ket is checked.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    require_normalized(psi)
-    return noise.visibility * projector(psi) + (1.0 - noise.visibility) * 0.25 * IDENTITY_4
-
-
-def setting_probabilities(
-    rho: np.ndarray, alpha: float, beta: float, noise: NoiseModel
-) -> CoincidenceProbabilities:
-    """Outcome probabilities for one analyzer pair including offsets and accidentals."""
-    rho = np.asarray(rho, dtype=complex)
-    kets_a = analyzer_basis(analyzer_angle(alpha + noise.analyzer_offset_a))
-    kets_b = analyzer_basis(analyzer_angle(beta + noise.analyzer_offset_b))
-    f = noise.accidental_fraction
-    probs = []
-    for ka in kets_a:
-        for kb in kets_b:
-            k = np.kron(ka, kb).astype(complex)
-            p = float(np.real(np.vdot(k, rho @ k)))
-            p = max(p, 0.0)  # clip float-rounding negatives on pure states
-            probs.append((1.0 - f) * p + 0.25 * f)
-    return CoincidenceProbabilities(p_pp=probs[0], p_pm=probs[1], p_mp=probs[2], p_mm=probs[3])
-
-
-def run_setting(
-    rho: np.ndarray,
-    alpha: float,
-    beta: float,
-    pairs: int,
-    noise: NoiseModel,
-    seed: int,
-) -> CountsRecord:
-    """Draw multinomial coincidence counts for `pairs` emitted photon pairs."""
-    total = int(pairs)
-    if total < 1:
-        raise ValueError(f"pairs must be at least 1, got {pairs!r}")
-    probs = setting_probabilities(rho, alpha, beta, noise)
-    counts = SplitMix64(seed).multinomial(total, probs.as_tuple())
-    return CountsRecord(
-        n_pp=int(counts[0]),
-        n_pm=int(counts[1]),
-        n_mp=int(counts[2]),
-        n_mm=int(counts[3]),
-        alpha=analyzer_angle(alpha),
-        beta=analyzer_angle(beta),
-        pairs_total=total,
+    pure = np.stack(
+        _probabilities(
+            analyzer_angle(alpha + noise.analyzer_offset_a),
+            analyzer_angle(beta + noise.analyzer_offset_b),
+            xi_param(xi),
+        ),
+        axis=-1,
     )
+    v = noise.visibility
+    f = noise.accidental_fraction
+    return (1.0 - f) * (v * pure + (1.0 - v) * 0.25) + 0.25 * f
 
 
 def estimate_s(
@@ -185,23 +127,23 @@ def estimate_s(
     multinomial estimate (1 - E^2)/pairs and the four settings add in
     quadrature.
     """
-    if int(pairs_per_setting) < 2:
+    pairs = int(pairs_per_setting)
+    if pairs < 2:
         raise ValueError(f"pairs_per_setting must be at least 2, got {pairs_per_setting!r}")
     q = settings_quartet(theta_param(theta))
-    rho = noisy_state(prepare_via_hwp(xi_param(xi)), noise)
-    plan = (
-        (q.a1, q.b1, 1.0),
-        (q.a2, q.b1, 1.0),
-        (q.a1, q.b2, 1.0),
-        (q.a2, q.b2, -1.0),
-    )
+    alphas = (q.a1, q.a2, q.a1, q.a2)
+    betas = (q.b1, q.b1, q.b2, q.b2)
+    probs = setting_probabilities(np.array(alphas), np.array(betas), xi, noise)
     s_hat = 0.0
     variance = 0.0
     records = []
-    for index, (a, b, sign) in enumerate(plan):
-        rec = run_setting(rho, a, b, pairs_per_setting, noise, derive_seed(seed, index))
+    for index, sign in enumerate((1.0, 1.0, 1.0, -1.0)):
+        counts = SplitMix64(derive_seed(seed, index)).multinomial(pairs, probs[index])
+        rec = CountsRecord(
+            *(int(c) for c in counts), alpha=alphas[index], beta=betas[index], pairs_total=pairs
+        )
         e_hat = rec.correlation()
         s_hat += sign * e_hat
-        variance += (1.0 - e_hat * e_hat) / rec.pairs_total
+        variance += (1.0 - e_hat * e_hat) / pairs
         records.append(rec)
     return SEstimate(s_hat=s_hat, std_err=math.sqrt(max(variance, 0.0)), counts=tuple(records))

@@ -12,8 +12,6 @@ EIGEN_RESIDUAL_TOL = 1e-9
 _JACOBI_OFF_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -41,12 +39,6 @@ def require_normalized(psi: np.ndarray, tol: float = ALGEBRA_TOL) -> None:
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with ``a`` as the left (slow-index) factor."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def projector(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |psi><psi|."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
 
 
 def jacobi_rotation(a_pp: float, a_pq: complex, a_qq: float) -> tuple[float, complex]:
@@ -129,13 +121,3 @@ def expectation(psi: np.ndarray, m: np.ndarray) -> float:
     if abs(val.imag) > ALGEBRA_TOL:
         raise ArithmeticError(f"expectation value has imaginary residue {val.imag:.3e}")
     return val.real
-
-
-def trace_expectation(rho: np.ndarray, m: np.ndarray) -> float:
-    """Tr(rho M) for Hermitian M; the imaginary residue is checked."""
-    require_hermitian(m)
-    val = complex(np.trace(np.asarray(rho, dtype=complex) @ np.asarray(m, dtype=complex)))
-    if abs(val.imag) > ALGEBRA_TOL:
-        raise ArithmeticError(f"trace expectation has imaginary residue {val.imag:.3e}")
-    return val.real
-

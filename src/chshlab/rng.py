@@ -122,6 +122,9 @@ class SplitMix64:
         p = np.asarray(pvals, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("pvals must be a nonempty 1-d sequence")
+        # NaN fails every comparison below, so it is rejected here.
+        if not np.isfinite(p).all():
+            raise ValueError(f"pvals must be finite, got {p.tolist()!r}")
         if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > 1e-9:
             raise ValueError("pvals must be nonnegative and sum to 1")
         counts = np.zeros(p.size, dtype=np.int64)

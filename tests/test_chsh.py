@@ -6,7 +6,6 @@ import pytest
 from chshlab.chsh import (
     CIRELSON_LIMIT,
     analyzer_angle,
-    analyzer_basis,
     bell_operator,
     classical_bound,
     classical_s_values,
@@ -26,6 +25,16 @@ from chshlab.chsh import (
 from chshlab.linalg import PAULI_X, PAULI_Z, expectation, tensor
 
 SQRT2 = math.sqrt(2.0)
+
+
+def analyzer_basis(alpha):
+    """Reference analyzer kets (s, s_perp) over (H, V).
+
+    s(alpha) = cos(alpha/2)|H> + sin(alpha/2)|V>,
+    s_perp(alpha) = sin(alpha/2)|H> - cos(alpha/2)|V>.
+    """
+    c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
+    return np.array([c, s]), np.array([s, -c])
 
 # Calibrated 1e5-sample run at theta = pi/4; this seed gives max ~ 2.762.
 HAAR_SEED = 20260808

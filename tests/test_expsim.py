@@ -3,21 +3,62 @@ import math
 import numpy as np
 import pytest
 
-from chshlab.chsh import coincidence_probabilities, s_parameter, state_phi
+from chshlab import expsim
+from chshlab.chsh import coincidence_probabilities, s_parameter, settings_quartet, state_phi
 from chshlab.expsim import (
     CountsRecord,
     NoiseModel,
     SEstimate,
     estimate_s,
-    noisy_state,
-    prepare_via_hwp,
-    run_setting,
     setting_probabilities,
 )
-from chshlab.linalg import IDENTITY_4, PAULI_X, PAULI_Z, projector, tensor, trace_expectation
+from chshlab.linalg import PAULI_Z
+from chshlab.rng import SplitMix64, derive_seed
 
 SQRT2 = math.sqrt(2.0)
 NO_NOISE = NoiseModel.ideal()
+SINGLET = np.array([0, 1, -1, 0], dtype=complex) / SQRT2
+ZZ = np.kron(PAULI_Z, PAULI_Z)
+
+
+# The density-matrix path the simulator computes in closed form, kept as a
+# reference: the half-wave plate on arm b acting on the singlet, the Werner
+# mixture, and Re<k|rho|k> on the analyzer product kets.
+
+
+def prepare_via_hwp(xi):
+    """Rotate photon b of the singlet by xi - pi/2.
+
+    The rotation maps |H> -> cos(chi)|H> + sin(chi)|V> and
+    |V> -> -sin(chi)|H> + cos(chi)|V> with chi = xi - pi/2.
+    """
+    chi = xi - 0.5 * math.pi
+    c, s = math.cos(chi), math.sin(chi)
+    return np.kron(np.eye(2), np.array([[c, -s], [s, c]])) @ SINGLET
+
+
+def werner_state(psi, visibility):
+    """visibility * |psi><psi| + (1 - visibility) * I/4."""
+    return visibility * np.outer(psi, psi.conj()) + (1.0 - visibility) * np.eye(4) / 4.0
+
+
+def analyzer_kets(alpha):
+    """(s, s_perp) with s = cos(alpha/2)|H> + sin(alpha/2)|V>."""
+    c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
+    return np.array([c, s]), np.array([s, -c])
+
+
+def reference_probabilities(alpha, beta, xi, noise):
+    rho = werner_state(prepare_via_hwp(xi), noise.visibility)
+    f = noise.accidental_fraction
+    kets_a = analyzer_kets(alpha + noise.analyzer_offset_a)
+    kets_b = analyzer_kets(beta + noise.analyzer_offset_b)
+    return np.array(
+        [
+            (1.0 - f) * np.real(np.vdot(k, rho @ k)) + 0.25 * f
+            for k in (np.kron(ka, kb) for ka in kets_a for kb in kets_b)
+        ]
+    )
 
 
 class TestNoiseModel:
@@ -38,6 +79,8 @@ class TestNoiseModel:
 
 
 class TestPrepareViaHwp:
+    """The half-wave plate prepares the kernel's state, state_phi."""
+
     def test_singlet_fixed_point(self):
         # chi = 0: the rotation is the identity and the singlet passes through.
         out = prepare_via_hwp(math.pi / 2)
@@ -63,51 +106,51 @@ class TestPrepareViaHwp:
 
 
 class TestNoisyState:
+    """The reference Werner state."""
+
     def test_full_visibility(self):
         psi = state_phi(0.3)
-        assert np.allclose(noisy_state(psi, NO_NOISE), projector(psi), atol=1e-12)
+        assert np.allclose(werner_state(psi, 1.0), np.outer(psi, psi.conj()), atol=1e-12)
 
     def test_zero_visibility(self):
-        rho = noisy_state(state_phi(0.3), NoiseModel(visibility=0.0, accidental_fraction=0.0))
-        assert np.allclose(rho, IDENTITY_4 / 4.0, atol=1e-12)
+        assert np.allclose(werner_state(state_phi(0.3), 0.0), np.eye(4) / 4.0, atol=1e-12)
 
     def test_mixture_expectation(self):
-        rho = noisy_state(state_phi(0.0), NoiseModel(visibility=0.9, accidental_fraction=0.0))
-        zz = tensor(PAULI_Z, PAULI_Z)
-        assert trace_expectation(rho, zz) == pytest.approx(0.9, abs=1e-12)
+        rho = werner_state(state_phi(0.0), 0.9)
+        assert np.trace(rho @ ZZ).real == pytest.approx(0.9, abs=1e-12)
+        # The same correlation from the simulator's probabilities.
+        p = setting_probabilities(0.0, 0.0, 0.0, NoiseModel(visibility=0.9, accidental_fraction=0.0))
+        assert p[0] + p[3] - p[1] - p[2] == pytest.approx(0.9, abs=1e-12)
 
 
 class TestSettingProbabilities:
     def test_pure_phi_plus_aligned(self):
-        rho = projector(state_phi(0.0))
-        p = setting_probabilities(rho, 0.0, 0.0, NO_NOISE)
-        assert p.as_tuple() == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-12)
+        p = setting_probabilities(0.0, 0.0, 0.0, NO_NOISE)
+        assert tuple(p) == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-12)
 
     def test_maximally_mixed_is_uniform(self):
         rng = np.random.default_rng(42)
+        noise = NoiseModel(visibility=0.0, accidental_fraction=0.0)
         for _ in range(20):
             alpha, beta = rng.uniform(0, 2 * math.pi, 2)
-            p = setting_probabilities(IDENTITY_4 / 4.0, alpha, beta, NO_NOISE)
-            assert p.as_tuple() == pytest.approx((0.25,) * 4, abs=1e-12)
+            p = setting_probabilities(alpha, beta, rng.uniform(0, math.pi), noise)
+            assert tuple(p) == pytest.approx((0.25,) * 4, abs=1e-12)
 
     def test_convex_mixture_arithmetic(self):
         noise = NoiseModel(visibility=0.96, accidental_fraction=0.0)
-        rho = noisy_state(state_phi(0.0), noise)
-        p = setting_probabilities(rho, 0.0, 0.0, noise)
+        p = setting_probabilities(0.0, 0.0, 0.0, noise)
         # 0.96 * (1/2, 0, 0, 1/2) + 0.04 * (1/4, ...) by direct arithmetic
-        assert p.as_tuple() == pytest.approx((0.49, 0.01, 0.01, 0.49), abs=1e-12)
+        assert tuple(p) == pytest.approx((0.49, 0.01, 0.01, 0.49), abs=1e-12)
         # cross-check one entry against the trace path
-        ket = np.kron([1.0, 0.0], [1.0, 0.0]).astype(complex)
-        assert trace_expectation(rho, projector(ket)) == pytest.approx(0.49, abs=1e-12)
+        rho = werner_state(state_phi(0.0), 0.96)
+        assert rho[0, 0].real == pytest.approx(0.49, abs=1e-12)
 
     def test_accidental_floor(self):
-        rho = projector(state_phi(0.0))
-        p = setting_probabilities(rho, 0.0, 0.0, NoiseModel(visibility=1.0, accidental_fraction=0.2))
-        assert p.as_tuple() == pytest.approx((0.45, 0.05, 0.05, 0.45), abs=1e-12)
+        p = setting_probabilities(0.0, 0.0, 0.0, NoiseModel(visibility=1.0, accidental_fraction=0.2))
+        assert tuple(p) == pytest.approx((0.45, 0.05, 0.05, 0.45), abs=1e-12)
 
     def test_offsets_shift_analyzers(self):
         rng = np.random.default_rng(43)
-        rho = projector(state_phi(0.4))
         for _ in range(20):
             alpha, beta = rng.uniform(0, 2 * math.pi, 2)
             da, db = rng.uniform(-0.3, 0.3, 2)
@@ -118,52 +161,68 @@ class TestSettingProbabilities:
                 accidental_fraction=0.0,
             )
             shifted = coincidence_probabilities(alpha + da, beta + db, 0.4)
-            assert setting_probabilities(rho, alpha, beta, noise).as_tuple() == pytest.approx(
+            assert tuple(setting_probabilities(alpha, beta, 0.4, noise)) == pytest.approx(
                 shifted.as_tuple(), abs=1e-12
             )
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(44)
-        rho = noisy_state(state_phi(1.1), NoiseModel())
-        for _ in range(50):
-            p = setting_probabilities(
-                rho, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi), NoiseModel()
+        alpha, beta = rng.uniform(0, 2 * math.pi, (2, 50))
+        p = setting_probabilities(alpha, beta, 1.1, NoiseModel())
+        assert p.shape == (50, 4)
+        assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-12
+
+    def test_matches_density_matrix_reference(self):
+        rng = np.random.default_rng(46)
+        for _ in range(200):
+            noise = NoiseModel(
+                visibility=rng.uniform(0, 1),
+                analyzer_offset_a=rng.uniform(-8, 8),
+                analyzer_offset_b=rng.uniform(-8, 8),
+                accidental_fraction=rng.uniform(0, 0.5),
             )
-            assert abs(sum(p.as_tuple()) - 1.0) <= 1e-12
+            alpha, beta = rng.uniform(0, 2 * math.pi, (2, 4))
+            xi = rng.uniform(-4, 4)
+            got = setting_probabilities(alpha, beta, xi, noise)
+            for row, a, b in zip(got, alpha, beta):
+                assert np.max(np.abs(row - reference_probabilities(a, b, xi, noise))) <= 1e-12
 
 
 class TestRunSetting:
+    """The per-setting multinomial draws inside estimate_s."""
+
     def test_degenerate_distribution(self):
-        # |HH> with both analyzers at 0 sends every pair to the ++ detectors.
-        rho = projector(np.array([1, 0, 0, 0], dtype=complex))
-        rec = run_setting(rho, 0.0, 0.0, 100, NO_NOISE, seed=5)
-        assert (rec.n_pp, rec.n_pm, rec.n_mp, rec.n_mm) == (100, 0, 0, 0)
+        # phi+ with every analyzer at 0 (theta = 0) never sends a pair to +- or -+.
+        est = estimate_s(0.0, 0.0, 100, NO_NOISE, seed=5)
+        for rec in est.counts:
+            assert (rec.n_pm, rec.n_mp) == (0, 0)
+            assert rec.n_pp + rec.n_mm == 100
 
     def test_deterministic(self):
-        rho = projector(state_phi(0.7))
-        a = run_setting(rho, 0.3, 1.1, 5000, NoiseModel(), seed=99)
-        b = run_setting(rho, 0.3, 1.1, 5000, NoiseModel(), seed=99)
-        assert (a.n_pp, a.n_pm, a.n_mp, a.n_mm) == (b.n_pp, b.n_pm, b.n_mp, b.n_mm)
+        noise = NoiseModel(analyzer_offset_a=0.05, analyzer_offset_b=-0.02)
+        a = estimate_s(0.3, 0.7, 5000, noise, seed=99)
+        b = estimate_s(0.3, 0.7, 5000, noise, seed=99)
+        assert a.counts == b.counts
 
     def test_uniform_counts_within_five_sigma(self):
-        rec = run_setting(IDENTITY_4 / 4.0, 0.2, 1.3, 1_000_000, NO_NOISE, seed=8)
+        noise = NoiseModel(visibility=0.0, accidental_fraction=0.0)
+        est = estimate_s(0.2, 1.3, 1_000_000, noise, seed=8)
         sigma = math.sqrt(1_000_000 * 0.25 * 0.75)
-        for count in (rec.n_pp, rec.n_pm, rec.n_mp, rec.n_mm):
-            assert abs(count - 250_000) < 5 * sigma
+        for rec in est.counts:
+            for count in (rec.n_pp, rec.n_pm, rec.n_mp, rec.n_mm):
+                assert abs(count - 250_000) < 5 * sigma
 
     def test_count_conservation(self):
         rng = np.random.default_rng(45)
-        rho = noisy_state(state_phi(0.9), NoiseModel())
         for seed in range(20):
-            pairs = int(rng.integers(1, 5000))
-            rec = run_setting(
-                rho, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi), pairs, NoiseModel(), seed
-            )
-            assert rec.n_pp + rec.n_pm + rec.n_mp + rec.n_mm == rec.pairs_total == pairs
+            pairs = int(rng.integers(2, 5000))
+            est = estimate_s(rng.uniform(0, math.pi), 0.9, pairs, NoiseModel(), seed)
+            for rec in est.counts:
+                assert rec.n_pp + rec.n_pm + rec.n_mp + rec.n_mm == rec.pairs_total == pairs
 
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
-            run_setting(IDENTITY_4 / 4.0, 0.0, 0.0, 0, NO_NOISE, seed=1)
+            estimate_s(0.5, 0.1, 0, NO_NOISE, seed=1)
 
 
 class TestCountsRecord:
@@ -233,24 +292,30 @@ class TestEstimateS:
     def test_settings_use_independent_derived_seeds(self):
         # Each setting must reproduce standalone from its derived seed, so
         # settings can run concurrently and merge in index order.
-        from chshlab.chsh import settings_quartet
-        from chshlab.rng import derive_seed
-
         theta, xi, pairs, seed = 0.9, 0.1, 2000, 11
-        noise = NoiseModel()
+        noise = NoiseModel(analyzer_offset_a=0.01, analyzer_offset_b=-0.03)
         est = estimate_s(theta, xi, pairs, noise, seed=seed)
         q = settings_quartet(theta)
-        rho = noisy_state(prepare_via_hwp(xi), noise)
         plan = ((q.a1, q.b1), (q.a2, q.b1), (q.a1, q.b2), (q.a2, q.b2))
         for index, (a, b) in enumerate(plan):
-            rec = run_setting(rho, a, b, pairs, noise, derive_seed(seed, index))
+            p = setting_probabilities(a, b, xi, noise)
+            counts = SplitMix64(derive_seed(seed, index)).multinomial(pairs, p)
             got = est.counts[index]
-            assert (rec.n_pp, rec.n_pm, rec.n_mp, rec.n_mm) == (
-                got.n_pp,
-                got.n_pm,
-                got.n_mp,
-                got.n_mm,
-            )
+            assert tuple(counts) == (got.n_pp, got.n_pm, got.n_mp, got.n_mm)
+            assert (got.alpha, got.beta) == (a, b)
+
+    def test_one_kernel_call_per_estimate(self, monkeypatch):
+        calls = []
+        kernel = expsim._probabilities
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(expsim, "_probabilities", counted)
+        estimate_s(0.9, 0.1, 2000, NoiseModel(), seed=11)
+        assert len(calls) == 1
+        assert all(np.shape(arg) == (4,) for arg in calls[0][:2])
 
     def test_rejects_single_pair(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,16 @@ CASES = {
     "simulate-large-n": (
         "simulate", "--theta-list", PI_4, "--xi-list", "0", "--pairs", "10000000", "--seed", "7",
     ),
+    # Nonzero analyzer offsets, partial visibility and accidentals.
+    "simulate-noisy": (
+        "simulate", "--pairs", "10000", "--replications", "5", "--seed", "12",
+        "--offset-a", "0.013", "--offset-b", "-0.021", "--visibility", "0.9", "--accidentals", "0.02",
+    ),
+    # Offsets large enough to wrap the analyzer angles, and a fully mixed state.
+    "simulate-wrapped-mixed": (
+        "simulate", "--pairs", "100000", "--replications", "3", "--seed", "13",
+        "--offset-a", "3.5", "--offset-b", "-7", "--visibility", "0", "--accidentals", "0",
+    ),
     "sample": ("sample", "--theta", PI_4, "--n", "1000", "--seed", "3"),
 }
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from chshlab.linalg import (
-    IDENTITY_2,
-    IDENTITY_4,
     PAULI_X,
     PAULI_Z,
     expectation,
@@ -13,9 +11,7 @@ from chshlab.linalg import (
     herm_eigenvalues,
     hermiticity_defect,
     jacobi_rotation,
-    projector,
     tensor,
-    trace_expectation,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -56,7 +52,7 @@ def bell_matrix(theta):
 
 class TestTensor:
     def test_identity(self):
-        assert np.array_equal(tensor(IDENTITY_2, IDENTITY_2), IDENTITY_4)
+        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_zz_diagonal(self):
         assert np.array_equal(tensor(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]).astype(complex))
@@ -196,20 +192,5 @@ class TestExpectation:
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi /= np.linalg.norm(psi)
             m = random_hermitian(rng)
-            assert abs(expectation(psi, m) - trace_expectation(projector(psi), m)) <= 1e-12
-
-
-class TestTraceExpectation:
-    def test_maximally_mixed(self):
-        assert trace_expectation(IDENTITY_4 / 4.0, ZZ) == pytest.approx(0.0, abs=1e-12)
-
-    def test_phi_plus_projector_xx(self):
-        assert trace_expectation(projector(PHI_PLUS), XX) == pytest.approx(1.0, abs=1e-12)
-
-    def test_mixture_linearity(self):
-        rho = 0.9 * projector(PHI_PLUS) + 0.1 * IDENTITY_4 / 4.0
-        # direct-summation oracle: 0.9 * <phi+|ZZ|phi+> + 0.1 * tr(ZZ)/4
-        oracle = 0.9 * expectation(PHI_PLUS, ZZ) + 0.1 * np.trace(ZZ).real / 4.0
-        assert oracle == pytest.approx(0.9, abs=1e-12)
-        assert trace_expectation(rho, ZZ) == pytest.approx(0.9, abs=1e-12)
-
+            trace = np.trace(np.outer(psi, psi.conj()) @ m).real
+            assert abs(expectation(psi, m) - trace) <= 1e-12

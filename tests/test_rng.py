@@ -142,6 +142,13 @@ class TestMultinomial:
         with pytest.raises(ValueError):
             SplitMix64(0).multinomial(10, [0.7, -0.2, 0.5])
 
+    def test_rejects_non_finite_pvals(self):
+        # A NaN makes the sum NaN, which no range check catches.
+        nan, inf = math.nan, math.inf
+        for pvals in ([0.5, 0.5, nan], [nan, 0.5, 0.5], [0.5, nan, 0.5], [0.5, 0.5, inf]):
+            with pytest.raises(ValueError, match="finite"):
+                SplitMix64(1).multinomial(10, pvals)
+
 
 class TestDeriveSeed:
     def test_distinct_streams(self):
