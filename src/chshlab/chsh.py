@@ -96,10 +96,11 @@ class Observable:
     matrix: np.ndarray
 
 
-def observable(alpha: float) -> Observable:
-    """O(alpha) = cos(alpha) Z + sin(alpha) X."""
+def observable(alpha) -> Observable:
+    """O(alpha) = cos(alpha) Z + sin(alpha) X; an array of alpha gives a stack of 2x2 matrices."""
     a = analyzer_angle(alpha)
-    return Observable(alpha=a, matrix=math.cos(a) * PAULI_Z + math.sin(a) * PAULI_X)
+    a_col = np.asarray(a)[..., None, None]
+    return Observable(alpha=a, matrix=np.cos(a_col) * PAULI_Z + np.sin(a_col) * PAULI_X)
 
 
 def state_phi(xi: float) -> np.ndarray:
@@ -210,8 +211,11 @@ def s_closed_form(theta: float, xi: float) -> float:
     return a * math.cos(2.0 * x) + c * math.sin(2.0 * x)
 
 
-def bell_operator(theta: float) -> np.ndarray:
-    """The 4x4 Hermitian operator whose expectation value is S at the theta settings."""
+def bell_operator(theta) -> np.ndarray:
+    """The 4x4 Hermitian operator whose expectation value is S at the theta settings.
+
+    An array of theta gives a stack of operators of shape ``theta.shape + (4, 4)``.
+    """
     q = settings_quartet(theta)
     oa1 = observable(q.a1).matrix
     oa2 = observable(q.a2).matrix
@@ -222,22 +226,25 @@ def bell_operator(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumBounds:
-    """Extreme eigenvalues of the Bell operator: the reachable S range."""
+    """Extreme eigenvalues of the Bell operator, the reachable S range: floats or arrays."""
 
     s_min: float
     s_max: float
 
     def __post_init__(self):
-        if self.s_min > self.s_max:
+        if np.any(self.s_min > self.s_max):
             raise ValueError("s_min exceeds s_max")
-        if max(abs(self.s_min), abs(self.s_max)) > CIRELSON_LIMIT + BOUND_TOL:
+        if np.any(np.maximum(np.abs(self.s_min), np.abs(self.s_max)) > CIRELSON_LIMIT + BOUND_TOL):
             raise ValueError("bounds exceed the quantum ceiling")
 
 
-def quantum_bounds(theta: float) -> QuantumBounds:
-    """Spectral S bounds for the theta settings, from the Jacobi eigensolver."""
+def quantum_bounds(theta) -> QuantumBounds:
+    """Spectral S bounds for the theta settings, from the Jacobi eigensolver.
+
+    A scalar theta gives floats; an array of theta gives arrays of its shape.
+    """
     vals = herm_eigenvalues(bell_operator(theta))
-    return QuantumBounds(s_min=float(vals[0]), s_max=float(vals[-1]))
+    return QuantumBounds(s_min=_scalar_or_array(vals[..., 0]), s_max=_scalar_or_array(vals[..., -1]))
 
 
 def family_extremum(theta: float) -> tuple[float, float]:

@@ -208,25 +208,18 @@ def cmd_sweep_theta(xi_list, theta_grid: GridSpec, out: str) -> None:
         raise ValueError("xi list must not be empty")
     thetas = theta_grid.points()
     s = s_parameter(thetas[None, :], np.asarray(xi_list)[:, None])
-    envelopes = [quantum_bounds(theta) for theta in thetas]
-    cells = [(_fmt(t), _fmt(env.s_min), _fmt(env.s_max)) for t, env in zip(thetas, envelopes)]
+    env = quantum_bounds(thetas)
+    cells = [(_fmt(t), _fmt(lo), _fmt(hi)) for t, lo, hi in zip(thetas, env.s_min, env.s_max)]
     _write_rows(out, ("xi", "theta", "s", "s_qmin", "s_qmax"), _sweep_rows(xi_list, cells, s))
 
 
 def cmd_bounds(theta_grid: GridSpec, out: str) -> None:
-    classical = classical_bound()
-    rows = []
-    for theta in theta_grid.points():
-        q_max = quantum_bounds(theta).s_max
-        rows.append(
-            (
-                _fmt(theta),
-                _fmt(classical),
-                _fmt(q_max),
-                _fmt(CIRELSON_LIMIT),
-                _fmt(CIRELSON_LIMIT - q_max),
-            )
-        )
+    thetas = theta_grid.points()
+    q_max = quantum_bounds(thetas).s_max
+    classical, cirelson = _fmt(classical_bound()), _fmt(CIRELSON_LIMIT)
+    rows = (
+        (_fmt(t), classical, _fmt(q), cirelson, _fmt(CIRELSON_LIMIT - q)) for t, q in zip(thetas, q_max)
+    )
     _write_rows(out, ("theta", "classical_bound", "quantum_max", "cirelson", "superquantum_gap"), rows)
 
 
@@ -275,10 +268,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--degrees", action="store_true", help="interpret command-line angles as degrees"
     )
-    parser.add_argument("--config", default=None, help="noise profile file with key = value lines")
 
 
 def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", default=None, help="noise profile file with key = value lines")
     parser.add_argument("--visibility", type=float, default=None, help="Werner visibility in [0, 1]")
     parser.add_argument("--offset-a", type=float, default=None, help="analyzer a offset angle")
     parser.add_argument("--offset-b", type=float, default=None, help="analyzer b offset angle")

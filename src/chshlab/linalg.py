@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 ALGEBRA_TOL = 1e-12
-EIGEN_RESIDUAL_TOL = 1e-9
 
 _JACOBI_OFF_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
@@ -17,28 +16,34 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise magnitude of M - M^dagger."""
+    """Largest entrywise magnitude of M - M^dagger over a matrix or a stack of them."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))))
 
 
-def require_hermitian(m: np.ndarray, tol: float = ALGEBRA_TOL) -> None:
+def require_hermitian(m: np.ndarray) -> None:
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if defect > ALGEBRA_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds tolerance {tol:.1e}"
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds tolerance {ALGEBRA_TOL:.1e}"
         )
 
 
-def require_normalized(psi: np.ndarray, tol: float = ALGEBRA_TOL) -> None:
+def require_normalized(psi: np.ndarray) -> None:
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > ALGEBRA_TOL:
         raise ValueError(f"ket is not normalized: norm {nrm!r} deviates from 1 by {abs(nrm - 1.0):.3e}")
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the left (slow-index) factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of the last two axes, ``a`` the left (slow-index) factor.
+
+    Leading axes broadcast, so stacks of matrices give a stack of products.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def jacobi_rotation(a_pp: float, a_pq: complex, a_qq: float) -> tuple[float, complex]:
@@ -58,30 +63,17 @@ def jacobi_rotation(a_pp: float, a_pq: complex, a_qq: float) -> tuple[float, com
     return math.cos(angle), math.sin(angle) * phase
 
 
-def _offdiag_mass(a: np.ndarray) -> float:
+def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of one Hermitian matrix by cyclic Jacobi."""
+    n = a.shape[0]
     # Summed directly over off-diagonal entries: a total-minus-diagonal
     # difference would cancel catastrophically near convergence.
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.linalg.norm(a[mask]))
-
-
-def herm_eigensystem(m: np.ndarray, tol: float = ALGEBRA_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix.
-
-    Cyclic Jacobi with complex plane rotations; converges when the off-diagonal
-    Frobenius mass drops below 1e-14 relative to the matrix norm, with a hard cap
-    of 100 sweeps.  Residuals ||M v - lam v|| stay below 1e-9 for the matrix
-    scales this package produces.
-    """
-    require_hermitian(m, tol)
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
+    off = ~np.eye(n, dtype=bool)
     # Relative threshold keeps convergence meaningful if a caller scales inputs.
     scale = max(1.0, float(np.linalg.norm(a)))
     goal = _JACOBI_OFF_TOL * scale
     for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_mass(a) <= goal:
+        if np.linalg.norm(a[off]) <= goal:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -96,20 +88,28 @@ def herm_eigensystem(m: np.ndarray, tol: float = ALGEBRA_TOL) -> tuple[np.ndarra
                 j[q, p] = np.conj(s)
                 j[q, q] = c
                 a = j.conj().T @ a @ j
-                v = v @ j
-    if _offdiag_mass(a) > goal:
+    mass = np.linalg.norm(a[off])
+    if mass > goal:
         raise ArithmeticError(
             f"Jacobi eigensolver did not converge within {_JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal mass {_offdiag_mass(a):.3e})"
+            f"(off-diagonal mass {mass:.3e})"
         )
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    vals = np.diag(a).real
+    return vals[np.argsort(vals, kind="stable")]
 
 
-def herm_eigenvalues(m: np.ndarray, tol: float = ALGEBRA_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (see herm_eigensystem)."""
-    return herm_eigensystem(m, tol)[0]
+def herm_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian matrices: ``(..., n, n)`` gives ``(..., n)``.
+
+    Each matrix is diagonalised on its own by cyclic Jacobi with complex plane
+    rotations, which converges when the off-diagonal Frobenius mass drops below
+    1e-14 relative to the matrix norm, with a hard cap of 100 sweeps.
+    """
+    m = np.asarray(m, dtype=complex)
+    require_hermitian(m)
+    stack = m.reshape(-1, *m.shape[-2:])
+    vals = np.array([_jacobi_eigenvalues(a) for a in stack])
+    return vals.reshape(m.shape[:-1])
 
 
 def expectation(psi: np.ndarray, m: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from chshlab.chsh import (
     CIRELSON_LIMIT,
+    QuantumBounds,
     analyzer_angle,
     bell_operator,
     classical_bound,
@@ -277,6 +278,13 @@ class TestBellOperator:
                 s_parameter(theta, xi), abs=1e-12
             )
 
+    def test_array_matches_scalar_calls(self):
+        thetas = np.random.default_rng(40).uniform(0, math.pi, (4, 25))
+        stack = bell_operator(thetas)
+        assert stack.shape == (4, 25, 4, 4)
+        per_theta = np.array([[bell_operator(t) for t in row] for row in thetas])
+        assert stack.tobytes() == per_theta.tobytes()
+
 
 class TestQuantumBounds:
     def test_cirelson_attained(self):
@@ -301,6 +309,26 @@ class TestQuantumBounds:
             envelope = 2.0 * math.sqrt(1.0 + math.sin(2 * theta) ** 2)
             assert abs(qb.s_max - envelope) <= 1e-9
             assert abs(qb.s_min + envelope) <= 1e-9
+
+    def test_array_matches_scalar_calls(self):
+        # The default grid, bitwise: at rows 44 and 134 another eigensolver
+        # (LAPACK) already changes the last printed digit of the bounds gap.
+        thetas = np.linspace(0.0, math.pi, 181)
+        qb = quantum_bounds(thetas)
+        assert qb.s_min.shape == qb.s_max.shape == (181,)
+        per_theta = [quantum_bounds(t) for t in thetas]
+        assert qb.s_min.tobytes() == np.array([b.s_min for b in per_theta]).tobytes()
+        assert qb.s_max.tobytes() == np.array([b.s_max for b in per_theta]).tobytes()
+
+    def test_scalar_gives_floats(self):
+        qb = quantum_bounds(0.3)
+        assert type(qb.s_min) is float and type(qb.s_max) is float
+
+    def test_array_checks(self):
+        with pytest.raises(ValueError, match="s_min exceeds s_max"):
+            QuantumBounds(s_min=np.array([-1.0, 1.5]), s_max=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="quantum ceiling"):
+            QuantumBounds(s_min=np.array([-1.0, -3.0]), s_max=np.array([1.0, 3.0]))
 
 
 class TestFamilyExtremum:

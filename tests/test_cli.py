@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from chshlab import cli
 from chshlab.chsh import quantum_bounds, s_parameter
 from chshlab.cli import (
     GridSpec,
@@ -154,6 +155,20 @@ class TestSweepTheta:
         assert envelope_at(PI / 2) == pytest.approx((-2.0, 2.0), abs=1e-9)
 
 
+class TestSpectralCalls:
+    @pytest.mark.parametrize("command", [("bounds",), ("sweep-theta", "--xi-list", "0,0.5")])
+    def test_one_quantum_bounds_call_per_grid(self, command, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(theta):
+            calls.append(np.shape(theta))
+            return quantum_bounds(theta)
+
+        monkeypatch.setattr(cli, "quantum_bounds", counted)
+        assert run_cli(*command, "--theta-grid", "0:3:31", "--out", tmp_path / "x.csv") == 0
+        assert calls == [(31,)]
+
+
 class TestBounds:
     def test_gap_table(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -289,6 +304,19 @@ class TestSample:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize(
+        "command",
+        [("surface",), ("sweep-xi",), ("sweep-theta",), ("bounds",), ("sample", "--theta", "0.5")],
+    )
+    def test_config_only_on_simulate(self, command, tmp_path, capsys):
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text("visibility = 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "--config", cfg, "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_path(self, tmp_path, capsys):
         missing_dir = tmp_path / "absent" / "out.csv"
         rc = run_cli("bounds", "--theta-grid", "0:1:3", "--out", missing_dir)

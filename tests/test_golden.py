@@ -41,6 +41,11 @@ CASES = {
         "--offset-a", "3.5", "--offset-b", "-7", "--visibility", "0", "--accidentals", "0",
     ),
     "sample": ("sample", "--theta", PI_4, "--n", "1000", "--seed", "3"),
+    # Quarter-degree steps put many last-digit-sensitive gap rows near 45 and 135 degrees.
+    "bounds-degrees-721": ("bounds", "--theta-grid", "0:180:721", "--degrees"),
+    "sweep-theta-custom": ("sweep-theta", "--xi-list", "0.1,1.2,2.9", "--theta-grid", "0.01:3.1:97"),
+    # The spectral bounds at a theta off the default grids.
+    "sample-theta-0.3": ("sample", "--theta", "0.3", "--n", "1000", "--seed", "5"),
 }
 
 

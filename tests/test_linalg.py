@@ -7,7 +7,6 @@ from chshlab.linalg import (
     PAULI_X,
     PAULI_Z,
     expectation,
-    herm_eigensystem,
     herm_eigenvalues,
     hermiticity_defect,
     jacobi_rotation,
@@ -76,6 +75,17 @@ class TestTensor:
             lhs = tensor(a1 + a2, b)
             rhs = tensor(a1, b) + tensor(a2, b)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+    def test_stacks_broadcast_and_match_kron(self):
+        rng = np.random.default_rng(18)
+        # Leading axes pair up entrywise, unlike np.kron, which multiplies them out.
+        a = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
+        b = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        out = tensor(a, b)
+        assert out.shape == (3, 5, 4, 4)
+        for i in range(3):
+            for k in range(5):
+                assert np.array_equal(out[i, k], np.kron(a[i, k], b[k]))
 
 
 class TestEigensolver:
@@ -152,13 +162,30 @@ class TestEigensolver:
             assert abs((vals**2).sum() - np.sum(np.abs(m) ** 2)) <= 1e-9
 
     def test_residuals(self):
+        # min over unit v of ||(M - lam) v|| is the smallest singular value of
+        # M - lam; LAPACK's eigvalsh is the independent oracle.
         rng = np.random.default_rng(16)
         for _ in range(20):
             m = random_hermitian(rng)
-            vals, vecs = herm_eigensystem(m)
-            for k in range(4):
-                residual = np.linalg.norm(m @ vecs[:, k] - vals[k] * vecs[:, k])
-                assert residual <= 1e-9
+            vals = herm_eigenvalues(m)
+            assert np.max(np.abs(vals - np.linalg.eigvalsh(m))) <= 1e-9
+            for lam in vals:
+                assert np.linalg.svd(m - lam * np.eye(4), compute_uv=False)[-1] <= 1e-9
+
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(19)
+        stack = np.array([[random_hermitian(rng) for _ in range(5)] for _ in range(3)])
+        vals = herm_eigenvalues(stack)
+        assert vals.shape == (3, 5, 4)
+        per_matrix = np.array([[herm_eigenvalues(m) for m in row] for row in stack])
+        assert vals.tobytes() == per_matrix.tobytes()
+
+    def test_rejects_non_hermitian_in_stack(self):
+        rng = np.random.default_rng(20)
+        stack = np.array([random_hermitian(rng) for _ in range(6)])
+        stack[4, 1, 3] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian: max asymmetry 1.000e-03"):
+            herm_eigenvalues(stack)
 
 
 class TestExpectation:
