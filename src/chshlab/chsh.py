@@ -272,11 +272,6 @@ def classical_s_values() -> list[float]:
     return out
 
 
-def classical_bound() -> float:
-    """Maximum CHSH value over deterministic local assignments: exactly 2."""
-    return max(classical_s_values())
-
-
 def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:
     """Bell-operator expectations for n Haar-random pure two-qubit states.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chsh import (
     CIRELSON_LIMIT,
-    classical_bound,
+    CLASSICAL_LIMIT,
     haar_sample_s,
     quantum_bounds,
     s_parameter,
@@ -197,7 +197,7 @@ def cmd_sweep_xi(theta_list, xi_grid: GridSpec, out: str) -> None:
         raise ValueError("theta list must not be empty")
     xis = xi_grid.points()
     s = s_parameter(np.asarray(theta_list)[:, None], xis[None, :])
-    limits = (_fmt(classical_bound()), _fmt(CIRELSON_LIMIT))
+    limits = (_fmt(CLASSICAL_LIMIT), _fmt(CIRELSON_LIMIT))
     cells = [(_fmt(xi), *limits) for xi in xis]
     header = ("theta", "xi", "s", "classical_limit", "cirelson_limit")
     _write_rows(out, header, _sweep_rows(theta_list, cells, s))
@@ -216,7 +216,7 @@ def cmd_sweep_theta(xi_list, theta_grid: GridSpec, out: str) -> None:
 def cmd_bounds(theta_grid: GridSpec, out: str) -> None:
     thetas = theta_grid.points()
     q_max = quantum_bounds(thetas).s_max
-    classical, cirelson = _fmt(classical_bound()), _fmt(CIRELSON_LIMIT)
+    classical, cirelson = _fmt(CLASSICAL_LIMIT), _fmt(CIRELSON_LIMIT)
     rows = (
         (_fmt(t), classical, _fmt(q), cirelson, _fmt(CIRELSON_LIMIT - q)) for t, q in zip(thetas, q_max)
     )
@@ -226,22 +226,16 @@ def cmd_bounds(theta_grid: GridSpec, out: str) -> None:
 def cmd_simulate(theta_list, xi_list, cfg: RunConfig, out: str) -> None:
     if not theta_list or not xi_list:
         raise ValueError("theta and xi lists must not be empty")
-    ideals = s_parameter(np.asarray(theta_list)[:, None], np.asarray(xi_list)[None, :])
-    rows = []
-    for i, theta in enumerate(theta_list):
-        for j, xi in enumerate(xi_list):
-            ideal = ideals[i, j]
-            for rep in range(cfg.replications):
-                est = estimate_s(
-                    theta,
-                    xi,
-                    cfg.pairs_per_setting,
-                    cfg.noise,
-                    derive_seed(cfg.seed, i, j, rep),
-                )
-                rows.append(
-                    (_fmt(theta), _fmt(xi), _fmt(est.s_hat), _fmt(est.std_err), _fmt(ideal))
-                )
+    thetas, xis = np.asarray(theta_list), np.asarray(xi_list)
+    i, j, rep = np.ix_(range(len(thetas)), range(len(xis)), range(cfg.replications))
+    est = estimate_s(
+        thetas[i], xis[j], cfg.pairs_per_setting, cfg.noise, derive_seed(cfg.seed, i, j, rep)
+    )
+    ideals = s_parameter(thetas[:, None], xis[None, :])
+    rows = (
+        (_fmt(thetas[a]), _fmt(xis[b]), _fmt(s), _fmt(err), _fmt(ideals[a, b]))
+        for (a, b, _), s, err in zip(np.ndindex(est.s_hat.shape), est.s_hat.flat, est.std_err.flat)
+    )
     _write_rows(out, ("theta", "xi", "s_hat", "std_err", "s_ideal"), rows)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import _probabilities, analyzer_angle, settings_quartet, theta_param, xi_param
-from .rng import SplitMix64, derive_seed
+from .chsh import _probabilities, _scalar_or_array, analyzer_angle, settings_quartet, xi_param
+from .rng import derive_seed, multinomial
 
 
 @dataclass(frozen=True)
@@ -54,42 +54,17 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class CountsRecord:
-    """Coincidence counts for one analyzer pair; counts sum to pairs_total."""
-
-    n_pp: int
-    n_pm: int
-    n_mp: int
-    n_mm: int
-    alpha: float
-    beta: float
-    pairs_total: int
-
-    def __post_init__(self):
-        counts = (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
-        if sum(counts) != self.pairs_total:
-            raise ValueError(
-                f"counts sum to {sum(counts)}, expected pairs_total = {self.pairs_total}"
-            )
-
-    def correlation(self) -> float:
-        """Count-normalized correlation (n_pp + n_mm - n_pm - n_mp) / total."""
-        return (self.n_pp + self.n_mm - self.n_pm - self.n_mp) / self.pairs_total
-
-
-@dataclass(frozen=True)
 class SEstimate:
-    """Estimated S with its standard error and the per-setting counts."""
+    """Estimated S with its standard error, and the coincidence counts.
+
+    ``s_hat`` and ``std_err`` are floats for scalar inputs and arrays of the
+    broadcast input shape otherwise; ``counts[..., setting, outcome]`` holds
+    the (n_pp, n_pm, n_mp, n_mm) counts of each of the four settings.
+    """
 
     s_hat: float
     std_err: float
-    counts: tuple[CountsRecord, ...]
-
-    def __post_init__(self):
-        if self.std_err < 0.0:
-            raise ValueError("std_err must be nonnegative")
+    counts: np.ndarray
 
 
 def setting_probabilities(alpha, beta, xi, noise: NoiseModel) -> np.ndarray:
@@ -113,37 +88,27 @@ def setting_probabilities(alpha, beta, xi, noise: NoiseModel) -> np.ndarray:
     return (1.0 - f) * (v * pure + (1.0 - v) * 0.25) + 0.25 * f
 
 
-def estimate_s(
-    theta: float,
-    xi: float,
-    pairs_per_setting: int,
-    noise: NoiseModel,
-    seed: int,
-) -> SEstimate:
+def estimate_s(theta, xi, pairs_per_setting: int, noise: NoiseModel, seed) -> SEstimate:
     """Simulate the four settings and combine the counts into an S estimate.
 
-    Each setting consumes an independent derived seed, so settings could run
-    concurrently without changing the result.  Per-setting variance is the
-    multinomial estimate (1 - E^2)/pairs and the four settings add in
-    quadrature.
+    Broadcasts over arrays of theta, xi and seed.  Setting k draws from the
+    derived seed derive_seed(seed, k), so settings and replications are
+    independent streams.  Per-setting variance is the multinomial estimate
+    (1 - E^2)/pairs and the four settings add in quadrature.
     """
     pairs = int(pairs_per_setting)
     if pairs < 2:
         raise ValueError(f"pairs_per_setting must be at least 2, got {pairs_per_setting!r}")
-    q = settings_quartet(theta_param(theta))
-    alphas = (q.a1, q.a2, q.a1, q.a2)
-    betas = (q.b1, q.b1, q.b2, q.b2)
-    probs = setting_probabilities(np.array(alphas), np.array(betas), xi, noise)
-    s_hat = 0.0
-    variance = 0.0
-    records = []
-    for index, sign in enumerate((1.0, 1.0, 1.0, -1.0)):
-        counts = SplitMix64(derive_seed(seed, index)).multinomial(pairs, probs[index])
-        rec = CountsRecord(
-            *(int(c) for c in counts), alpha=alphas[index], beta=betas[index], pairs_total=pairs
-        )
-        e_hat = rec.correlation()
-        s_hat += sign * e_hat
-        variance += (1.0 - e_hat * e_hat) / pairs
-        records.append(rec)
-    return SEstimate(s_hat=s_hat, std_err=math.sqrt(max(variance, 0.0)), counts=tuple(records))
+    q = settings_quartet(theta)
+    alphas = np.stack(np.broadcast_arrays(q.a1, q.a2, q.a1, q.a2), axis=-1)
+    betas = np.stack(np.broadcast_arrays(q.b1, q.b1, q.b2, q.b2), axis=-1)
+    # Replications share the (theta, xi) table: the seeds' axes are not in it.
+    probs = setting_probabilities(alphas, betas, np.asarray(xi)[..., None], noise)
+    # derive_seed(seed) wraps any int seed into uint64 before the setting axis is added.
+    counts = multinomial(derive_seed(np.expand_dims(derive_seed(seed), -1), np.arange(4)), pairs, probs)
+    e = (counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2]) / pairs
+    # Summed in setting order, as a scalar loop would.
+    s_hat = ((e[..., 0] + e[..., 1]) + e[..., 2]) - e[..., 3]
+    v = (1.0 - e * e) / pairs
+    std_err = np.sqrt(np.maximum(((v[..., 0] + v[..., 1]) + v[..., 2]) + v[..., 3], 0.0))
+    return SEstimate(s_hat=_scalar_or_array(s_hat), std_err=_scalar_or_array(std_err), counts=counts)

@@ -5,10 +5,10 @@ import pytest
 
 from chshlab.chsh import (
     CIRELSON_LIMIT,
+    CLASSICAL_LIMIT,
     QuantumBounds,
     analyzer_angle,
     bell_operator,
-    classical_bound,
     classical_s_values,
     coincidence_probabilities,
     correlation,
@@ -358,7 +358,7 @@ class TestClassicalBound:
         assert len(values) == 16
         assert max(values) == 2.0
         assert min(values) == -2.0
-        assert classical_bound() == 2.0
+        assert max(values) == CLASSICAL_LIMIT
 
     def test_all_plus_assignment(self):
         a1 = a2 = b1 = b2 = 1

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from chshlab import cli
+from chshlab import cli, expsim
 from chshlab.chsh import quantum_bounds, s_parameter
 from chshlab.cli import (
     GridSpec,
@@ -18,7 +18,8 @@ from chshlab.cli import (
     parse_angle_list,
     parse_grid,
 )
-from chshlab.expsim import NoiseModel
+from chshlab.expsim import NoiseModel, estimate_s
+from chshlab.rng import derive_seed
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -266,6 +267,36 @@ class TestSimulate:
         cmd_simulate((0.5,), (0.1, 0.2), cfg, str(out))
         _, rows = read_csv(out)
         assert len(rows) == 4
+
+
+    def test_one_estimate_s_call_per_run(self, tmp_path, monkeypatch):
+        estimates, tables = [], []
+
+        def counted_estimate(*args):
+            estimates.append(args)
+            return estimate_s(*args)
+
+        def counted_table(*args):
+            tables.append(table(*args))
+            return tables[-1]
+
+        table = expsim.setting_probabilities
+        monkeypatch.setattr(cli, "estimate_s", counted_estimate)
+        monkeypatch.setattr(expsim, "setting_probabilities", counted_table)
+        out = tmp_path / "x.csv"
+        argv = ["--theta-list", "0.1,0.7,1.3", "--xi-list", "0,0.4", "--pairs", "500", "--replications", "4"]
+        assert run_cli("simulate", *argv, "--seed", "2", "--out", out) == 0
+        assert len(estimates) == 1
+        assert [p.shape for p in tables] == [(3, 2, 1, 4, 4)]
+        # Row (i, j, rep) is the scalar estimate at derive_seed(seed, i, j, rep).
+        _, rows = read_csv(out)
+        assert len(rows) == 24
+        noise = NoiseModel()
+        for index, row in enumerate(rows):
+            i, j, rep = np.unravel_index(index, (3, 2, 4))
+            theta, xi = (0.1, 0.7, 1.3)[i], (0.0, 0.4)[j]
+            est = estimate_s(theta, xi, 500, noise, derive_seed(2, int(i), int(j), int(rep)))
+            assert row == [f"{v:.12g}" for v in (theta, xi, est.s_hat, est.std_err, s_parameter(theta, xi))]
 
 
 class TestSample:

@@ -5,15 +5,9 @@ import pytest
 
 from chshlab import expsim
 from chshlab.chsh import coincidence_probabilities, s_parameter, settings_quartet, state_phi
-from chshlab.expsim import (
-    CountsRecord,
-    NoiseModel,
-    SEstimate,
-    estimate_s,
-    setting_probabilities,
-)
+from chshlab.expsim import NoiseModel, SEstimate, estimate_s, setting_probabilities
 from chshlab.linalg import PAULI_Z
-from chshlab.rng import SplitMix64, derive_seed
+from chshlab.rng import derive_seed, multinomial
 
 SQRT2 = math.sqrt(2.0)
 NO_NOISE = NoiseModel.ideal()
@@ -194,45 +188,32 @@ class TestRunSetting:
     def test_degenerate_distribution(self):
         # phi+ with every analyzer at 0 (theta = 0) never sends a pair to +- or -+.
         est = estimate_s(0.0, 0.0, 100, NO_NOISE, seed=5)
-        for rec in est.counts:
-            assert (rec.n_pm, rec.n_mp) == (0, 0)
-            assert rec.n_pp + rec.n_mm == 100
+        assert not est.counts[:, 1:3].any()
+        assert (est.counts[:, 0] + est.counts[:, 3] == 100).all()
 
     def test_deterministic(self):
         noise = NoiseModel(analyzer_offset_a=0.05, analyzer_offset_b=-0.02)
         a = estimate_s(0.3, 0.7, 5000, noise, seed=99)
         b = estimate_s(0.3, 0.7, 5000, noise, seed=99)
-        assert a.counts == b.counts
+        assert np.array_equal(a.counts, b.counts)
 
     def test_uniform_counts_within_five_sigma(self):
         noise = NoiseModel(visibility=0.0, accidental_fraction=0.0)
         est = estimate_s(0.2, 1.3, 1_000_000, noise, seed=8)
         sigma = math.sqrt(1_000_000 * 0.25 * 0.75)
-        for rec in est.counts:
-            for count in (rec.n_pp, rec.n_pm, rec.n_mp, rec.n_mm):
-                assert abs(count - 250_000) < 5 * sigma
+        assert (np.abs(est.counts - 250_000) < 5 * sigma).all()
 
     def test_count_conservation(self):
         rng = np.random.default_rng(45)
         for seed in range(20):
             pairs = int(rng.integers(2, 5000))
             est = estimate_s(rng.uniform(0, math.pi), 0.9, pairs, NoiseModel(), seed)
-            for rec in est.counts:
-                assert rec.n_pp + rec.n_pm + rec.n_mp + rec.n_mm == rec.pairs_total == pairs
+            assert (est.counts >= 0).all()
+            assert (est.counts.sum(axis=-1) == pairs).all()
 
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
             estimate_s(0.5, 0.1, 0, NO_NOISE, seed=1)
-
-
-class TestCountsRecord:
-    def test_validates_total(self):
-        with pytest.raises(ValueError):
-            CountsRecord(n_pp=1, n_pm=1, n_mp=1, n_mm=1, alpha=0.0, beta=0.0, pairs_total=5)
-
-    def test_correlation(self):
-        rec = CountsRecord(n_pp=40, n_pm=10, n_mp=10, n_mm=40, alpha=0.0, beta=0.0, pairs_total=100)
-        assert rec.correlation() == pytest.approx(0.6, abs=1e-15)
 
 
 class TestEstimateS:
@@ -274,15 +255,52 @@ class TestEstimateS:
     def test_counts_attached_per_setting(self):
         est = estimate_s(0.7, 0.2, 500, NoiseModel(), seed=6)
         assert isinstance(est, SEstimate)
-        assert len(est.counts) == 4
-        assert all(rec.pairs_total == 500 for rec in est.counts)
+        assert est.counts.shape == (4, 4)
+        assert est.counts.dtype.kind == "i"
+        assert (est.counts.sum(axis=-1) == 500).all()
+
+    def test_s_hat_combines_setting_correlations(self):
+        est = estimate_s(0.7, 0.2, 500, NoiseModel(), seed=6)
+        e = [(int(c[0]) + int(c[3]) - int(c[1]) - int(c[2])) / 500 for c in est.counts]
+        assert est.s_hat == e[0] + e[1] + e[2] - e[3]
 
     def test_std_err_combines_setting_variances(self):
         est = estimate_s(0.7, 0.2, 500, NoiseModel(), seed=6)
-        expected = math.sqrt(
-            sum((1.0 - rec.correlation() ** 2) / rec.pairs_total for rec in est.counts)
-        )
+        e = (est.counts[:, 0] + est.counts[:, 3] - est.counts[:, 1] - est.counts[:, 2]) / 500
+        expected = math.sqrt(sum((1.0 - e**2) / 500))
         assert est.std_err == pytest.approx(expected, abs=1e-15)
+
+    def test_scalar_inputs_give_floats(self):
+        # A seed beyond 64 bits wraps, as derive_seed does.
+        est = estimate_s(0.7, 0.2, 500, NoiseModel(), seed=2**64 + 6)
+        assert type(est.s_hat) is float and type(est.std_err) is float
+        assert np.array_equal(est.counts, estimate_s(0.7, 0.2, 500, NoiseModel(), seed=6).counts)
+
+    def test_array_matches_scalar_calls(self):
+        noise = NoiseModel(visibility=0.9, analyzer_offset_a=0.013, analyzer_offset_b=-7.0, accidental_fraction=0.02)
+        thetas = np.array([0.0, 0.3, math.pi / 4, 3.0])[:, None, None]
+        xis = np.array([-4.0, 0.0, 1.2])[None, :, None]
+        seeds = derive_seed(2**63 + 5, np.arange(4)[:, None, None], np.arange(3)[:, None], np.arange(5))
+        est = estimate_s(thetas, xis, 20_000, noise, seeds)
+        assert est.s_hat.shape == est.std_err.shape == (4, 3, 5)
+        assert est.counts.shape == (4, 3, 5, 4, 4)
+        for (a, b, r), s_hat in np.ndenumerate(est.s_hat):
+            one = estimate_s(float(thetas[a, 0, 0]), float(xis[0, b, 0]), 20_000, noise, int(seeds[a, b, r]))
+            assert (one.s_hat, one.std_err) == (s_hat, est.std_err[a, b, r])
+            assert np.array_equal(one.counts, est.counts[a, b, r])
+
+    def test_one_table_per_theta_xi(self, monkeypatch):
+        calls = []
+        kernel = expsim.setting_probabilities
+
+        def counted(*args):
+            calls.append(kernel(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(expsim, "setting_probabilities", counted)
+        est = estimate_s(np.array([0.1, 0.2])[:, None], 0.3, 100, NoiseModel(), np.arange(7))
+        assert est.s_hat.shape == (2, 7)
+        assert [p.shape for p in calls] == [(2, 1, 4, 4)]
 
     def test_deterministic(self):
         a = estimate_s(0.9, 0.1, 2000, NoiseModel(), seed=11)
@@ -299,10 +317,8 @@ class TestEstimateS:
         plan = ((q.a1, q.b1), (q.a2, q.b1), (q.a1, q.b2), (q.a2, q.b2))
         for index, (a, b) in enumerate(plan):
             p = setting_probabilities(a, b, xi, noise)
-            counts = SplitMix64(derive_seed(seed, index)).multinomial(pairs, p)
-            got = est.counts[index]
-            assert tuple(counts) == (got.n_pp, got.n_pm, got.n_mp, got.n_mm)
-            assert (got.alpha, got.beta) == (a, b)
+            counts = multinomial(derive_seed(seed, index), pairs, p)
+            assert np.array_equal(counts, est.counts[index])
 
     def test_one_kernel_call_per_estimate(self, monkeypatch):
         calls = []

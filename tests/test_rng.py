@@ -1,9 +1,28 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from chshlab.rng import GOLDEN, MASK64, SplitMix64, derive_seed, mix64
+from chshlab.rng import GOLDEN, MASK64, SplitMix64, binomial, derive_seed, mix64, multinomial
+
+# Seeds at the edges of the 64-bit range, above it and below zero.
+EDGE_SEEDS = (0, 1, 0xDEADBEEF, 2**63 - 1, 2**63, 2**63 + 12345, MASK64, 2**64, 2**64 + 7, -1, -(2**63), -987654321)
+
+
+def mix64_reference(z):
+    # The SplitMix64 finalizer on Python integers.
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return (z ^ (z >> 31)) & MASK64
+
+
+def derive_seed_reference(seed, *indices):
+    h = seed & MASK64
+    for ix in indices:
+        h = mix64_reference((h + GOLDEN) ^ mix64_reference(ix & MASK64))
+    return h
 
 
 def splitmix_reference(seed, n):
@@ -11,8 +30,20 @@ def splitmix_reference(seed, n):
     out, state = [], seed & MASK64
     for _ in range(n):
         state = (state + GOLDEN) & MASK64
-        out.append(mix64(state))
+        out.append(mix64_reference(state))
     return out
+
+
+def multinomial_reference(seed, n, pvals):
+    # Sequential conditional binomials, each taking the next word of one stream.
+    stream = SplitMix64(seed)
+    counts, remaining, tail = [], n, 1.0
+    for p in pvals[:-1]:
+        cond = 0.0 if tail <= 0.0 else min(max(p / tail, 0.0), 1.0)
+        counts.append(binomial(remaining, cond, stream.random()))
+        remaining -= counts[-1]
+        tail -= p
+    return counts + [remaining]
 
 
 def binomial_cdf_inverse_exact(u, n, p):
@@ -56,34 +87,55 @@ class TestSplitMix64:
         assert np.array_equal(SplitMix64(7).standard_normal(101), SplitMix64(7).standard_normal(101))
 
 
+class TestMix64:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(17)
+        values = [*(s & MASK64 for s in EDGE_SEEDS), *(int(v) for v in rng.integers(0, 2**63, 200, dtype=np.uint64) * 2 + 1)]
+        got = mix64(np.array(values, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [mix64_reference(v) for v in values]
+
+    def test_keeps_shape(self):
+        z = np.arange(12, dtype=np.uint64).reshape(3, 4)
+        assert mix64(z).shape == (3, 4)
+        assert int(mix64(MASK64)) == mix64_reference(MASK64)
+
+    def test_scalar_calls_raise_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert derive_seed(MASK64, 2**64 - 2, 3) == derive_seed_reference(MASK64, 2**64 - 2, 3)
+            mix64(np.uint64(MASK64))
+            multinomial(MASK64, 1000, [0.25] * 4)
+
+
 class TestBinomial:
     def test_matches_exact_inverse_cdf(self):
-        # Reconstruct the uniform the draw will consume and compare with the
-        # math.comb oracle.
         rng = np.random.default_rng(21)
         for trial in range(300):
-            seed = int(rng.integers(0, 2**63))
+            u = float(rng.random())
             n = int(rng.integers(0, 40))
             p = float(rng.random())
-            u = SplitMix64(seed).random()
-            drawn = SplitMix64(seed).binomial(n, p)
-            assert drawn == binomial_cdf_inverse_exact(u, n, p)
+            assert binomial(n, p, u) == binomial_cdf_inverse_exact(u, n, p)
 
     def test_edge_cases(self):
-        sm = SplitMix64(3)
-        assert sm.binomial(100, 0.0) == 0
-        assert sm.binomial(100, 1.0) == 100
-        assert sm.binomial(0, 0.3) == 0
+        u = SplitMix64(3).random()
+        assert binomial(100, 0.0, u) == 0
+        assert binomial(100, 1.0, u) == 100
+        assert binomial(0, 0.3, u) == 0
         with pytest.raises(ValueError):
-            sm.binomial(10, 1.5)
+            binomial(10, 1.5, u)
         with pytest.raises(ValueError):
-            sm.binomial(-1, 0.5)
+            binomial(-1, 0.5, u)
 
     def test_consumes_one_word_regardless_of_outcome(self):
-        a, b = SplitMix64(42), SplitMix64(42)
-        a.binomial(100, 0.0)
-        b.next_uint64()
-        assert a.next_uint64() == b.next_uint64()
+        # Binomial j of a multinomial draw reads word j+1 of the seed's
+        # stream, also when an earlier binomial was decided without it.
+        for seed in range(20):
+            words = SplitMix64(seed).random(3)
+            counts = multinomial(seed, 1000, [0.0, 0.3, 0.2, 0.5])
+            assert counts[0] == 0
+            assert counts[1] == binomial(1000, 0.3, words[1])
+            assert counts[2] == binomial(1000 - counts[1], 0.2 / 0.7, words[2])
 
     def test_matches_exact_rational_cdf_mid_range(self):
         # Exact integer-arithmetic oracle at n = 500, p = 1/4: the CDF terms
@@ -106,48 +158,71 @@ class TestBinomial:
 
         for seed in range(40):
             u = SplitMix64(seed).random()
-            assert SplitMix64(seed).binomial(n, 0.25) == exact_icdf(u)
+            assert binomial(n, 0.25, u) == exact_icdf(u)
 
     def test_large_n_moments(self):
         n, p = 1_000_000, 0.3
         sigma = math.sqrt(n * p * (1 - p))
-        draws = [SplitMix64(seed).binomial(n, p) for seed in range(8)]
+        draws = [binomial(n, p, SplitMix64(seed).random()) for seed in range(8)]
         for d in draws:
             assert abs(d - n * p) < 5 * sigma
 
 
 class TestMultinomial:
     def test_sum_is_exact(self):
-        counts = SplitMix64(1).multinomial(12345, [0.1, 0.2, 0.3, 0.4])
+        counts = multinomial(1, 12345, [0.1, 0.2, 0.3, 0.4])
         assert counts.sum() == 12345
         assert (counts >= 0).all()
 
     def test_determinism(self):
-        a = SplitMix64(77).multinomial(1000, [0.25] * 4)
-        b = SplitMix64(77).multinomial(1000, [0.25] * 4)
+        a = multinomial(77, 1000, [0.25] * 4)
+        b = multinomial(77, 1000, [0.25] * 4)
         assert np.array_equal(a, b)
 
     def test_degenerate_mass(self):
-        assert np.array_equal(SplitMix64(5).multinomial(100, [1.0, 0.0, 0.0, 0.0]), [100, 0, 0, 0])
+        assert np.array_equal(multinomial(5, 100, [1.0, 0.0, 0.0, 0.0]), [100, 0, 0, 0])
+        assert np.array_equal(multinomial(5, 100, [0.0, 0.0, 0.0, 1.0]), [0, 0, 0, 100])
 
     def test_uniform_quarter_moments(self):
         # Binomial(1e6, 1/4) sigma is ~433; all four counts must sit within 5 sigma.
-        counts = SplitMix64(99).multinomial(1_000_000, [0.25] * 4)
+        counts = multinomial(99, 1_000_000, [0.25] * 4)
         sigma = math.sqrt(1_000_000 * 0.25 * 0.75)
         assert all(abs(int(c) - 250_000) < 5 * sigma for c in counts)
 
     def test_validates_pvals(self):
         with pytest.raises(ValueError):
-            SplitMix64(0).multinomial(10, [0.5, 0.6])
+            multinomial(0, 10, [0.5, 0.6])
         with pytest.raises(ValueError):
-            SplitMix64(0).multinomial(10, [0.7, -0.2, 0.5])
+            multinomial(0, 10, [0.7, -0.2, 0.5])
+        with pytest.raises(ValueError):
+            multinomial(0, 10, [[0.5, 0.5], [0.5, 0.6]])
+        with pytest.raises(ValueError):
+            multinomial(0, 10, 1.0)
 
     def test_rejects_non_finite_pvals(self):
         # A NaN makes the sum NaN, which no range check catches.
         nan, inf = math.nan, math.inf
         for pvals in ([0.5, 0.5, nan], [nan, 0.5, 0.5], [0.5, nan, 0.5], [0.5, 0.5, inf]):
             with pytest.raises(ValueError, match="finite"):
-                SplitMix64(1).multinomial(10, pvals)
+                multinomial(1, 10, pvals)
+
+    def test_matches_sequential_reference(self):
+        rng = np.random.default_rng(31)
+        for seed in EDGE_SEEDS + tuple(int(s) for s in rng.integers(0, 2**63, 40)):
+            k = int(rng.integers(1, 6))
+            pvals = rng.dirichlet(np.ones(k)).tolist()
+            n = int(rng.choice([2, 1000, 10**6, 10**9]))
+            assert multinomial(seed, n, pvals).tolist() == multinomial_reference(seed, n, pvals)
+
+    def test_broadcasts_seeds_against_pvals(self):
+        rng = np.random.default_rng(32)
+        seeds = derive_seed(5, np.arange(3))[:, None]
+        pvals = rng.dirichlet(np.ones(4), size=2)
+        counts = multinomial(seeds, 5000, pvals)
+        assert counts.shape == (3, 2, 4)
+        for a in range(3):
+            for b in range(2):
+                assert counts[a, b].tolist() == multinomial_reference(int(seeds[a, 0]), 5000, pvals[b].tolist())
 
 
 class TestDeriveSeed:
@@ -159,3 +234,18 @@ class TestDeriveSeed:
     def test_multi_index_fold(self):
         assert derive_seed(5, 1, 2) == derive_seed(derive_seed(5, 1), 2)
         assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+
+    def test_matches_reference(self):
+        for seed in EDGE_SEEDS:
+            for indices in ((), (0,), (3, 1), (2**64 - 1, 7, 2**63), (-1, 5)):
+                got = derive_seed(seed, *indices)
+                assert isinstance(got, int)
+                assert got == derive_seed_reference(seed, *indices)
+
+    def test_broadcast_shapes(self):
+        seeds = np.array([0, 2**63 + 1, MASK64], dtype=np.uint64)[:, None, None]
+        got = derive_seed(seeds, np.arange(4)[None, :, None], np.arange(2))
+        assert got.shape == (3, 4, 2) and got.dtype == np.uint64
+        for (a, b, c), value in np.ndenumerate(got):
+            assert int(value) == derive_seed_reference(int(seeds[a, 0, 0]), b, c)
+        assert derive_seed(-3, np.arange(5)).tolist() == [derive_seed_reference(-3, i) for i in range(5)]
