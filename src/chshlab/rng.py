@@ -96,10 +96,15 @@ def binomial(n: int, p: float, u: float) -> int:
     """The Binomial(n, p) draw at uniform ``u`` in [0, 1), by inverse CDF.
 
     The probability mass function is accumulated over a window of +-60
-    standard deviations around the mean (the mass outside is below
-    1e-300), then the uniform is located in the cumulative table.  The
-    draw is exact up to float rounding of the cumulative sums, and the
-    cost is O(sigma) rather than O(n).
+    standard deviations (plus 10) around the mean, where the mass outside is
+    below 1e-40, and the uniform, scaled by the table's total mass, is
+    located in the cumulative table.  The scaling normalises the table, so
+    every uniform lands inside the window, and it cancels the rounding error
+    of the log-pmf's anchor term, which scales the whole table (the total
+    mass is off by 3.6e-6 at n = 1e9, p = 0.01).  The normalised table is
+    within about 1e-12 of the exact CDF up to n = 1e9, so the draw is the
+    exact inverse CDF except for a uniform that close to a CDF value.  The
+    cost is O(sigma), not O(n).
     """
     n = int(n)
     if n < 0:
@@ -128,8 +133,7 @@ def binomial(n: int, p: float, u: float) -> int:
     else:
         log_pmf = np.array([anchor])
     cdf = np.cumsum(np.exp(log_pmf))
-    idx = int(np.searchsorted(cdf, u, side="left"))
-    return min(lo + idx, hi)
+    return lo + int(np.searchsorted(cdf, u * cdf[-1], side="left"))
 
 
 def multinomial(seeds, n: int, pvals) -> np.ndarray:

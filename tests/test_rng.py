@@ -167,6 +167,15 @@ class TestBinomial:
         for d in draws:
             assert abs(d - n * p) < 5 * sigma
 
+    def test_top_uniform_stays_in_the_bulk(self):
+        # The largest uniform, 1 - 2**-53, is a tail event of probability
+        # 2**-53, about 8 sigma out; it must not clamp to the +60-sigma
+        # window edge when the table's total mass rounds below 1.
+        u = 1.0 - 2.0**-53
+        for n, p in ((10_000, 0.5), (10**6, 0.3), (10**8, 0.25), (10**9, 0.01)):
+            sigma = math.sqrt(n * p * (1 - p))
+            assert 7.0 < (binomial(n, p, u) - n * p) / sigma < 9.0
+
 
 class TestMultinomial:
     def test_sum_is_exact(self):
