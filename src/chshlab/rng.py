@@ -23,7 +23,7 @@ def _uint64(x) -> np.ndarray:
     """``x`` as a uint64 array, wrapped modulo 2**64; Python ints may have any size."""
     if isinstance(x, int):
         x &= MASK64
-    return np.asarray(x).astype(np.uint64)
+    return np.asarray(x).astype(np.uint64, copy=False)
 
 
 def mix64(z) -> np.ndarray:
