@@ -296,7 +296,8 @@ class TestSimulate:
             i, j, rep = np.unravel_index(index, (3, 2, 4))
             theta, xi = (0.1, 0.7, 1.3)[i], (0.0, 0.4)[j]
             est = estimate_s(theta, xi, 500, noise, derive_seed(2, int(i), int(j), int(rep)))
-            assert row == [f"{v:.12g}" for v in (theta, xi, est.s_hat, est.std_err, s_parameter(theta, xi))]
+            values = (theta, xi, est.s_hat, est.std_err, s_parameter(theta, xi))
+            assert row == [f"{v:.12g}" for v in values]
 
 
 class TestSample:

@@ -277,7 +277,9 @@ class TestEstimateS:
         assert np.array_equal(est.counts, estimate_s(0.7, 0.2, 500, NoiseModel(), seed=6).counts)
 
     def test_array_matches_scalar_calls(self):
-        noise = NoiseModel(visibility=0.9, analyzer_offset_a=0.013, analyzer_offset_b=-7.0, accidental_fraction=0.02)
+        noise = NoiseModel(
+            visibility=0.9, analyzer_offset_a=0.013, analyzer_offset_b=-7.0, accidental_fraction=0.02
+        )
         thetas = np.array([0.0, 0.3, math.pi / 4, 3.0])[:, None, None]
         xis = np.array([-4.0, 0.0, 1.2])[None, :, None]
         seeds = derive_seed(2**63 + 5, np.arange(4)[:, None, None], np.arange(3)[:, None], np.arange(5))
@@ -285,7 +287,8 @@ class TestEstimateS:
         assert est.s_hat.shape == est.std_err.shape == (4, 3, 5)
         assert est.counts.shape == (4, 3, 5, 4, 4)
         for (a, b, r), s_hat in np.ndenumerate(est.s_hat):
-            one = estimate_s(float(thetas[a, 0, 0]), float(xis[0, b, 0]), 20_000, noise, int(seeds[a, b, r]))
+            theta, xi, seed = float(thetas[a, 0, 0]), float(xis[0, b, 0]), int(seeds[a, b, r])
+            one = estimate_s(theta, xi, 20_000, noise, seed)
             assert (one.s_hat, one.std_err) == (s_hat, est.std_err[a, b, r])
             assert np.array_equal(one.counts, est.counts[a, b, r])
 

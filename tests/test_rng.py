@@ -7,7 +7,9 @@ import pytest
 from chshlab.rng import GOLDEN, MASK64, SplitMix64, binomial, derive_seed, mix64, multinomial
 
 # Seeds at the edges of the 64-bit range, above it and below zero.
-EDGE_SEEDS = (0, 1, 0xDEADBEEF, 2**63 - 1, 2**63, 2**63 + 12345, MASK64, 2**64, 2**64 + 7, -1, -(2**63), -987654321)
+EDGE_SEEDS = (
+    0, 1, 0xDEADBEEF, 2**63 - 1, 2**63, 2**63 + 12345, MASK64, 2**64, 2**64 + 7, -1, -(2**63), -987654321,
+)
 
 
 def mix64_reference(z):
@@ -90,7 +92,7 @@ class TestSplitMix64:
 class TestMix64:
     def test_matches_reference(self):
         rng = np.random.default_rng(17)
-        values = [*(s & MASK64 for s in EDGE_SEEDS), *(int(v) for v in rng.integers(0, 2**63, 200, dtype=np.uint64) * 2 + 1)]
+        values = [s & MASK64 for s in EDGE_SEEDS] + rng.integers(0, 2**64, 200, dtype=np.uint64).tolist()
         got = mix64(np.array(values, dtype=np.uint64))
         assert got.dtype == np.uint64
         assert [int(v) for v in got] == [mix64_reference(v) for v in values]
@@ -231,7 +233,8 @@ class TestMultinomial:
         assert counts.shape == (3, 2, 4)
         for a in range(3):
             for b in range(2):
-                assert counts[a, b].tolist() == multinomial_reference(int(seeds[a, 0]), 5000, pvals[b].tolist())
+                expected = multinomial_reference(int(seeds[a, 0]), 5000, pvals[b].tolist())
+                assert counts[a, b].tolist() == expected
 
 
 class TestDeriveSeed:
