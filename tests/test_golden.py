@@ -40,6 +40,17 @@ CASES = {
         "simulate", "--pairs", "100000", "--replications", "3", "--seed", "13",
         "--offset-a", "3.5", "--offset-b", "-7", "--visibility", "0", "--accidentals", "0",
     ),
+    # 1e9 pairs per setting: the experiment's scale, at which nearly all of the time is in the binomials.
+    "simulate-deep": (
+        "simulate", "--theta-list", PI_4, "--xi-list", "0", "--pairs", "1000000000", "--replications", "2",
+        "--seed", "7",
+    ),
+    # No noise at 1e9 pairs: setting probabilities of 4.6e-9, 4.2e-13 and 1.9e-33, so the conditional
+    # binomials have means near 0 and probabilities near 0 or 1.
+    "simulate-ideal-deep": (
+        "simulate", "--theta-list", f"0,{PI_4}", "--xi-list", "1.5707,1.5707963267948966,0.3927",
+        "--pairs", "1000000000", "--seed", "11", "--visibility", "1", "--accidentals", "0",
+    ),
     "sample": ("sample", "--theta", PI_4, "--n", "1000", "--seed", "3"),
     # Quarter-degree steps put many last-digit-sensitive gap rows near 45 and 135 degrees.
     "bounds-degrees-721": ("bounds", "--theta-grid", "0:180:721", "--degrees"),
