@@ -1,14 +1,11 @@
 """Deterministic pseudo-randomness for the simulator.
 
-Everything random in this package flows through SplitMix64 so that a 64-bit
-seed pins the full output bit-for-bit across runs and platforms.  The
-generator is counter-based: word i of the stream seeded with s is
-mix64(s + i*GOLDEN), so any word of any stream is computed directly, and
-whole arrays of seeds are drawn from at once.  Counts are drawn by exact
-inverse-CDF sampling; every draw consumes a fixed number of words regardless
-of outcome, so derived streams never slip.
+Everything random flows through the counter-based SplitMix64: word i of the
+stream seeded with s is mix64(s + i*GOLDEN), so a 64-bit seed pins every output
+bit-for-bit and whole arrays of seeds are drawn from at once.  Counts are drawn
+by inverse CDF on Chernoff-bounded windows; every draw consumes a fixed number
+of words whatever its outcome, so derived streams never slip.
 """
-
 from __future__ import annotations
 
 import math
@@ -92,48 +89,67 @@ class SplitMix64:
         return float(z[0]) if n is None else z
 
 
-def binomial(n: int, p: float, u: float) -> int:
-    """The Binomial(n, p) draw at uniform ``u`` in [0, 1), by inverse CDF.
+# A binomial window leaves out under 2**-64 of the mass on each side; a chunk of
+# tables holds about _BUDGET entries, and a wider row is a chunk of its own.
+_TAIL, _BUDGET = 64.0 * math.log(2.0), 2**14
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
 
-    The probability mass function is accumulated over a window of +-60
-    standard deviations (plus 10) around the mean, where the mass outside is
-    below 1e-40, and the uniform, scaled by the table's total mass, is
-    located in the cumulative table.  The scaling normalises the table, so
-    every uniform lands inside the window, and it cancels the rounding error
-    of the log-pmf's anchor term, which scales the whole table (the total
-    mass is off by 3.6e-6 at n = 1e9, p = 0.01).  The normalised table is
-    within about 1e-12 of the exact CDF up to n = 1e9, so the draw is the
-    exact inverse CDF except for a uniform that close to a CDF value.  The
-    cost is O(sigma), not O(n).
+
+def binomial_window(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (lo, hi) with P(X < lo) and P(X > hi) below 2**-64 for X ~ Binomial(n, p), 0 < p < 1.
+
+    P(X <= m - d) <= exp(-f(d)) (Chernoff), with f(d) = bd0(m - d, m) + bd0(nq + d, nq) the
+    deviance (Loader 2000) and m = np.  f is convex, so Newton's method for f = 64 ln 2 from the
+    Gaussian guess stays at or beyond the root after one step.  hi is n minus the edge of n - X.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError("number of trials must be nonnegative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binomial probability {p!r} outside [0, 1]")
-    if n == 0 or p == 0.0:
-        return 0
-    if p == 1.0:
-        return n
-    mean = n * p
-    sigma = math.sqrt(n * p * (1.0 - p))
-    lo = max(0, int(mean - 60.0 * sigma) - 10)
-    hi = min(n, int(mean + 60.0 * sigma) + 10)
-    anchor = (
-        math.lgamma(n + 1.0)
-        - math.lgamma(lo + 1.0)
-        - math.lgamma(n - lo + 1.0)
-        + lo * math.log(p)
-        + (n - lo) * math.log1p(-p)
-    )
-    if hi > lo:
-        k = np.arange(lo, hi, dtype=np.float64)
-        steps = np.log((n - k) / (k + 1.0)) + (math.log(p) - math.log1p(-p))
-        log_pmf = anchor + np.concatenate([[0.0], np.cumsum(steps)])
-    else:
-        log_pmf = np.array([anchor])
-    cdf = np.cumsum(np.exp(log_pmf))
-    return lo + int(np.searchsorted(cdf, u * cdf[-1], side="left"))
+    m, nq = np.concatenate([n * p, n * (1.0 - p)]), np.concatenate([n * (1.0 - p), n * p])
+    # f(m) = -log P(X = 0).  Past the bound the edge is at least 1, so any x >= min(1, m/2) is safe.
+    far = np.concatenate([-n * np.log1p(-p), -n * np.log(p)]) > _TAIL
+    # A mean nq raised to 1e-300 keeps d / nq finite and can only widen the window.
+    m, nq, edge = m[far], np.maximum(nq[far], 1e-300), np.zeros(len(far), np.int64)
+    d_max = np.maximum(m - 1.0, 0.5 * m)
+    d = np.minimum(np.sqrt(2.0 * _TAIL * m * nq / (m + nq)), d_max)
+    for _ in range(3):
+        a, b = np.log1p(-d / m), np.log1p(d / nq)
+        d = np.minimum(d - ((m - d) * a + (nq + d) * b - _TAIL) / (b - a), d_max)
+    edge[far] = np.ceil(m - d)
+    return edge[: len(n)], n - edge[len(n) :]
+
+
+def binomial(n, p, u):
+    """Binomial(n, p) draws at uniforms ``u`` in [0, 1) by inverse CDF; the arguments broadcast.
+
+    The mass function is tabulated on binomial_window(n, p).  Scaling the uniform by the table's
+    total mass cancels the rounding of its math.lgamma anchor: the draw is the exact inverse CDF up to
+    n = 1e9 except within about 1e-12 of a CDF value.  Equal (n, p) share one zero-padded table row.
+    """
+    n, p, u = np.broadcast_arrays(np.asarray(n, np.int64), np.asarray(p, np.float64), u)
+    if np.any(n < 0) or not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
+        raise ValueError("binomial needs n >= 0 and p in [0, 1]")
+    out, live = np.where(p == 1.0, n, 0), (n > 0) & (p > 0.0) & (p < 1.0)
+    lo, hi = binomial_window(n[live], p[live])
+    # Distinct (n, p) rows, widest first, so that a chunk's first row sets its width.
+    keys, row = np.unique(np.c_[lo - hi, lo, n[live], p[live].view("i8")], axis=0, return_inverse=True)
+    width, lo, rn, rp = 1 - keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3].view(np.float64)
+    logit = np.log(rp) - np.log1p(-rp)
+    anchor = _lgamma(rn + 1.0) - _lgamma(lo + 1.0) - _lgamma(rn - lo + 1.0) + rn * np.log1p(-rp) + lo * logit
+    order, start = np.argsort(row.reshape(-1), kind="stable"), 0  # then each chunk's draws are a slice
+    row, u, at = row.reshape(-1)[order], u[live][order], np.flatnonzero(live)[order]
+    while start < len(keys):
+        w = int(width[start])
+        c, j = slice(start, start + max(1, _BUDGET // w)), np.arange(w)
+        # Lane j holds k = lo + j and steps in by log(pmf(k) / pmf(k - 1)); lanes past a row's end hold 0.
+        k = np.clip(lo[c, None] + j - 1, 0, rn[c, None] - 1)
+        steps = np.cumsum((np.log((rn[c, None] - k) / (k + 1.0)) + logit[c, None]) * (j > 0), axis=1)
+        cdf = np.cumsum(np.exp(np.where(j < width[c, None], anchor[c, None] + steps, -np.inf)), axis=1)
+        sel = slice(np.searchsorted(row, start), np.searchsorted(row, c.stop))
+        r, count = row[sel] - start, 0
+        for bit in reversed(range(w.bit_length())):  # binary search for the count of entries below u * total
+            step = count + (1 << bit)
+            count = np.where(cdf[r, np.minimum(step, w) - 1] < u[sel] * cdf[r, -1], step, count)
+        out.flat[at[sel]] = lo[row[sel]] + count
+        start = c.stop
+    return int(out) if out.ndim == 0 else out
 
 
 def multinomial(seeds, n: int, pvals) -> np.ndarray:
@@ -141,32 +157,20 @@ def multinomial(seeds, n: int, pvals) -> np.ndarray:
 
     ``pvals`` holds the category probabilities on its last axis and its other
     axes broadcast against ``seeds``; the counts have the broadcast shape
-    followed by the category axis, and each draw sums to n exactly.  Binomial
-    j of a draw uses word j+1 of SplitMix64(seed) whatever the outcome.
+    followed by the category axis, and each draw sums to n exactly.  Each stage
+    is one binomial call; binomial j of a draw reads word j+1 of SplitMix64(seed).
     """
     p = np.asarray(pvals, dtype=np.float64)
-    if p.ndim < 1 or p.shape[-1] < 1:
-        raise ValueError("pvals must have a nonempty last axis")
-    # NaN fails every comparison below, so it is rejected here.
-    if not np.isfinite(p).all():
-        raise ValueError(f"pvals must be finite, got {p.tolist()!r}")
-    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
-        raise ValueError("pvals must be nonnegative and sum to 1 on the last axis")
-    k = p.shape[-1]
-    seeds = _uint64(seeds)
-    shape = np.broadcast_shapes(seeds.shape, p.shape[:-1])
-    rows = math.prod(shape)
-    words = mix64(seeds[..., None] + np.arange(1, k, dtype=np.uint64) * np.uint64(GOLDEN))
-    u = np.broadcast_to(_unit(words), shape + (k - 1,)).reshape(rows, k - 1)
-    p = np.broadcast_to(p, shape + (k,)).reshape(rows, k)
-    counts = np.empty((rows, k), dtype=np.int64)
-    for row, (p_row, u_row) in enumerate(zip(p.tolist(), u.tolist())):
-        remaining, tail = int(n), 1.0
-        for j in range(k - 1):
-            # Category j's probability given that the draw is not in 0..j-1.
-            cond = 0.0 if tail <= 0.0 else min(max(p_row[j] / tail, 0.0), 1.0)
-            counts[row, j] = drawn = binomial(remaining, cond, u_row[j])
-            remaining -= drawn
-            tail -= p_row[j]
-        counts[row, -1] = remaining
-    return counts.reshape(shape + (k,))
+    # NaN fails every comparison, so it is caught by isfinite; an empty last axis sums to 0.
+    if p.ndim < 1 or not np.isfinite(p).all() or np.any(p < -1e-12) or np.any(np.abs(p.sum(-1) - 1) > 1e-9):
+        raise ValueError("pvals must be finite and nonnegative, and sum to 1 on the last axis")
+    k, seeds, tail = p.shape[-1], _uint64(seeds), np.ones(p.shape[:-1])
+    u = _unit(mix64(seeds[..., None] + np.arange(1, k, dtype=np.uint64) * np.uint64(GOLDEN)))
+    counts, remaining = [], np.full(np.broadcast_shapes(seeds.shape, tail.shape), int(n), dtype=np.int64)
+    for j in range(k - 1):
+        # Category j's probability given that the draw is not in 0..j-1.
+        cond = np.clip(np.divide(p[..., j], tail, out=np.zeros(tail.shape), where=tail > 0.0), 0.0, 1.0)
+        counts.append(binomial(remaining, cond, u[..., j]))
+        remaining = remaining - counts[-1]
+        tail = tail - p[..., j]
+    return np.stack(counts + [remaining], axis=-1)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from chshlab.rng import GOLDEN, MASK64, SplitMix64, binomial, derive_seed, mix64, multinomial
+from chshlab.cli import main
+from chshlab.rng import GOLDEN, MASK64, SplitMix64, binomial, binomial_window, derive_seed, mix64, multinomial
 
 # Seeds at the edges of the 64-bit range, above it and below zero.
 EDGE_SEEDS = (
@@ -171,12 +173,44 @@ class TestBinomial:
 
     def test_top_uniform_stays_in_the_bulk(self):
         # The largest uniform, 1 - 2**-53, is a tail event of probability
-        # 2**-53, about 8 sigma out; it must not clamp to the +60-sigma
-        # window edge when the table's total mass rounds below 1.
+        # 2**-53, about 8 sigma out; it must not clamp to the window's upper
+        # edge, about 9.4 sigma out, when the table's total mass rounds below 1.
         u = 1.0 - 2.0**-53
         for n, p in ((10_000, 0.5), (10**6, 0.3), (10**8, 0.25), (10**9, 0.01)):
             sigma = math.sqrt(n * p * (1 - p))
             assert 7.0 < (binomial(n, p, u) - n * p) / sigma < 9.0
+
+    def test_zero_uniform_draws_the_window_lower_edge(self):
+        for n, p in ((10**4, 0.5), (10**9, 0.25), (10**9, 1e-8), (2, 0.3)):
+            lo, _ = binomial_window(np.array([n]), np.array([p]))
+            assert binomial(n, p, 0.0) == lo[0]
+
+    def test_window_tails_are_below_two_to_the_minus_64(self):
+        binom = pytest.importorskip("scipy.stats").binom
+        n, p = (a.ravel() for a in np.meshgrid([2, 10**4, 10**9], [1e-8, 0.01, 0.25, 0.5, 1 - 1e-8]))
+        lo, hi = binomial_window(n, p)
+        assert (lo >= 0).all() and (lo <= hi).all() and (hi <= n).all()
+        assert (binom.cdf(lo - 1, n, p) < 2.0**-64).all()
+        assert (binom.sf(hi, n, p) < 2.0**-64).all()
+        # In the Gaussian bulk the window spans about +-9.4 sigma, not the +-60 sigma of a fixed multiple.
+        bulk = n * p * (1 - p) > 1e3
+        assert ((hi - lo)[bulk] < 2 * 9.6 * np.sqrt(n * p * (1 - p))[bulk]).all()
+
+    def test_window_tails_on_random_rows(self):
+        binom = pytest.importorskip("scipy.stats").binom
+        rng = np.random.default_rng(22)
+        n = np.concatenate([rng.integers(1, 100, 100), rng.integers(1, 10**9, 100)])
+        p = np.concatenate([rng.random(100), 10 ** rng.uniform(-15, -1e-9, 100)])
+        lo, hi = binomial_window(n, p)
+        assert (binom.cdf(lo - 1, n, p) < 2.0**-64).all()
+        assert (binom.sf(hi, n, p) < 2.0**-64).all()
+
+    def test_skewed_draws_match_scipy_ppf(self):
+        # n = 1e9, p = 1e-8: a mean of 10 next to the edge at 0.
+        binom = pytest.importorskip("scipy.stats").binom
+        u = SplitMix64(8).random(2000)
+        expected = binom.ppf(u, 10**9, 1e-8).astype(np.int64)
+        assert np.array_equal(binomial(10**9, 1e-8, u), expected)
 
 
 class TestMultinomial:
@@ -224,6 +258,59 @@ class TestMultinomial:
             pvals = rng.dirichlet(np.ones(k)).tolist()
             n = int(rng.choice([2, 1000, 10**6, 10**9]))
             assert multinomial(seed, n, pvals).tolist() == multinomial_reference(seed, n, pvals)
+        # One call whose conditional stages batch very different n and p: tables of
+        # width 1 to about 3e5 share padded chunks, or fill chunks of their own.
+        pvals = np.array([
+            [0.25, 0.25, 0.25, 0.25],
+            [1e-8, 0.3, 0.3, 0.4 - 1e-8],
+            [1 - 3e-8, 1e-8, 1e-8, 1e-8],
+            [1 - 1.1e-4, 5e-5, 5e-5, 1e-5],
+            [1 - 2e-5, 1e-5, 5e-6, 5e-6],
+            [0.5, 1e-12, 0.25, 0.25 - 1e-12],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.97, 0.01, 0.01, 0.01],
+            *rng.dirichlet(np.ones(4), size=4),
+        ])
+        seeds = derive_seed(33, np.arange(3))[:, None]
+        counts = multinomial(seeds, 10**9, pvals)
+        for (a, b), seed in np.ndenumerate(np.broadcast_to(seeds, counts.shape[:2])):
+            assert counts[a, b].tolist() == multinomial_reference(int(seed), 10**9, pvals[b].tolist())
+
+    def test_padding_raises_no_warning(self):
+        # Rows of very different widths share a padded table; p = 0 and p = 1
+        # rows and the lanes past a row's end must stay clean.
+        pvals = [
+            [0.0, 1.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.5, 0.0, 0.5, 0.0],
+            [1e-8, 0.5, 0.0, 0.5 - 1e-8],
+            [1e-300, 0.5, 0.5 - 1e-300, 0.0],
+            [0.25, 0.25, 0.25, 0.25],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0, 1, 2, 1000, 10**9):
+                counts = multinomial(derive_seed(4, np.arange(5))[:, None], n, pvals)
+                assert (counts.sum(axis=-1) == n).all()
+            binomial([1, 2, 10**9, 10**9], [5e-324, 1 - 2**-53, 5e-324, 1 - 2**-53], [0.0, 0.5, 0.999, 0.0])
+
+    def test_memory_stays_bounded(self, tmp_path):
+        # A table chunk holds about 2**14 entries and a wide row is its own
+        # chunk: the limits fail for a +-60-sigma window or a 2**15-entry chunk.
+        argv = ["simulate", "--pairs", "10000", "--replications", "20", "--seed", "1", "--out"]
+        for call, limit_mb in (
+            (lambda: multinomial(derive_seed(1, np.arange(20)), 10**9, [0.25] * 4), 16.0),
+            (lambda: main([*argv, str(tmp_path / "m.csv")]), 1.8),
+        ):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit_mb * 2**20
 
     def test_broadcasts_seeds_against_pvals(self):
         rng = np.random.default_rng(32)
