@@ -6,6 +6,7 @@ bit-for-bit and whole arrays of seeds are drawn from at once.  Counts are drawn
 by inverse CDF on Chernoff-bounded windows; every draw consumes a fixed number
 of words whatever its outcome, so derived streams never slip.
 """
+
 from __future__ import annotations
 
 import math

@@ -310,7 +310,7 @@ class TestMultinomial:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < limit_mb * 2**20
+            assert peak < limit_mb * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
     def test_broadcasts_seeds_against_pvals(self):
         rng = np.random.default_rng(32)
