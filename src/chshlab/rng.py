@@ -117,7 +117,7 @@ def binomial_window(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return edge[: len(n)], n - edge[len(n) :]
 
 
-def binomial(n, p, u):
+def binomial(n, p, u) -> int | np.ndarray:
     """Binomial(n, p) draws at uniforms ``u`` in [0, 1) by inverse CDF; the arguments broadcast.
 
     The mass function is tabulated on binomial_window(n, p).  Scaling the uniform by the table's
@@ -134,7 +134,7 @@ def binomial(n, p, u):
     width, lo, rn, rp = 1 - keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3].view(np.float64)
     logit = np.log(rp) - np.log1p(-rp)
     anchor = _lgamma(rn + 1.0) - _lgamma(lo + 1.0) - _lgamma(rn - lo + 1.0) + rn * np.log1p(-rp) + lo * logit
-    order, start = np.argsort(row.reshape(-1), kind="stable"), 0  # then each chunk's draws are a slice
+    order, start = np.argsort(row.reshape(-1)), 0  # then each chunk's draws are a slice
     row, u, at = row.reshape(-1)[order], u[live][order], np.flatnonzero(live)[order]
     while start < len(keys):
         w = int(width[start])
