@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    ALGEBRA_TOL,
-    PAULI_X,
-    PAULI_Z,
-    herm_eigenvalues,
-    tensor,
-)
+from .linalg import PAULI_X, PAULI_Z, herm_eigenvalues, tensor
 from .rng import SplitMix64
 
 TWO_PI = 2.0 * math.pi
@@ -113,30 +107,6 @@ def state_phi(xi: float) -> np.ndarray:
     return np.array([c, s, -s, c], dtype=complex) * SQRT1_2
 
 
-@dataclass(frozen=True)
-class CoincidenceProbabilities:
-    """Joint outcome probabilities for one analyzer pair, normalized to 1."""
-
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
-
-    def __post_init__(self):
-        for name, p in zip(("p_pp", "p_pm", "p_mp", "p_mm"), self.as_tuple()):
-            if not -ALGEBRA_TOL <= p <= 1.0 + ALGEBRA_TOL:
-                raise ValueError(f"{name} = {p!r} outside [0, 1]")
-        total = sum(self.as_tuple())
-        if abs(total - 1.0) > ALGEBRA_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-
-    def correlation(self) -> float:
-        return self.p_pp + self.p_mm - self.p_pm - self.p_mp
-
-
 def _probabilities(alpha, beta, xi) -> tuple:
     """(p_pp, p_pm, p_mp, p_mm): squared overlaps of the source ket with the
     four analyzer product kets.
@@ -160,12 +130,6 @@ def _probabilities(alpha, beta, xi) -> tuple:
         amp(sa, -ca, cb, sb) ** 2,
         amp(sa, -ca, sb, -cb) ** 2,
     )
-
-
-def coincidence_probabilities(alpha: float, beta: float, xi: float) -> CoincidenceProbabilities:
-    """The validated probabilities for one analyzer pair and one state."""
-    probs = _probabilities(analyzer_angle(alpha), analyzer_angle(beta), xi_param(xi))
-    return CoincidenceProbabilities(*(float(p) for p in probs))
 
 
 def _correlation(alpha, beta, xi):
@@ -201,14 +165,6 @@ def _family_coefficients(theta: float) -> tuple[float, float]:
     a = 3.0 * math.cos(theta) - math.cos(3.0 * theta)
     c = math.sin(theta) - math.sin(3.0 * theta)
     return a, c
-
-
-def s_closed_form(theta: float, xi: float) -> float:
-    """Closed form (3 cos t - cos 3t) cos 2xi + (sin t - sin 3t) sin 2xi."""
-    t = theta_param(theta)
-    x = xi_param(xi)
-    a, c = _family_coefficients(t)
-    return a * math.cos(2.0 * x) + c * math.sin(2.0 * x)
 
 
 def bell_operator(theta) -> np.ndarray:

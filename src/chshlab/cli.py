@@ -8,6 +8,7 @@ so reruns produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import shutil
@@ -16,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import (
-    CIRELSON_LIMIT,
-    CLASSICAL_LIMIT,
-    haar_sample_s,
-    quantum_bounds,
-    s_parameter,
-)
+from .chsh import CIRELSON_LIMIT, CLASSICAL_LIMIT, haar_sample_s, quantum_bounds, s_parameter
 from .expsim import NoiseModel, estimate_s
 from .rng import derive_seed
 
@@ -52,29 +47,33 @@ class GridSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Simulated-run parameters: counting statistics, noise, seeding."""
-
-    pairs_per_setting: int
-    noise: NoiseModel
-    seed: int
-    replications: int
-
-    def __post_init__(self):
-        if self.pairs_per_setting < 2:
-            raise ValueError("pairs-per-setting must be at least 2")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+_CELL = "%.12g"
+_BLOCK_ROWS = 1024
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _lines(*columns):
+    """CSV text of the broadcast columns, yielded _BLOCK_ROWS whole lines at a time.
+
+    A string column is a literal cell, the same on every row.  Every other
+    column is numeric, broadcasts against the rest and is formatted with
+    _CELL: 12 significant digits, as ``format(value, ".12g")`` gives them.
+    Rows run in C order of the broadcast shape, so the first axis runs slowest.
+    """
+    template = ",".join(c if isinstance(c, str) else _CELL for c in columns) + "\n"
+    arrays = [np.asarray(c) for c in columns if not isinstance(c, str)]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    flats = [np.broadcast_to(a, shape).flat for a in arrays]
+    size = math.prod(shape)
+    for start in range(0, size, _BLOCK_ROWS):
+        block = [f[start : start + _BLOCK_ROWS].tolist() for f in flats]
+        yield "".join([template % row for row in zip(*block)])
 
 
-def _write_rows(path: str, header: tuple[str, ...], rows) -> None:
-    """Write the CSV to ``path``; a regular file is replaced atomically.
+def _write_rows(path: str, header: tuple[str, ...], lines) -> None:
+    """Write the header row and then ``lines`` to ``path``; a regular file is replaced atomically.
 
+    ``lines`` is an iterable of strings, each holding whole CSV lines such as
+    ``_lines`` yields; it is consumed as it is written, so memory stays flat.
     When ``path`` is absent or (through any symlinks) a regular file, the CSV
     is written under a temporary name beside the resolved file, which is then
     renamed into place with the old file's permission bits.  An error or
@@ -90,8 +89,7 @@ def _write_rows(path: str, header: tuple[str, ...], rows) -> None:
         try:
             with open(tmp or target, "w", encoding="ascii", newline="") as fh:
                 fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(row) + "\n")
+                fh.writelines(lines)
             if atomic:
                 if exists:
                     shutil.copymode(target, tmp)
@@ -173,85 +171,56 @@ def resolve_noise(args: argparse.Namespace) -> NoiseModel:
     return NoiseModel(**fields)
 
 
-def _sweep_rows(outer, cells, s):
-    """CSV rows (outer, inner, s, *extra), outer values running slowest.
-
-    ``cells[k]`` holds the preformatted (inner, *extra) columns, and ``s[i, k]``
-    is S at ``outer[i]`` and ``cells[k]``.
-    """
-    return (
-        (_fmt(o), cell[0], _fmt(value), *cell[1:])
-        for o, s_row in zip(outer, s)
-        for cell, value in zip(cells, s_row)
-    )
-
-
 def cmd_surface(theta_grid: GridSpec, xi_grid: GridSpec, out: str) -> None:
-    thetas, xis = theta_grid.points(), xi_grid.points()
-    s = s_parameter(thetas[:, None], xis[None, :])
-    _write_rows(out, ("theta", "xi", "s"), _sweep_rows(thetas, [(_fmt(xi),) for xi in xis], s))
+    thetas, xis = theta_grid.points()[:, None], xi_grid.points()
+    _write_rows(out, ("theta", "xi", "s"), _lines(thetas, xis, s_parameter(thetas, xis)))
 
 
 def cmd_sweep_xi(theta_list, xi_grid: GridSpec, out: str) -> None:
     if not theta_list:
         raise ValueError("theta list must not be empty")
-    xis = xi_grid.points()
-    s = s_parameter(np.asarray(theta_list)[:, None], xis[None, :])
-    limits = (_fmt(CLASSICAL_LIMIT), _fmt(CIRELSON_LIMIT))
-    cells = [(_fmt(xi), *limits) for xi in xis]
+    thetas, xis = np.asarray(theta_list)[:, None], xi_grid.points()
+    s = s_parameter(thetas, xis)
     header = ("theta", "xi", "s", "classical_limit", "cirelson_limit")
-    _write_rows(out, header, _sweep_rows(theta_list, cells, s))
+    _write_rows(out, header, _lines(thetas, xis, s, CLASSICAL_LIMIT, CIRELSON_LIMIT))
 
 
 def cmd_sweep_theta(xi_list, theta_grid: GridSpec, out: str) -> None:
     if not xi_list:
         raise ValueError("xi list must not be empty")
-    thetas = theta_grid.points()
-    s = s_parameter(thetas[None, :], np.asarray(xi_list)[:, None])
+    xis, thetas = np.asarray(xi_list)[:, None], theta_grid.points()
     env = quantum_bounds(thetas)
-    cells = [(_fmt(t), _fmt(lo), _fmt(hi)) for t, lo, hi in zip(thetas, env.s_min, env.s_max)]
-    _write_rows(out, ("xi", "theta", "s", "s_qmin", "s_qmax"), _sweep_rows(xi_list, cells, s))
+    rows = _lines(xis, thetas, s_parameter(thetas, xis), env.s_min, env.s_max)
+    _write_rows(out, ("xi", "theta", "s", "s_qmin", "s_qmax"), rows)
 
 
 def cmd_bounds(theta_grid: GridSpec, out: str) -> None:
     thetas = theta_grid.points()
-    q_max = quantum_bounds(thetas).s_max
-    classical, cirelson = _fmt(CLASSICAL_LIMIT), _fmt(CIRELSON_LIMIT)
-    rows = (
-        (_fmt(t), classical, _fmt(q), cirelson, _fmt(CIRELSON_LIMIT - q)) for t, q in zip(thetas, q_max)
-    )
+    q = quantum_bounds(thetas).s_max
+    rows = _lines(thetas, CLASSICAL_LIMIT, q, CIRELSON_LIMIT, CIRELSON_LIMIT - q)
     _write_rows(out, ("theta", "classical_bound", "quantum_max", "cirelson", "superquantum_gap"), rows)
 
 
-def cmd_simulate(theta_list, xi_list, cfg: RunConfig, out: str) -> None:
+def cmd_simulate(
+    theta_list, xi_list, pairs: int, noise: NoiseModel, seed: int, replications: int, out: str
+) -> None:
     if not theta_list or not xi_list:
         raise ValueError("theta and xi lists must not be empty")
-    thetas, xis = np.asarray(theta_list), np.asarray(xi_list)
-    i, j, rep = np.ix_(range(len(thetas)), range(len(xis)), range(cfg.replications))
-    est = estimate_s(
-        thetas[i], xis[j], cfg.pairs_per_setting, cfg.noise, derive_seed(cfg.seed, i, j, rep)
-    )
-    ideals = s_parameter(thetas[:, None], xis[None, :])
-    rows = (
-        (_fmt(thetas[a]), _fmt(xis[b]), _fmt(s), _fmt(err), _fmt(ideals[a, b]))
-        for (a, b, _), s, err in zip(np.ndindex(est.s_hat.shape), est.s_hat.flat, est.std_err.flat)
-    )
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications!r}")
+    i, j, rep = np.ix_(range(len(theta_list)), range(len(xi_list)), range(replications))
+    thetas, xis = np.asarray(theta_list)[i], np.asarray(xi_list)[j]
+    est = estimate_s(thetas, xis, pairs, noise, derive_seed(seed, i, j, rep))
+    rows = _lines(thetas, xis, est.s_hat, est.std_err, s_parameter(thetas, xis))
     _write_rows(out, ("theta", "xi", "s_hat", "std_err", "s_ideal"), rows)
 
 
 def cmd_sample(theta: float, n: int, seed: int, out: str) -> None:
     samples = haar_sample_s(theta, n, seed)
     bounds = quantum_bounds(theta)
-    rows = [(str(i), _fmt(s), "", "", "", "") for i, s in enumerate(samples)]
-    rows.append(
-        (
-            "summary",
-            "",
-            _fmt(float(samples.min())),
-            _fmt(float(samples.max())),
-            _fmt(bounds.s_min),
-            _fmt(bounds.s_max),
-        )
+    rows = itertools.chain(
+        _lines(np.arange(samples.size), samples, "", "", "", ""),
+        _lines("summary", "", samples.min(), samples.max(), bounds.s_min, bounds.s_max),
     )
     _write_rows(out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows)
 
@@ -327,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
         func=lambda a: cmd_simulate(
             _list_arg(a.theta_list, a.degrees),
             _list_arg(a.xi_list, a.degrees),
-            RunConfig(a.pairs, resolve_noise(a), a.seed, a.replications),
+            a.pairs,
+            resolve_noise(a),
+            a.seed,
+            a.replications,
             a.out,
         )
     )

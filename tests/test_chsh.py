@@ -10,19 +10,18 @@ from chshlab.chsh import (
     analyzer_angle,
     bell_operator,
     classical_s_values,
-    coincidence_probabilities,
     correlation,
     family_extremum,
     haar_sample_s,
     observable,
     quantum_bounds,
-    s_closed_form,
     s_parameter,
     settings_quartet,
     state_phi,
     theta_param,
     xi_param,
 )
+from chshlab.expsim import NoiseModel, setting_probabilities
 from chshlab.linalg import PAULI_X, PAULI_Z, expectation, tensor
 
 SQRT2 = math.sqrt(2.0)
@@ -39,6 +38,18 @@ def analyzer_basis(alpha):
 
 # Calibrated 1e5-sample run at theta = pi/4; this seed gives max ~ 2.762.
 HAAR_SEED = 20260808
+
+
+def coincidence_probabilities(alpha, beta, xi):
+    # The noiseless table is the chsh probability kernel bit for bit.
+    return tuple(setting_probabilities(alpha, beta, xi, NoiseModel.ideal()))
+
+
+def s_closed_form(theta, xi):
+    # Independent path: S = (3 cos t - cos 3t) cos 2xi + (sin t - sin 3t) sin 2xi on the state family.
+    a = 3.0 * math.cos(theta) - math.cos(3.0 * theta)
+    c = math.sin(theta) - math.sin(3.0 * theta)
+    return a * math.cos(2.0 * xi) + c * math.sin(2.0 * xi)
 
 
 def operator_correlation(alpha, beta, xi):
@@ -160,15 +171,15 @@ class TestStatePhi:
 class TestCoincidenceProbabilities:
     def test_phi_plus_correlated(self):
         p = coincidence_probabilities(0.0, 0.0, 0.0)
-        assert p.as_tuple() == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-12)
+        assert p == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-12)
 
     def test_singlet_anticorrelated(self):
         p = coincidence_probabilities(0.0, 0.0, math.pi / 2)
-        assert p.as_tuple() == pytest.approx((0.0, 0.5, 0.5, 0.0), abs=1e-12)
+        assert p == pytest.approx((0.0, 0.5, 0.5, 0.0), abs=1e-12)
 
     def test_crossed_analyzers_uniform(self):
         p = coincidence_probabilities(math.pi / 2, 0.0, 0.0)
-        assert p.as_tuple() == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
+        assert p == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
 
     def test_matches_inner_product_oracle(self):
         rng = np.random.default_rng(35)
@@ -183,7 +194,7 @@ class TestCoincidenceProbabilities:
                 for ka in (s_a, sp_a)
                 for kb in (s_b, sp_b)
             ]
-            assert coincidence_probabilities(alpha, beta, xi).as_tuple() == pytest.approx(
+            assert coincidence_probabilities(alpha, beta, xi) == pytest.approx(
                 tuple(oracle), abs=1e-12
             )
 
@@ -193,7 +204,7 @@ class TestCoincidenceProbabilities:
             p = coincidence_probabilities(
                 rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi)
             )
-            assert abs(sum(p.as_tuple()) - 1.0) <= 1e-12
+            assert abs(sum(p) - 1.0) <= 1e-12
 
 
 class TestCorrelation:

@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from chshlab import cli, expsim
 from chshlab.chsh import quantum_bounds, s_parameter
 from chshlab.cli import (
     GridSpec,
-    RunConfig,
+    _lines,
     _write_rows,
+    cmd_sample,
     cmd_simulate,
     load_noise_config,
     main,
@@ -58,11 +60,13 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_angle_list("1,x")
 
-    def test_run_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(pairs_per_setting=1, noise=NoiseModel(), seed=0, replications=1)
-        with pytest.raises(ValueError):
-            RunConfig(pairs_per_setting=10, noise=NoiseModel(), seed=0, replications=0)
+    def test_run_config_validation(self, tmp_path):
+        out = str(tmp_path / "x.csv")
+        with pytest.raises(ValueError, match="pairs"):
+            cmd_simulate((0.5,), (0.1,), 1, NoiseModel(), 0, 1, out)
+        with pytest.raises(ValueError, match="replications"):
+            cmd_simulate((0.5,), (0.1,), 10, NoiseModel(), 0, 0, out)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSurface:
@@ -263,11 +267,16 @@ class TestSimulate:
 
     def test_cmd_simulate_direct_call(self, tmp_path):
         out = tmp_path / "direct.csv"
-        cfg = RunConfig(pairs_per_setting=1000, noise=NoiseModel.ideal(), seed=1, replications=2)
-        cmd_simulate((0.5,), (0.1, 0.2), cfg, str(out))
+        cmd_simulate((0.5,), (0.1, 0.2), 1000, NoiseModel.ideal(), 1, 2, str(out))
         _, rows = read_csv(out)
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("flag, value", [("--replications", "0"), ("--pairs", "1")])
+    def test_counts_below_minimum_fail(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", flag, value, "--out", out) == 1
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_estimate_s_call_per_run(self, tmp_path, monkeypatch):
         estimates, tables = [], []
@@ -368,7 +377,7 @@ class TestErrorHandling:
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         def rows_then_failure():
             for i in range(10_000):
-                yield (str(i), "0.5")
+                yield f"{i},0.5\n"
             raise OSError("disk full")
 
         target = tmp_path / "out.csv"
@@ -407,6 +416,59 @@ class TestErrorHandling:
         assert received[0].startswith(b"theta,classical_bound,")
         assert received[0].count(b"\n") == 4
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo"]
+
+
+class TestFormatting:
+    EDGES = [
+        -0.0,
+        5e-324,
+        1e-5,
+        9.99999999999e-05,
+        1e16,
+        123456789012.5,
+        4.4408920985e-16,
+        2.0 * SQRT2,
+        math.pi,
+        -1.0 / 3.0,
+    ]
+
+    def test_cells_match_format_g12(self):
+        text = "".join(_lines(np.array(self.EDGES)))
+        assert text == "".join(format(v, ".12g") + "\n" for v in self.EDGES)
+
+    def test_int_column(self):
+        ints = np.array([0, 7, -3, 10**11, 999_999_999_999])
+        text = "".join(_lines(ints, 0.5))
+        assert text == "".join(f"{format(int(i), '.12g')},0.5\n" for i in ints)
+
+    def test_broadcast_constants_and_literal_cells(self):
+        rows = "".join(_lines(np.array([[0.25], [1.5]]), np.array([1.0, -0.0, 3e-7]), "", 2.0, "x"))
+        expected = [f"{o:.12g},{i:.12g},,2,x\n" for o in (0.25, 1.5) for i in (1.0, -0.0, 3e-7)]
+        assert rows == "".join(expected)
+
+    def test_row_order_and_count_across_blocks(self):
+        n = 3 * cli._BLOCK_ROWS + 5
+        values = np.linspace(0.0, 1.0, n)
+        lines = "".join(_lines(np.arange(n), values)).splitlines()
+        assert lines == [f"{i},{v:.12g}" for i, v in enumerate(values.tolist())]
+
+
+class TestSampleMemory:
+    def test_rows_are_written_in_bounded_blocks(self, tmp_path, monkeypatch):
+        n = 200_000
+        samples = np.random.default_rng(5).uniform(-2.8, 2.8, n)
+        monkeypatch.setattr(cli, "haar_sample_s", lambda theta, count, seed: samples)
+        out = tmp_path / "sample.csv"
+        tracemalloc.start()
+        try:
+            cmd_sample(0.785, n, 1, str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        header, rows = read_csv(out)
+        assert len(rows) == n + 1
+        assert rows[-1][:4] == ["summary", "", f"{samples.min():.12g}", f"{samples.max():.12g}"]
 
 
 class TestSweepSpecValidation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chshlab import expsim
-from chshlab.chsh import coincidence_probabilities, s_parameter, settings_quartet, state_phi
+from chshlab.chsh import s_parameter, settings_quartet, state_phi
 from chshlab.expsim import NoiseModel, SEstimate, estimate_s, setting_probabilities
 from chshlab.linalg import PAULI_Z
 from chshlab.rng import derive_seed, multinomial
@@ -154,9 +154,9 @@ class TestSettingProbabilities:
                 analyzer_offset_b=db,
                 accidental_fraction=0.0,
             )
-            shifted = coincidence_probabilities(alpha + da, beta + db, 0.4)
+            shifted = setting_probabilities(alpha + da, beta + db, 0.4, NO_NOISE)
             assert tuple(setting_probabilities(alpha, beta, 0.4, noise)) == pytest.approx(
-                shifted.as_tuple(), abs=1e-12
+                tuple(shifted), abs=1e-12
             )
 
     def test_sums_to_one(self):
