@@ -23,6 +23,7 @@ CLASSICAL_LIMIT = 2.0
 CIRELSON_LIMIT = 2.0 * math.sqrt(2.0)
 
 BOUND_TOL = 1e-9
+_HAAR_CHUNK = 2**14  # states per block of normals in haar_sample_s
 
 
 def _scalar_or_array(values):
@@ -231,14 +232,18 @@ def classical_s_values() -> list[float]:
 def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:
     """Bell-operator expectations for n Haar-random pure two-qubit states.
 
-    Each state is built from 8 independent standard normals (real/imaginary
-    parts of 4 amplitudes) and normalized; fixed seed gives a fixed sequence.
+    State i is normals 8i..8i+7 of SplitMix64(seed), the real and imaginary parts
+    of its 4 amplitudes, normalized.  Reading the stream _HAAR_CHUNK states at a
+    time bounds memory to 8 bytes per state plus a constant; sample i depends
+    on neither n nor the chunk size.
     """
     count = int(n)
     if count < 1:
         raise ValueError(f"need at least one sample, got {n!r}")
-    b = bell_operator(theta)
-    g = SplitMix64(seed).standard_normal(8 * count).reshape(count, 8)
-    kets = g[:, 0::2] + 1j * g[:, 1::2]
-    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-    return np.real(np.einsum("ni,ij,nj->n", kets.conj(), b, kets))
+    b, stream, out = bell_operator(theta), SplitMix64(seed), np.empty(count)
+    for start in range(0, count, _HAAR_CHUNK):
+        g = stream.standard_normal(8 * min(_HAAR_CHUNK, count - start)).reshape(-1, 8)
+        kets = g[:, 0::2] + 1j * g[:, 1::2]
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        out[start : start + len(g)] = np.real(np.einsum("ni,ij,nj->n", kets.conj(), b, kets))
+    return out

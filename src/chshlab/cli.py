@@ -13,7 +13,6 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,26 +24,6 @@ DEFAULT_GRID_COUNT = 181
 DEFAULT_ANGLE_LIST = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 
 _CONFIG_KEYS = ("visibility", "analyzer_offset_a", "analyzer_offset_b", "accidental_fraction")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Inclusive linear grid start:stop:count."""
-
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("grid endpoints must be finite")
-        if self.count < 2:
-            raise ValueError(f"grid count must be at least 2, got {self.count}")
-        if not self.start < self.stop:
-            raise ValueError(f"grid start {self.start!r} must be below stop {self.stop!r}")
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
 
 
 _CELL = "%.12g"
@@ -101,8 +80,10 @@ def _write_rows(path: str, header: tuple[str, ...], lines) -> None:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def parse_grid(text: str, degrees: bool = False) -> GridSpec:
-    """Parse start:stop:count, converting endpoints from degrees when asked."""
+def parse_grid(text: str | None, degrees: bool = False) -> np.ndarray:
+    """Points of the inclusive grid start:stop:count, from degrees when asked; None gives 0:pi:181."""
+    if text is None:
+        return np.linspace(0.0, math.pi, DEFAULT_GRID_COUNT)
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid {text!r} is not of the form start:stop:count")
@@ -112,11 +93,19 @@ def parse_grid(text: str, degrees: bool = False) -> GridSpec:
         raise ValueError(f"grid {text!r} is not of the form start:stop:count") from exc
     if degrees:
         start, stop = math.radians(start), math.radians(stop)
-    return GridSpec(start=start, stop=stop, count=count)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("grid endpoints must be finite")
+    if count < 2:
+        raise ValueError(f"grid count must be at least 2, got {count}")
+    if not start < stop:
+        raise ValueError(f"grid start {start!r} must be below stop {stop!r}")
+    return np.linspace(start, stop, count)
 
 
-def parse_angle_list(text: str, degrees: bool = False) -> tuple[float, ...]:
-    """Parse a nonempty comma-separated list of angles."""
+def parse_angle_list(text: str | None, degrees: bool = False) -> tuple[float, ...]:
+    """Parse a nonempty comma-separated list of angles; None gives DEFAULT_ANGLE_LIST."""
+    if text is None:
+        return DEFAULT_ANGLE_LIST
     items = [item.strip() for item in text.split(",") if item.strip()]
     if not items:
         raise ValueError("angle list must not be empty")
@@ -171,31 +160,29 @@ def resolve_noise(args: argparse.Namespace) -> NoiseModel:
     return NoiseModel(**fields)
 
 
-def cmd_surface(theta_grid: GridSpec, xi_grid: GridSpec, out: str) -> None:
-    thetas, xis = theta_grid.points()[:, None], xi_grid.points()
-    _write_rows(out, ("theta", "xi", "s"), _lines(thetas, xis, s_parameter(thetas, xis)))
+def cmd_surface(thetas: np.ndarray, xis: np.ndarray, out: str) -> None:
+    _write_rows(out, ("theta", "xi", "s"), _lines(thetas[:, None], xis, s_parameter(thetas[:, None], xis)))
 
 
-def cmd_sweep_xi(theta_list, xi_grid: GridSpec, out: str) -> None:
+def cmd_sweep_xi(theta_list, xis: np.ndarray, out: str) -> None:
     if not theta_list:
         raise ValueError("theta list must not be empty")
-    thetas, xis = np.asarray(theta_list)[:, None], xi_grid.points()
+    thetas = np.asarray(theta_list)[:, None]
     s = s_parameter(thetas, xis)
     header = ("theta", "xi", "s", "classical_limit", "cirelson_limit")
     _write_rows(out, header, _lines(thetas, xis, s, CLASSICAL_LIMIT, CIRELSON_LIMIT))
 
 
-def cmd_sweep_theta(xi_list, theta_grid: GridSpec, out: str) -> None:
+def cmd_sweep_theta(xi_list, thetas: np.ndarray, out: str) -> None:
     if not xi_list:
         raise ValueError("xi list must not be empty")
-    xis, thetas = np.asarray(xi_list)[:, None], theta_grid.points()
+    xis = np.asarray(xi_list)[:, None]
     env = quantum_bounds(thetas)
     rows = _lines(xis, thetas, s_parameter(thetas, xis), env.s_min, env.s_max)
     _write_rows(out, ("xi", "theta", "s", "s_qmin", "s_qmax"), rows)
 
 
-def cmd_bounds(theta_grid: GridSpec, out: str) -> None:
-    thetas = theta_grid.points()
+def cmd_bounds(thetas: np.ndarray, out: str) -> None:
     q = quantum_bounds(thetas).s_max
     rows = _lines(thetas, CLASSICAL_LIMIT, q, CIRELSON_LIMIT, CIRELSON_LIMIT - q)
     _write_rows(out, ("theta", "classical_bound", "quantum_max", "cirelson", "superquantum_gap"), rows)
@@ -256,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(
         func=lambda a: cmd_surface(
-            _grid_arg(a.theta_grid, a.degrees), _grid_arg(a.xi_grid, a.degrees), a.out
+            parse_grid(a.theta_grid, a.degrees), parse_grid(a.xi_grid, a.degrees), a.out
         )
     )
 
@@ -266,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(
         func=lambda a: cmd_sweep_xi(
-            _list_arg(a.theta_list, a.degrees), _grid_arg(a.xi_grid, a.degrees), a.out
+            parse_angle_list(a.theta_list, a.degrees), parse_grid(a.xi_grid, a.degrees), a.out
         )
     )
 
@@ -276,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(
         func=lambda a: cmd_sweep_theta(
-            _list_arg(a.xi_list, a.degrees), _grid_arg(a.theta_grid, a.degrees), a.out
+            parse_angle_list(a.xi_list, a.degrees), parse_grid(a.theta_grid, a.degrees), a.out
         )
     )
 
     p = sub.add_parser("bounds", help="classical, spectral, and quantum-ceiling bounds per theta")
     p.add_argument("--theta-grid", default=None, help="start:stop:count (default 0:pi:181)")
     _add_common(p)
-    p.set_defaults(func=lambda a: cmd_bounds(_grid_arg(a.theta_grid, a.degrees), a.out))
+    p.set_defaults(func=lambda a: cmd_bounds(parse_grid(a.theta_grid, a.degrees), a.out))
 
     p = sub.add_parser("simulate", help="simulated S measurements with error bars")
     p.add_argument("--theta-list", default=None, help="comma-separated theta values")
@@ -294,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(
         func=lambda a: cmd_simulate(
-            _list_arg(a.theta_list, a.degrees),
-            _list_arg(a.xi_list, a.degrees),
+            parse_angle_list(a.theta_list, a.degrees),
+            parse_angle_list(a.xi_list, a.degrees),
             a.pairs,
             resolve_noise(a),
             a.seed,
@@ -315,16 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
-
-
-def _grid_arg(text: str | None, degrees: bool) -> GridSpec:
-    if text is None:
-        return GridSpec(start=0.0, stop=math.pi, count=DEFAULT_GRID_COUNT)
-    return parse_grid(text, degrees)
-
-
-def _list_arg(text: str | None, degrees: bool) -> tuple[float, ...]:
-    return DEFAULT_ANGLE_LIST if text is None else parse_angle_list(text, degrees)
 
 
 def main(argv=None) -> int:

@@ -88,7 +88,7 @@ def setting_probabilities(alpha, beta, xi, noise: NoiseModel) -> np.ndarray:
     return (1.0 - f) * (v * pure + (1.0 - v) * 0.25) + 0.25 * f
 
 
-def estimate_s(theta, xi, pairs_per_setting: int, noise: NoiseModel, seed) -> SEstimate:
+def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     """Simulate the four settings and combine the counts into an S estimate.
 
     Broadcasts over arrays of theta, xi and seed.  Setting k draws from the
@@ -96,9 +96,9 @@ def estimate_s(theta, xi, pairs_per_setting: int, noise: NoiseModel, seed) -> SE
     independent streams.  Per-setting variance is the multinomial estimate
     (1 - E^2)/pairs and the four settings add in quadrature.
     """
-    pairs = int(pairs_per_setting)
-    if pairs < 2:
-        raise ValueError(f"pairs_per_setting must be at least 2, got {pairs_per_setting!r}")
+    if int(pairs) < 2:
+        raise ValueError(f"pairs must be at least 2, got {pairs!r}")
+    pairs = int(pairs)
     q = settings_quartet(theta)
     alphas = np.stack(np.broadcast_arrays(q.a1, q.a2, q.a1, q.a2), axis=-1)
     betas = np.stack(np.broadcast_arrays(q.b1, q.b1, q.b2, q.b2), axis=-1)

@@ -53,41 +53,36 @@ def _unit(words: np.ndarray) -> np.ndarray:
 
 
 class SplitMix64:
-    """SplitMix64 stream with batch output through numpy uint64 arithmetic.
+    """SplitMix64 stream of words and standard normals, drawn as numpy arrays.
 
-    Output i is mix64(seed + (i+1)*GOLDEN), so batched and one-at-a-time use
-    produce identical streams.
+    Word i (from 1) is mix64(seed + i*GOLDEN), so successive calls read on
+    along one stream.
     """
 
     def __init__(self, seed: int):
         self._state = int(seed) & MASK64
         self._drawn = 0
 
-    def next_uint64(self, n: int | None = None) -> int | np.ndarray:
-        count = 1 if n is None else int(n)
-        if count < 0:
+    def next_uint64(self, n: int) -> np.ndarray:
+        """The next n words of the stream."""
+        if n < 0:
             raise ValueError("batch size must be nonnegative")
-        idx = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
-        self._drawn += count
-        z = mix64(np.uint64(self._state) + idx * np.uint64(GOLDEN))
-        return int(z[0]) if n is None else z
+        idx = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
+        self._drawn += n
+        return mix64(np.uint64(self._state) + idx * np.uint64(GOLDEN))
 
-    def random(self, n: int | None = None) -> float | np.ndarray:
-        """Uniform floats in [0, 1) from the top 53 bits of each word."""
-        u = _unit(self.next_uint64(1 if n is None else n))
-        return float(u[0]) if n is None else u
+    def standard_normal(self, n: int) -> np.ndarray:
+        """n standard normals by Box-Muller; consumes 2*ceil(n/2) words.
 
-    def standard_normal(self, n: int | None = None) -> float | np.ndarray:
-        """Standard normals via Box-Muller; consumes 2*ceil(n/2) words."""
-        count = 1 if n is None else int(n)
-        pairs = (count + 1) // 2
+        Normals 2i and 2i+1 take their radius from word 2i+1 and their angle
+        from word 2i+2 of the call, so successive calls of even length read
+        one stream of normals.
+        """
+        words = self.next_uint64(n + n % 2)
         # Shift into (0, 1] so the log never sees zero.
-        words = self.next_uint64(2 * pairs)
         u = ((words >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u[:pairs]))
-        t = (2.0 * math.pi) * u[pairs:]
-        z = np.concatenate([r * np.cos(t), r * np.sin(t)])[:count]
-        return float(z[0]) if n is None else z
+        r, t = np.sqrt(-2.0 * np.log(u[0::2])), (2.0 * math.pi) * u[1::2]
+        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(-1)[:n]
 
 
 # A binomial window leaves out under 2**-64 of the mass on each side; a chunk of

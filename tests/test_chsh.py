@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chshlab import chsh
 from chshlab.chsh import (
     CIRELSON_LIMIT,
     CLASSICAL_LIMIT,
@@ -36,7 +38,7 @@ def analyzer_basis(alpha):
     c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
     return np.array([c, s]), np.array([s, -c])
 
-# Calibrated 1e5-sample run at theta = pi/4; this seed gives max ~ 2.762.
+# Calibrated 1e5-sample run at theta = pi/4; this seed gives max ~ 2.784.
 HAAR_SEED = 20260808
 
 
@@ -400,3 +402,28 @@ class TestHaarSampling:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             haar_sample_s(math.pi / 4, 0, 1)
+
+    def test_prefix_stable_across_chunk_boundaries(self):
+        # Sample i reads normals 8i..8i+7 of the seed's stream, whatever n is.
+        full = haar_sample_s(0.3, 2 * chsh._HAAR_CHUNK + 5000, 9)
+        for k in (1, 1234, chsh._HAAR_CHUNK, chsh._HAAR_CHUNK + 1, 2 * chsh._HAAR_CHUNK + 3):
+            assert np.array_equal(full[:k], haar_sample_s(0.3, k, 9))
+
+    def test_bytes_do_not_depend_on_chunk_size(self, monkeypatch):
+        expected = {theta: haar_sample_s(theta, 5000, 9) for theta in (0.3, math.pi / 4)}
+        for chunk in (7, 1000):
+            monkeypatch.setattr(chsh, "_HAAR_CHUNK", chunk)
+            for theta, samples in expected.items():
+                assert np.array_equal(haar_sample_s(theta, 5000, 9), samples)
+
+    def test_memory_is_bounded(self):
+        # All 400k states' normals and kets at once take about 120 MB; chunks
+        # of 2**14 states leave the 3.2 MB result and one chunk.
+        haar_sample_s(math.pi / 4, 1000, 1)
+        tracemalloc.start()
+        try:
+            haar_sample_s(math.pi / 4, 400_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"

@@ -10,7 +10,6 @@ import pytest
 from chshlab import cli, expsim
 from chshlab.chsh import quantum_bounds, s_parameter
 from chshlab.cli import (
-    GridSpec,
     _lines,
     _write_rows,
     cmd_sample,
@@ -40,12 +39,15 @@ def run_cli(*argv):
 class TestParsing:
     def test_grid(self):
         g = parse_grid("0:3.14:5")
-        assert (g.start, g.stop, g.count) == (0.0, 3.14, 5)
-        assert len(g.points()) == 5
+        assert g[0] == 0.0 and g[-1] == 3.14 and len(g) == 5
+        assert np.array_equal(parse_grid(None), np.linspace(0.0, PI, 181))
 
     def test_grid_degrees(self):
         g = parse_grid("0:180:3", degrees=True)
-        assert g.stop == pytest.approx(PI, abs=1e-15)
+        assert g[-1] == pytest.approx(PI, abs=1e-15)
+        # Degrees convert before the points are spaced, so the grid matches its radian form exactly.
+        radians = f"{math.radians(10)!r}:{math.radians(170)!r}:33"
+        assert np.array_equal(parse_grid("10:170:33", degrees=True), parse_grid(radians))
 
     def test_grid_errors(self):
         for bad in ("1:0:5", "0:1:1", "0:1", "a:b:c", "0:inf:4"):
@@ -55,6 +57,7 @@ class TestParsing:
     def test_angle_list(self):
         assert parse_angle_list("0, 0.5 ,1") == (0.0, 0.5, 1.0)
         assert parse_angle_list("90", degrees=True) == (PI / 2,)
+        assert parse_angle_list(None) == cli.DEFAULT_ANGLE_LIST
         with pytest.raises(ValueError):
             parse_angle_list("")
         with pytest.raises(ValueError):
@@ -275,7 +278,7 @@ class TestSimulate:
     def test_counts_below_minimum_fail(self, flag, value, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run_cli("simulate", flag, value, "--out", out) == 1
-        assert flag.lstrip("-") in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"chshlab: error: {flag.lstrip('-')} must be at least")
         assert not out.exists()
 
     def test_one_estimate_s_call_per_run(self, tmp_path, monkeypatch):
@@ -473,7 +476,9 @@ class TestSampleMemory:
 
 class TestSweepSpecValidation:
     def test_grid_spec_invariants(self):
-        with pytest.raises(ValueError):
-            GridSpec(start=1.0, stop=0.0, count=5)
-        with pytest.raises(ValueError):
-            GridSpec(start=0.0, stop=1.0, count=1)
+        with pytest.raises(ValueError, match="must be below stop"):
+            parse_grid("1:0:5")
+        with pytest.raises(ValueError, match="at least 2"):
+            parse_grid("0:1:1")
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid("0:nan:5", degrees=True)

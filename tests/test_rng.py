@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from chshlab.cli import main
-from chshlab.rng import GOLDEN, MASK64, SplitMix64, binomial, binomial_window, derive_seed, mix64, multinomial
+from chshlab.rng import (
+    GOLDEN, MASK64, SplitMix64, _unit, binomial, binomial_window, derive_seed, mix64, multinomial,
+)
 
 # Seeds at the edges of the 64-bit range, above it and below zero.
 EDGE_SEEDS = (
@@ -40,11 +42,11 @@ def splitmix_reference(seed, n):
 
 def multinomial_reference(seed, n, pvals):
     # Sequential conditional binomials, each taking the next word of one stream.
-    stream = SplitMix64(seed)
+    uniforms = _unit(SplitMix64(seed).next_uint64(len(pvals) - 1))
     counts, remaining, tail = [], n, 1.0
-    for p in pvals[:-1]:
+    for p, u in zip(pvals[:-1], uniforms):
         cond = 0.0 if tail <= 0.0 else min(max(p / tail, 0.0), 1.0)
-        counts.append(binomial(remaining, cond, stream.random()))
+        counts.append(binomial(remaining, cond, u))
         remaining -= counts[-1]
         tail -= p
     return counts + [remaining]
@@ -63,9 +65,8 @@ def binomial_cdf_inverse_exact(u, n, p):
 class TestSplitMix64:
     def test_known_vector_seed_zero(self):
         sm = SplitMix64(0)
-        assert sm.next_uint64() == 0xE220A8397B1DCDAF
-        assert sm.next_uint64() == 0x6E789E6AA1B965F4
-        assert sm.next_uint64() == 0x06C45D188009454F
+        assert sm.next_uint64(1).tolist() == [0xE220A8397B1DCDAF]
+        assert sm.next_uint64(2).tolist() == [0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
     def test_batch_equals_sequential(self):
         for seed in (0, 1, 0xDEADBEEF, MASK64):
@@ -78,7 +79,7 @@ class TestSplitMix64:
         assert np.array_equal(chunks, SplitMix64(99).next_uint64(8))
 
     def test_random_unit_interval(self):
-        u = SplitMix64(5).random(10000)
+        u = _unit(SplitMix64(5).next_uint64(10000))
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.02
 
@@ -89,6 +90,28 @@ class TestSplitMix64:
 
     def test_determinism(self):
         assert np.array_equal(SplitMix64(7).standard_normal(101), SplitMix64(7).standard_normal(101))
+
+    def test_standard_normal_calls_continue_one_stream(self):
+        for seed in (0, 11, MASK64):
+            a = SplitMix64(seed)
+            chunks = np.concatenate([a.standard_normal(6), a.standard_normal(10)])
+            assert np.array_equal(chunks, SplitMix64(seed).standard_normal(16))
+
+    def test_standard_normal_matches_box_muller_reference(self):
+        # Normals 2i and 2i+1 take their radius from word 2i+1 and their angle from word 2i+2.
+        words = splitmix_reference(42, 10)
+        u = [((w >> 11) + 1) * 2.0**-53 for w in words]
+        expected = []
+        for radius_u, angle_u in zip(u[0::2], u[1::2]):
+            r, t = math.sqrt(-2.0 * math.log(radius_u)), 2.0 * math.pi * angle_u
+            expected += [r * math.cos(t), r * math.sin(t)]
+        np.testing.assert_allclose(SplitMix64(42).standard_normal(10), expected, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(SplitMix64(42).standard_normal(9), expected[:9], rtol=1e-14, atol=1e-15)
+
+    def test_methods_are_array_only(self):
+        for method in (SplitMix64.next_uint64, SplitMix64.standard_normal):
+            with pytest.raises(TypeError):
+                method(SplitMix64(1))
 
 
 class TestMix64:
@@ -122,7 +145,7 @@ class TestBinomial:
             assert binomial(n, p, u) == binomial_cdf_inverse_exact(u, n, p)
 
     def test_edge_cases(self):
-        u = SplitMix64(3).random()
+        u = float(_unit(SplitMix64(3).next_uint64(1))[0])
         assert binomial(100, 0.0, u) == 0
         assert binomial(100, 1.0, u) == 100
         assert binomial(0, 0.3, u) == 0
@@ -135,7 +158,7 @@ class TestBinomial:
         # Binomial j of a multinomial draw reads word j+1 of the seed's
         # stream, also when an earlier binomial was decided without it.
         for seed in range(20):
-            words = SplitMix64(seed).random(3)
+            words = _unit(SplitMix64(seed).next_uint64(3))
             counts = multinomial(seed, 1000, [0.0, 0.3, 0.2, 0.5])
             assert counts[0] == 0
             assert counts[1] == binomial(1000, 0.3, words[1])
@@ -161,13 +184,13 @@ class TestBinomial:
             return n
 
         for seed in range(40):
-            u = SplitMix64(seed).random()
+            u = float(_unit(SplitMix64(seed).next_uint64(1))[0])
             assert binomial(n, 0.25, u) == exact_icdf(u)
 
     def test_large_n_moments(self):
         n, p = 1_000_000, 0.3
         sigma = math.sqrt(n * p * (1 - p))
-        draws = [binomial(n, p, SplitMix64(seed).random()) for seed in range(8)]
+        draws = [binomial(n, p, _unit(SplitMix64(seed).next_uint64(1))[0]) for seed in range(8)]
         for d in draws:
             assert abs(d - n * p) < 5 * sigma
 
@@ -208,7 +231,7 @@ class TestBinomial:
     def test_skewed_draws_match_scipy_ppf(self):
         # n = 1e9, p = 1e-8: a mean of 10 next to the edge at 0.
         binom = pytest.importorskip("scipy.stats").binom
-        u = SplitMix64(8).random(2000)
+        u = _unit(SplitMix64(8).next_uint64(2000))
         expected = binom.ppf(u, 10**9, 1e-8).astype(np.int64)
         assert np.array_equal(binomial(10**9, 1e-8, u), expected)
 
