@@ -8,6 +8,7 @@ angle xi.  Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,25 +63,42 @@ def xi_param(xi):
     return _scalar_or_array(x)
 
 
-@dataclass(frozen=True)
-class SettingsQuartet:
-    """The four analyzer angles (a1, a2 | b1, b2) derived from theta (floats or arrays)."""
-
-    a1: float
-    a2: float
-    b1: float
-    b2: float
+# The settings table.  Analyzer a takes (a1, a2) = (2 theta, 0) and b takes
+# (b1, b2) = (theta, 3 theta); S's terms measure the pairs (a_i, b_j) for
+# (i, j) in _SETTINGS, in that order: (a1, b1), (a2, b1), (a1, b2), (a2, b2).
+_ANALYZER_MULTIPLES = ((2.0, 0.0), (1.0, 3.0))
+_SETTINGS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def settings_quartet(theta) -> SettingsQuartet:
-    """Settings (2*theta, 0 | theta, 3*theta) for a given theta."""
+def _analyzers(theta) -> tuple:
+    """The reduced analyzer angles ((a1, a2), (b1, b2)) at theta; broadcasts over arrays.
+
+    a2 stays the scalar 0.0, so the kernel broadcasts its two terms from one row
+    of a (theta, xi) grid instead of computing them on the whole grid.
+    """
     t = theta_param(theta)
-    return SettingsQuartet(
-        a1=analyzer_angle(2.0 * t),
-        a2=0.0,
-        b1=analyzer_angle(t),
-        b2=analyzer_angle(3.0 * t),
-    )
+    return tuple(tuple(analyzer_angle(m * t) if m else 0.0 for m in side) for side in _ANALYZER_MULTIPLES)
+
+
+def _settings(a, b) -> list:
+    """The pairs (a[i], b[j]) of the settings table, in S order, for per-analyzer values a and b."""
+    return [(a[i], b[j]) for i, j in _SETTINGS]
+
+
+def _combine(terms):
+    """S from its per-setting terms in setting order: the first three added, the last subtracted.
+
+    Each term is added as it is produced, so the four are never all held at once.
+    """
+    it = iter(terms)
+    s = next(it) + next(it)
+    s = s + next(it)
+    return s - next(it)
+
+
+def _parity(n_pp, n_pm, n_mp, n_mm):
+    """The correlation of one setting's outcome probabilities (or counts): pp + mm - pm - mp."""
+    return n_pp + n_mm - n_pm - n_mp
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +152,7 @@ def _probabilities(alpha, beta, xi) -> tuple:
 
 
 def _correlation(alpha, beta, xi):
-    p_pp, p_pm, p_mp, p_mm = _probabilities(alpha, beta, xi)
-    return p_pp + p_mm - p_pm - p_mp
+    return _parity(*_probabilities(alpha, beta, xi))
 
 
 def correlation(alpha, beta, xi):
@@ -148,24 +165,11 @@ def s_parameter(theta, xi):
 
     Broadcasts over arrays of theta and xi; scalars give a float.
     """
-    q = settings_quartet(theta)
-    x = xi_param(xi)
-    s = (
-        _correlation(q.a1, q.b1, x)
-        + _correlation(q.a2, q.b1, x)
-        + _correlation(q.a1, q.b2, x)
-        - _correlation(q.a2, q.b2, x)
-    )
+    pairs, x = _settings(*_analyzers(theta)), xi_param(xi)
+    s = _combine(_correlation(a, b, x) for a, b in pairs)
     if np.any(np.abs(s) > CIRELSON_LIMIT + BOUND_TOL):
         raise ArithmeticError(f"|S| = {float(np.max(np.abs(s)))!r} exceeds the quantum ceiling")
     return _scalar_or_array(s)
-
-
-def _family_coefficients(theta: float) -> tuple[float, float]:
-    # S(theta, xi) = A cos(2 xi) + C sin(2 xi) on the state family.
-    a = 3.0 * math.cos(theta) - math.cos(3.0 * theta)
-    c = math.sin(theta) - math.sin(3.0 * theta)
-    return a, c
 
 
 def bell_operator(theta) -> np.ndarray:
@@ -173,12 +177,8 @@ def bell_operator(theta) -> np.ndarray:
 
     An array of theta gives a stack of operators of shape ``theta.shape + (4, 4)``.
     """
-    q = settings_quartet(theta)
-    oa1 = observable(q.a1).matrix
-    oa2 = observable(q.a2).matrix
-    ob1 = observable(q.b1).matrix
-    ob2 = observable(q.b2).matrix
-    return tensor(oa1, ob1) + tensor(oa2, ob1) + tensor(oa1, ob2) - tensor(oa2, ob2)
+    a, b = ([observable(angle).matrix for angle in side] for side in _analyzers(theta))
+    return _combine(tensor(oa, ob) for oa, ob in _settings(a, b))
 
 
 @dataclass(frozen=True)
@@ -204,29 +204,22 @@ def quantum_bounds(theta) -> QuantumBounds:
     return QuantumBounds(s_min=_scalar_or_array(vals[..., 0]), s_max=_scalar_or_array(vals[..., -1]))
 
 
-def family_extremum(theta: float) -> tuple[float, float]:
-    """The xi maximizing S at fixed theta, and the maximum value.
+def family_extremum(theta):
+    """The xi maximizing S at fixed theta, and the maximum value; broadcasts over arrays of theta.
 
-    xi* = atan2(C, A)/2 reduced into [0, pi); the maximum sqrt(A^2 + C^2) is
-    returned as s_parameter(theta, xi*) so both code paths stay tied together.
+    On the state family S(theta, xi) = A cos(2 xi) + C sin(2 xi) with A = S(theta, 0)
+    and C = S(theta, pi/4), so the maximum sqrt(A^2 + C^2) lies at xi* = atan2(C, A)/2,
+    reduced into [0, pi).  It is returned as s_parameter(theta, xi*).
     """
     t = theta_param(theta)
-    a, c = _family_coefficients(t)
-    xi_star = (0.5 * math.atan2(c, a)) % math.pi
-    if xi_star >= math.pi:
-        xi_star = 0.0
+    xi_star = xi_param(0.5 * np.arctan2(s_parameter(t, 0.25 * math.pi), s_parameter(t, 0.0)))
     return xi_star, s_parameter(t, xi_star)
 
 
 def classical_s_values() -> list[float]:
-    """CHSH values of all 16 deterministic +-1 assignments (a1, a2, b1, b2)."""
-    out = []
-    for a1 in (-1, 1):
-        for a2 in (-1, 1):
-            for b1 in (-1, 1):
-                for b2 in (-1, 1):
-                    out.append(float(a1 * b1 + a2 * b1 + a1 * b2 - a2 * b2))
-    return out
+    """CHSH values of all 16 deterministic +-1 assignments, (a1, a2, b1, b2) with a1 slowest."""
+    signs = list(itertools.product((-1, 1), repeat=2))
+    return [float(_combine(x * y for x, y in _settings(a, b))) for a in signs for b in signs]
 
 
 def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:

@@ -17,8 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import _probabilities, _scalar_or_array, analyzer_angle, settings_quartet, xi_param
+from .chsh import (
+    _analyzers, _combine, _parity, _probabilities, _scalar_or_array, _settings, analyzer_angle, xi_param,
+)
 from .rng import derive_seed, multinomial
+
+# Pairs per setting above this are refused: the widest binomial table row grows
+# as sqrt(pairs), and at 1e15 pairs one row alone needs gigabytes.
+MAX_PAIRS = 10**12
 
 
 @dataclass(frozen=True)
@@ -94,21 +100,25 @@ def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     Broadcasts over arrays of theta, xi and seed.  Setting k draws from the
     derived seed derive_seed(seed, k), so settings and replications are
     independent streams.  Per-setting variance is the multinomial estimate
-    (1 - E^2)/pairs and the four settings add in quadrature.
+    (1 - E^2)/pairs and the four settings add in quadrature.  pairs must lie
+    in [2, MAX_PAIRS]; both checks run before anything is allocated.
     """
     if int(pairs) < 2:
         raise ValueError(f"pairs must be at least 2, got {pairs!r}")
+    if int(pairs) > MAX_PAIRS:
+        raise ValueError(f"pairs must be at most {MAX_PAIRS}, got {pairs!r}")
     pairs = int(pairs)
-    q = settings_quartet(theta)
-    alphas = np.stack(np.broadcast_arrays(q.a1, q.a2, q.a1, q.a2), axis=-1)
-    betas = np.stack(np.broadcast_arrays(q.b1, q.b1, q.b2, q.b2), axis=-1)
+    # The settings on the last axis, in S order.
+    angles = zip(*_settings(*_analyzers(theta)))
+    alphas, betas = (np.stack(np.broadcast_arrays(*side), axis=-1) for side in angles)
     # Replications share the (theta, xi) table: the seeds' axes are not in it.
     probs = setting_probabilities(alphas, betas, np.asarray(xi)[..., None], noise)
     # derive_seed(seed) wraps any int seed into uint64 before the setting axis is added.
-    counts = multinomial(derive_seed(np.expand_dims(derive_seed(seed), -1), np.arange(4)), pairs, probs)
-    e = (counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2]) / pairs
-    # Summed in setting order, as a scalar loop would.
-    s_hat = ((e[..., 0] + e[..., 1]) + e[..., 2]) - e[..., 3]
-    v = (1.0 - e * e) / pairs
-    std_err = np.sqrt(np.maximum(((v[..., 0] + v[..., 1]) + v[..., 2]) + v[..., 3], 0.0))
+    seeds = derive_seed(np.expand_dims(derive_seed(seed), -1), np.arange(alphas.shape[-1]))
+    counts = multinomial(seeds, pairs, probs)
+    # Each setting's correlation, settings first.
+    e = np.moveaxis(_parity(*np.moveaxis(counts, -1, 0)) / pairs, -1, 0)
+    # The variances add in quadrature, in setting order.
+    std_err = np.sqrt(np.maximum(sum((1.0 - e_k * e_k) / pairs for e_k in e), 0.0))
+    s_hat = _combine(e)
     return SEstimate(s_hat=_scalar_or_array(s_hat), std_err=_scalar_or_array(std_err), counts=counts)

@@ -18,7 +18,6 @@ from chshlab.chsh import (
     observable,
     quantum_bounds,
     s_parameter,
-    settings_quartet,
     state_phi,
     theta_param,
     xi_param,
@@ -140,18 +139,17 @@ class TestObservable:
             assert np.max(np.abs(m @ m - np.eye(2))) <= 1e-12
 
 
-class TestSettingsQuartet:
+class TestSettingsTable:
     def test_multiples_of_theta(self):
-        q = settings_quartet(0.3)
-        assert q.a1 == pytest.approx(0.6, abs=1e-12)
-        assert q.a2 == 0.0
-        assert q.b1 == pytest.approx(0.3, abs=1e-12)
-        assert q.b2 == pytest.approx(0.9, abs=1e-12)
+        (a1, a2), (b1, b2) = chsh._analyzers(0.3)
+        assert (a1, a2) == pytest.approx((0.6, 0.0), abs=1e-12)
+        assert (b1, b2) == pytest.approx((0.3, 0.9), abs=1e-12)
 
     def test_reduction_near_top_of_range(self):
-        q = settings_quartet(math.pi)
-        assert q.a1 == pytest.approx(0.0, abs=1e-12)  # 2*pi wraps
-        assert q.b2 == pytest.approx(math.pi, abs=1e-12)  # 3*pi wraps
+        (a1, a2), (b1, b2) = chsh._analyzers(math.pi)
+        assert a1 == pytest.approx(0.0, abs=1e-12)  # 2*pi wraps
+        assert b2 == pytest.approx(math.pi, abs=1e-12)  # 3*pi wraps
+        assert a2 == 0.0 and b1 == math.pi
 
 
 class TestStatePhi:
@@ -242,6 +240,34 @@ class TestSParameter:
         assert expectation(state_phi(math.pi / 4), bell_operator(math.pi / 2)) == pytest.approx(
             2.0, abs=1e-12
         )
+
+
+class TestFourTermOracles:
+    # The CHSH combination written out term by term, kept as oracles for the
+    # settings table and the combiner: a1 = 2t, a2 = 0, b1 = t, b2 = 3t.
+
+    def test_s_parameter_is_the_four_correlation_sum(self):
+        rng = np.random.default_rng(41)
+        t = rng.uniform(0.0, math.pi, (300, 1))
+        x = rng.uniform(-10.0, 10.0, (1, 300))
+        a1, a2, b1, b2 = 2 * t, 0.0, t, 3 * t
+        oracle = correlation(a1, b1, x) + correlation(a2, b1, x) + correlation(a1, b2, x) - correlation(a2, b2, x)
+        assert s_parameter(t, x).tobytes() == oracle.tobytes()
+
+    def test_bell_operator_is_the_tensor_sum(self):
+        for t in (0.3, math.pi / 4, math.pi, np.linspace(0.0, math.pi, 181)):
+            oa1, oa2, ob1, ob2 = (observable(alpha).matrix for alpha in (2 * t, 0.0, t, 3 * t))
+            oracle = tensor(oa1, ob1) + tensor(oa2, ob1) + tensor(oa1, ob2) - tensor(oa2, ob2)
+            assert bell_operator(t).tobytes() == oracle.tobytes()
+
+    def test_classical_values_are_the_nested_loop_enumeration(self):
+        oracle = []
+        for a1 in (-1, 1):
+            for a2 in (-1, 1):
+                for b1 in (-1, 1):
+                    for b2 in (-1, 1):
+                        oracle.append(float(a1 * b1 + a2 * b1 + a1 * b2 - a2 * b2))
+        assert classical_s_values() == oracle
 
 
 class TestClosedForm:
@@ -363,6 +389,24 @@ class TestFamilyExtremum:
         for theta in np.linspace(0.0, math.pi, 181):
             _, s_star = family_extremum(theta)
             assert abs(s_star - quantum_bounds(theta).s_max) <= 1e-9
+
+    def test_array_matches_scalar_calls(self):
+        thetas = np.linspace(0.0, math.pi, 181)
+        xi_star, s_star = family_extremum(thetas)
+        assert xi_star.shape == s_star.shape == (181,)
+        scalar = [family_extremum(t) for t in thetas]
+        assert xi_star.tobytes() == np.array([x for x, _ in scalar]).tobytes()
+        assert s_star.tobytes() == np.array([s for _, s in scalar]).tobytes()
+
+    def test_matches_closed_form_maximizer(self):
+        # xi* = atan2(sin t - sin 3t, 3 cos t - cos 3t)/2, compared modulo pi.
+        thetas = np.linspace(0.0, math.pi, 181)
+        xi_star, _ = family_extremum(thetas)
+        for theta, got in zip(thetas, xi_star):
+            c, a = math.sin(theta) - math.sin(3 * theta), 3 * math.cos(theta) - math.cos(3 * theta)
+            closed = 0.5 * math.atan2(c, a)
+            gap = abs(got - closed) % math.pi
+            assert min(gap, math.pi - gap) <= 1e-15
 
 
 class TestClassicalBound:

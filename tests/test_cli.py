@@ -281,6 +281,29 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"chshlab: error: {flag.lstrip('-')} must be at least")
         assert not out.exists()
 
+    def test_pairs_above_cap_fail(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--pairs", 10**12 + 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "chshlab: error: pairs must be at most 1000000000000, got 1000000000001\n"
+        assert not out.exists()
+
+    def test_degrees_applies_to_noise_offsets(self, tmp_path):
+        deg, rad = tmp_path / "deg.csv", tmp_path / "rad.csv"
+        common = ["simulate", "--pairs", "5000", "--replications", "2", "--seed", "9"]
+        assert run_cli(
+            *common, "--degrees", "--theta-list", "45,90", "--xi-list", "0,90",
+            "--offset-a", "1", "--offset-b", "-2", "--out", deg,
+        ) == 0
+        assert run_cli(
+            *common, "--theta-list", f"{PI / 4},{PI / 2}", "--xi-list", f"0,{PI / 2}",
+            "--offset-a", repr(math.radians(1)), "--offset-b", repr(math.radians(-2)), "--out", rad,
+        ) == 0
+        assert deg.read_bytes() == rad.read_bytes()
+        offset_free = tmp_path / "none.csv"
+        assert run_cli(*common, "--degrees", "--theta-list", "45,90", "--xi-list", "0,90", "--out", offset_free) == 0
+        assert deg.read_bytes() != offset_free.read_bytes()
+
     def test_one_estimate_s_call_per_run(self, tmp_path, monkeypatch):
         estimates, tables = [], []
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chshlab import expsim
-from chshlab.chsh import s_parameter, settings_quartet, state_phi
+from chshlab import chsh, expsim
+from chshlab.chsh import s_parameter, state_phi
 from chshlab.expsim import NoiseModel, SEstimate, estimate_s, setting_probabilities
 from chshlab.linalg import PAULI_Z
 from chshlab.rng import derive_seed, multinomial
@@ -316,8 +316,8 @@ class TestEstimateS:
         theta, xi, pairs, seed = 0.9, 0.1, 2000, 11
         noise = NoiseModel(analyzer_offset_a=0.01, analyzer_offset_b=-0.03)
         est = estimate_s(theta, xi, pairs, noise, seed=seed)
-        q = settings_quartet(theta)
-        plan = ((q.a1, q.b1), (q.a2, q.b1), (q.a1, q.b2), (q.a2, q.b2))
+        plan = chsh._settings(*chsh._analyzers(theta))
+        assert len(plan) == 4
         for index, (a, b) in enumerate(plan):
             p = setting_probabilities(a, b, xi, noise)
             counts = multinomial(derive_seed(seed, index), pairs, p)
@@ -339,3 +339,13 @@ class TestEstimateS:
     def test_rejects_single_pair(self):
         with pytest.raises(ValueError):
             estimate_s(0.5, 0.1, 1, NoiseModel(), seed=0)
+
+    def test_rejects_pairs_above_cap_before_allocating(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the pair cap is checked before any table is built")
+
+        monkeypatch.setattr(expsim, "setting_probabilities", unreachable)
+        monkeypatch.setattr(expsim, "multinomial", unreachable)
+        assert expsim.MAX_PAIRS == 10**12
+        with pytest.raises(ValueError, match=r"pairs must be at most 1000000000000, got 1000000000001"):
+            estimate_s(0.5, 0.1, 10**12 + 1, NoiseModel(), seed=0)
