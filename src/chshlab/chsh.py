@@ -231,6 +231,8 @@ def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:
     on neither n nor the chunk size.
     """
     count = int(n)
+    if count != n:
+        raise ValueError(f"need a whole number of samples, got {n!r}")
     if count < 1:
         raise ValueError(f"need at least one sample, got {n!r}")
     b, stream, out = bell_operator(theta), SplitMix64(seed), np.empty(count)

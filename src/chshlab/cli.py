@@ -8,6 +8,7 @@ so reruns produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import os
@@ -23,7 +24,7 @@ from .rng import derive_seed
 DEFAULT_GRID_COUNT = 181
 DEFAULT_ANGLE_LIST = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 
-_CONFIG_KEYS = ("visibility", "analyzer_offset_a", "analyzer_offset_b", "accidental_fraction")
+_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(NoiseModel))
 
 
 _CELL = "%.12g"
@@ -145,18 +146,11 @@ def load_noise_config(path: str) -> dict[str, float]:
 
 def resolve_noise(args: argparse.Namespace) -> NoiseModel:
     """Noise model from defaults, then config file, then explicit flags."""
-    fields = {key: getattr(NoiseModel, key) for key in _CONFIG_KEYS}
-    if args.config is not None:
-        fields.update(load_noise_config(args.config))
-    scale = math.pi / 180.0 if args.degrees else 1.0
-    if args.visibility is not None:
-        fields["visibility"] = args.visibility
-    if args.offset_a is not None:
-        fields["analyzer_offset_a"] = args.offset_a * scale
-    if args.offset_b is not None:
-        fields["analyzer_offset_b"] = args.offset_b * scale
-    if args.accidentals is not None:
-        fields["accidental_fraction"] = args.accidentals
+    fields = load_noise_config(args.config) if args.config is not None else {}
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key)
+        if value is not None:
+            fields[key] = math.radians(value) if args.degrees and key.startswith("analyzer_offset") else value
     return NoiseModel(**fields)
 
 
@@ -222,11 +216,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="noise profile file with key = value lines")
-    parser.add_argument("--visibility", type=float, default=None, help="Werner visibility in [0, 1]")
-    parser.add_argument("--offset-a", type=float, default=None, help="analyzer a offset angle")
-    parser.add_argument("--offset-b", type=float, default=None, help="analyzer b offset angle")
+    parser.add_argument("--visibility", type=float, help="Werner visibility in [0, 1]")
+    parser.add_argument("--offset-a", dest="analyzer_offset_a", type=float, help="analyzer a offset angle")
+    parser.add_argument("--offset-b", dest="analyzer_offset_b", type=float, help="analyzer b offset angle")
     parser.add_argument(
-        "--accidentals", type=float, default=None, help="accidental coincidence fraction in [0, 1)"
+        "--accidentals", dest="accidental_fraction", type=float, help="accidental coincidence fraction in [0, 1)"
     )
 
 

@@ -100,14 +100,16 @@ def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     Broadcasts over arrays of theta, xi and seed.  Setting k draws from the
     derived seed derive_seed(seed, k), so settings and replications are
     independent streams.  Per-setting variance is the multinomial estimate
-    (1 - E^2)/pairs and the four settings add in quadrature.  pairs must lie
-    in [2, MAX_PAIRS]; both checks run before anything is allocated.
+    (1 - E^2)/pairs and the four settings add in quadrature.  pairs must be a
+    whole number in [2, MAX_PAIRS]; the checks run before anything is allocated.
     """
-    if int(pairs) < 2:
-        raise ValueError(f"pairs must be at least 2, got {pairs!r}")
-    if int(pairs) > MAX_PAIRS:
-        raise ValueError(f"pairs must be at most {MAX_PAIRS}, got {pairs!r}")
+    if int(pairs) != pairs:
+        raise ValueError(f"pairs must be a whole number, got {pairs!r}")
     pairs = int(pairs)
+    if pairs < 2:
+        raise ValueError(f"pairs must be at least 2, got {pairs!r}")
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"pairs must be at most {MAX_PAIRS}, got {pairs!r}")
     # The settings on the last axis, in S order.
     angles = zip(*_settings(*_analyzers(theta)))
     alphas, betas = (np.stack(np.broadcast_arrays(*side), axis=-1) for side in angles)

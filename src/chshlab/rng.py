@@ -1,10 +1,10 @@
 """Deterministic pseudo-randomness for the simulator.
 
-Everything random flows through the counter-based SplitMix64: word i of the
-stream seeded with s is mix64(s + i*GOLDEN), so a 64-bit seed pins every output
-bit-for-bit and whole arrays of seeds are drawn from at once.  Counts are drawn
-by inverse CDF on Chernoff-bounded windows; every draw consumes a fixed number
-of words whatever its outcome, so derived streams never slip.
+Everything random flows through the counter-based SplitMix64 stream of
+``words``, a pure function of seed and word index, so a 64-bit seed pins every
+output bit-for-bit and whole arrays of seeds are drawn from at once.  Counts
+are drawn by inverse CDF on Bernstein-bounded windows; every draw consumes a
+fixed number of words whatever its outcome, so derived streams never slip.
 """
 
 from __future__ import annotations
@@ -52,24 +52,31 @@ def _unit(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def words(seed, first: int, count: int) -> np.ndarray:
+    """Words first+1 .. first+count of the stream seeded with ``seed``, on the last axis.
+
+    Word i is mix64(seed + i*GOLDEN).  An array of seeds gives one stream per
+    seed, its words on a new last axis.
+    """
+    index = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    return mix64(_uint64(seed)[..., None] + index * np.uint64(GOLDEN))
+
+
 class SplitMix64:
     """SplitMix64 stream of words and standard normals, drawn as numpy arrays.
 
-    Word i (from 1) is mix64(seed + i*GOLDEN), so successive calls read on
-    along one stream.
+    Successive calls read on along words(seed, ...) from where the last stopped.
     """
 
     def __init__(self, seed: int):
-        self._state = int(seed) & MASK64
-        self._drawn = 0
+        self._seed, self._drawn = int(seed), 0
 
     def next_uint64(self, n: int) -> np.ndarray:
         """The next n words of the stream."""
         if n < 0:
             raise ValueError("batch size must be nonnegative")
-        idx = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
         self._drawn += n
-        return mix64(np.uint64(self._state) + idx * np.uint64(GOLDEN))
+        return words(self._seed, self._drawn - n, n)
 
     def standard_normal(self, n: int) -> np.ndarray:
         """n standard normals by Box-Muller; consumes 2*ceil(n/2) words.
@@ -78,9 +85,8 @@ class SplitMix64:
         from word 2i+2 of the call, so successive calls of even length read
         one stream of normals.
         """
-        words = self.next_uint64(n + n % 2)
-        # Shift into (0, 1] so the log never sees zero.
-        u = ((words >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        # Shift into (0, 1] so the log never sees zero; the sum is exact.
+        u = _unit(self.next_uint64(n + n % 2)) + 2.0**-53
         r, t = np.sqrt(-2.0 * np.log(u[0::2])), (2.0 * math.pi) * u[1::2]
         return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(-1)[:n]
 
@@ -94,22 +100,15 @@ _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
 def binomial_window(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edges (lo, hi) with P(X < lo) and P(X > hi) below 2**-64 for X ~ Binomial(n, p), 0 < p < 1.
 
-    P(X <= m - d) <= exp(-f(d)) (Chernoff), with f(d) = bd0(m - d, m) + bd0(nq + d, nq) the
-    deviance (Loader 2000) and m = np.  f is convex, so Newton's method for f = 64 ln 2 from the
-    Gaussian guess stays at or beyond the root after one step.  hi is n minus the edge of n - X.
+    X - np is a sum of n centred trials, each at most q = 1 - p above its mean, with variance
+    npq.  Bernstein's inequality gives P(X >= np + t) <= exp(-t**2 / (2npq + 2qt/3)), which is
+    2**-64 at t = c + sqrt(c**2 + 2L*npq) with c = Lq/3 and L = 64 ln 2.  np - X, whose trials
+    are at most p above their mean, gives the lower edge the same way; X < lo means X <= np - t.
     """
-    m, nq = np.concatenate([n * p, n * (1.0 - p)]), np.concatenate([n * (1.0 - p), n * p])
-    # f(m) = -log P(X = 0).  Past the bound the edge is at least 1, so any x >= min(1, m/2) is safe.
-    far = np.concatenate([-n * np.log1p(-p), -n * np.log(p)]) > _TAIL
-    # A mean nq raised to 1e-300 keeps d / nq finite and can only widen the window.
-    m, nq, edge = m[far], np.maximum(nq[far], 1e-300), np.zeros(len(far), np.int64)
-    d_max = np.maximum(m - 1.0, 0.5 * m)
-    d = np.minimum(np.sqrt(2.0 * _TAIL * m * nq / (m + nq)), d_max)
-    for _ in range(3):
-        a, b = np.log1p(-d / m), np.log1p(d / nq)
-        d = np.minimum(d - ((m - d) * a + (nq + d) * b - _TAIL) / (b - a), d_max)
-    edge[far] = np.ceil(m - d)
-    return edge[: len(n)], n - edge[len(n) :]
+    c = _TAIL / 3.0 * np.stack([p, 1.0 - p])
+    t_lo, t_hi = c + np.sqrt(c * c + 2.0 * _TAIL * n * p * (1.0 - p))
+    lo, hi = np.floor(n * p - t_lo) + 1.0, np.ceil(n * p + t_hi) - 1.0
+    return np.clip(lo, 0, n).astype(np.int64), np.clip(hi, 0, n).astype(np.int64)
 
 
 def binomial(n, p, u) -> int | np.ndarray:
@@ -160,10 +159,9 @@ def multinomial(seeds, n: int, pvals) -> np.ndarray:
     # NaN fails every comparison, so it is caught by isfinite; an empty last axis sums to 0.
     if p.ndim < 1 or not np.isfinite(p).all() or np.any(p < -1e-12) or np.any(np.abs(p.sum(-1) - 1) > 1e-9):
         raise ValueError("pvals must be finite and nonnegative, and sum to 1 on the last axis")
-    k, seeds, tail = p.shape[-1], _uint64(seeds), np.ones(p.shape[:-1])
-    u = _unit(mix64(seeds[..., None] + np.arange(1, k, dtype=np.uint64) * np.uint64(GOLDEN)))
-    counts, remaining = [], np.full(np.broadcast_shapes(seeds.shape, tail.shape), int(n), dtype=np.int64)
-    for j in range(k - 1):
+    u, tail = _unit(words(seeds, 0, p.shape[-1] - 1)), np.ones(p.shape[:-1])
+    counts, remaining = [], np.full(np.broadcast_shapes(u.shape[:-1], tail.shape), int(n), dtype=np.int64)
+    for j in range(p.shape[-1] - 1):
         # Category j's probability given that the draw is not in 0..j-1.
         cond = np.clip(np.divide(p[..., j], tail, out=np.zeros(tail.shape), where=tail > 0.0), 0.0, 1.0)
         counts.append(binomial(remaining, cond, u[..., j]))

@@ -447,6 +447,19 @@ class TestHaarSampling:
         with pytest.raises(ValueError):
             haar_sample_s(math.pi / 4, 0, 1)
 
+    def test_rejects_fractional_count_before_allocating(self, monkeypatch):
+        # 2.5 samples used to give 2.
+        assert np.array_equal(haar_sample_s(0.3, 1e3, 4), haar_sample_s(0.3, 1000, 4))
+
+        def unreachable(*args):
+            raise AssertionError("the count is checked before any state is drawn")
+
+        monkeypatch.setattr(chsh, "bell_operator", unreachable)
+        monkeypatch.setattr(chsh, "SplitMix64", unreachable)
+        for n in (2.5, 0.5, np.float64(1000.25)):
+            with pytest.raises(ValueError, match="whole number"):
+                haar_sample_s(0.3, n, 1)
+
     def test_prefix_stable_across_chunk_boundaries(self):
         # Sample i reads normals 8i..8i+7 of the seed's stream, whatever n is.
         full = haar_sample_s(0.3, 2 * chsh._HAAR_CHUNK + 5000, 9)

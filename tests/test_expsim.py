@@ -349,3 +349,17 @@ class TestEstimateS:
         assert expsim.MAX_PAIRS == 10**12
         with pytest.raises(ValueError, match=r"pairs must be at most 1000000000000, got 1000000000001"):
             estimate_s(0.5, 0.1, 10**12 + 1, NoiseModel(), seed=0)
+
+    def test_rejects_fractional_pairs_before_allocating(self, monkeypatch):
+        # 2.9 pairs used to draw 2 per setting.
+        expected = estimate_s(0.5, 0.1, 10**4, NoiseModel(), seed=0)
+        np.testing.assert_array_equal(estimate_s(0.5, 0.1, 1e4, NoiseModel(), seed=0).counts, expected.counts)
+
+        def unreachable(*args):
+            raise AssertionError("pairs are checked before any table is built")
+
+        monkeypatch.setattr(expsim, "setting_probabilities", unreachable)
+        monkeypatch.setattr(expsim, "multinomial", unreachable)
+        for pairs in (2.9, 1e4 + 0.5, np.float64(37.25)):
+            with pytest.raises(ValueError, match="whole number"):
+                estimate_s(0.5, 0.1, pairs, NoiseModel(), seed=0)

@@ -7,7 +7,7 @@ import pytest
 
 from chshlab.cli import main
 from chshlab.rng import (
-    GOLDEN, MASK64, SplitMix64, _unit, binomial, binomial_window, derive_seed, mix64, multinomial,
+    GOLDEN, MASK64, SplitMix64, _unit, binomial, binomial_window, derive_seed, mix64, multinomial, words,
 )
 
 # Seeds at the edges of the 64-bit range, above it and below zero.
@@ -114,6 +114,25 @@ class TestSplitMix64:
                 method(SplitMix64(1))
 
 
+class TestWords:
+    def test_broadcasts_over_seeds(self):
+        seeds = np.array([[0, 5, MASK64], [2**63, 7, 1]], dtype=np.uint64)
+        got = words(seeds, 3, 6)
+        assert got.shape == (2, 3, 6) and got.dtype == np.uint64
+        for index, seed in np.ndenumerate(seeds):
+            assert np.array_equal(got[index], words(seed, 3, 6))
+            assert [int(v) for v in got[index]] == splitmix_reference(int(seed), 9)[3:]
+
+    def test_stream_reads_on_after_a_draw(self):
+        for seed in EDGE_SEEDS:
+            for k, n in ((0, 5), (1, 3), (7, 0), (7, 10)):
+                stream = SplitMix64(seed)
+                stream.next_uint64(k)
+                got = stream.next_uint64(n)
+                assert np.array_equal(got, words(seed, k, n))
+                assert [int(v) for v in got] == splitmix_reference(seed, k + n)[k:]
+
+
 class TestMix64:
     def test_matches_reference(self):
         rng = np.random.default_rng(17)
@@ -210,7 +229,7 @@ class TestBinomial:
 
     def test_window_tails_are_below_two_to_the_minus_64(self):
         binom = pytest.importorskip("scipy.stats").binom
-        n, p = (a.ravel() for a in np.meshgrid([2, 10**4, 10**9], [1e-8, 0.01, 0.25, 0.5, 1 - 1e-8]))
+        n, p = (a.ravel() for a in np.meshgrid([2, 10**4, 10**9, 10**12], [1e-8, 0.01, 0.25, 0.5, 1 - 1e-8]))
         lo, hi = binomial_window(n, p)
         assert (lo >= 0).all() and (lo <= hi).all() and (hi <= n).all()
         assert (binom.cdf(lo - 1, n, p) < 2.0**-64).all()
@@ -218,6 +237,15 @@ class TestBinomial:
         # In the Gaussian bulk the window spans about +-9.4 sigma, not the +-60 sigma of a fixed multiple.
         bulk = n * p * (1 - p) > 1e3
         assert ((hi - lo)[bulk] < 2 * 9.6 * np.sqrt(n * p * (1 - p))[bulk]).all()
+
+    def test_near_degenerate_rows(self):
+        # 1 - 1e-33 rounds to p = 1.  At p = 1 - 2**-52 the lower edge sits about 30 counts
+        # below all the mass, and the table must be anchored there without overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert binomial(10**5, 1 - 1e-33, 0.5) == 10**5
+            assert binomial(10**12, 1e-30, 0.999) == 0
+            assert binomial(10**5, 1 - 2**-52, 1 - 2**-53) == 10**5
 
     def test_window_tails_on_random_rows(self):
         binom = pytest.importorskip("scipy.stats").binom
