@@ -484,3 +484,37 @@ class TestHaarSampling:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+
+class TestHaarLaw:
+    # <psi|B|psi> for Haar psi is sum_i lambda_i w_i with w uniform on the simplex, so its law is
+    # the cubic B-spline on the spectrum (Curry & Schoenberg 1966).  Seed and thresholds are fixed.
+    SEED, N = 11, 1_000_000
+
+    @staticmethod
+    def spline_cdf(lam, x):
+        # F(x) = 1 - sum_i (lambda_i - x)_+^3 / prod_{j != i} (lambda_i - lambda_j), for distinct lambda.
+        tail = sum(
+            np.maximum(li - x, 0.0) ** 3 / math.prod(li - lj for j, lj in enumerate(lam) if j != i)
+            for i, li in enumerate(lam)
+        )
+        return 1.0 - tail
+
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 8, 1.0])
+    def test_ks_against_spline_law(self, theta):
+        kstest = pytest.importorskip("scipy.stats").kstest
+        lam = np.linalg.eigvalsh(bell_operator(theta))
+        assert np.min(np.diff(lam)) > 0.5  # distinct eigenvalues, where the CDF formula holds
+        result = kstest(haar_sample_s(theta, self.N, self.SEED), lambda x: self.spline_cdf(lam, x))
+        assert result.pvalue >= 1e-6, f"KS p = {result.pvalue:.3g}"
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2])
+    def test_moments_at_degenerate_spectra(self, theta):
+        # Mean tr B / 4 = 0 and variance tr B^2 / 20 = 0.8 for every theta.
+        b = bell_operator(theta)
+        assert np.trace(b).real == pytest.approx(0.0, abs=1e-12)
+        assert np.trace(b @ b).real / 20.0 == pytest.approx(0.8, abs=1e-12)
+        s = haar_sample_s(theta, self.N, self.SEED)
+        mean, dev2 = s.mean(), (s - s.mean()) ** 2
+        assert abs(mean) <= 6.0 * math.sqrt(0.8 / self.N)
+        assert abs(dev2.mean() - 0.8) <= 6.0 * dev2.std() / math.sqrt(self.N)
