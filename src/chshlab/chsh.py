@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULI_X, PAULI_Z, herm_eigenvalues, tensor
-from .rng import SplitMix64
+from .rng import SplitMix64, _unit
 
 TWO_PI = 2.0 * math.pi
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -24,7 +24,7 @@ CLASSICAL_LIMIT = 2.0
 CIRELSON_LIMIT = 2.0 * math.sqrt(2.0)
 
 BOUND_TOL = 1e-9
-_HAAR_CHUNK = 2**14  # states per block of normals in haar_sample_s
+_HAAR_CHUNK = 2**14  # states per block of words (three per state) in haar_sample_s
 
 
 def _scalar_or_array(values):
@@ -225,20 +225,22 @@ def classical_s_values() -> list[float]:
 def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:
     """Bell-operator expectations for n Haar-random pure two-qubit states.
 
-    State i is normals 8i..8i+7 of SplitMix64(seed), the real and imaginary parts
-    of its 4 amplitudes, normalized.  Reading the stream _HAAR_CHUNK states at a
-    time bounds memory to 8 bytes per state plus a constant; sample i depends
-    on neither n nor the chunk size.
+    In B's eigenbasis the squared moduli of a Haar-random ket are uniform on the
+    simplex (Zyczkowski & Sommers 2001), so <psi|B|psi> = sum_k lambda_k w_k, with
+    w the spacings of three sorted uniforms.  State i reads words 3i+1..3i+3 of
+    SplitMix64(seed), and its sum is written out in a fixed order with IEEE + and
+    * alone, so its bytes do not depend on numpy's SIMD dispatch.  Reading the
+    stream _HAAR_CHUNK states at a time bounds memory to 8 bytes per state plus a
+    constant; sample i depends on neither n nor the chunk size.
     """
     count = int(n)
     if count != n:
         raise ValueError(f"need a whole number of samples, got {n!r}")
     if count < 1:
         raise ValueError(f"need at least one sample, got {n!r}")
-    b, stream, out = bell_operator(theta), SplitMix64(seed), np.empty(count)
+    lam, stream, out = herm_eigenvalues(bell_operator(theta)), SplitMix64(seed), np.empty(count)
     for start in range(0, count, _HAAR_CHUNK):
-        g = stream.standard_normal(8 * min(_HAAR_CHUNK, count - start)).reshape(-1, 8)
-        kets = g[:, 0::2] + 1j * g[:, 1::2]
-        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-        out[start : start + len(g)] = np.real(np.einsum("ni,ij,nj->n", kets.conj(), b, kets))
+        u = np.sort(_unit(stream.next_uint64(3 * min(_HAAR_CHUNK, count - start))).reshape(-1, 3), axis=1)
+        w = (u[:, 0], u[:, 1] - u[:, 0], u[:, 2] - u[:, 1], 1.0 - u[:, 2])
+        out[start : start + len(u)] = ((lam[0] * w[0] + lam[1] * w[1]) + lam[2] * w[2]) + lam[3] * w[3]
     return out

@@ -63,7 +63,7 @@ def words(seed, first: int, count: int) -> np.ndarray:
 
 
 class SplitMix64:
-    """SplitMix64 stream of words and standard normals, drawn as numpy arrays.
+    """SplitMix64 stream of words, drawn as numpy arrays.
 
     Successive calls read on along words(seed, ...) from where the last stopped.
     """
@@ -77,18 +77,6 @@ class SplitMix64:
             raise ValueError("batch size must be nonnegative")
         self._drawn += n
         return words(self._seed, self._drawn - n, n)
-
-    def standard_normal(self, n: int) -> np.ndarray:
-        """n standard normals by Box-Muller; consumes 2*ceil(n/2) words.
-
-        Normals 2i and 2i+1 take their radius from word 2i+1 and their angle
-        from word 2i+2 of the call, so successive calls of even length read
-        one stream of normals.
-        """
-        # Shift into (0, 1] so the log never sees zero; the sum is exact.
-        u = _unit(self.next_uint64(n + n % 2)) + 2.0**-53
-        r, t = np.sqrt(-2.0 * np.log(u[0::2])), (2.0 * math.pi) * u[1::2]
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(-1)[:n]
 
 
 # A binomial window leaves out under 2**-64 of the mass on each side; a chunk of
@@ -118,7 +106,10 @@ def binomial(n, p, u) -> int | np.ndarray:
     total mass cancels the rounding of its math.lgamma anchor: the draw is the exact inverse CDF up to
     n = 1e9 except within about 1e-12 of a CDF value.  Equal (n, p) share one zero-padded table row.
     """
-    n, p, u = np.broadcast_arrays(np.asarray(n, np.int64), np.asarray(p, np.float64), u)
+    whole = np.asarray(n, np.int64)
+    if np.any(whole != n):
+        raise ValueError(f"binomial needs whole-number n, got {n!r}")
+    n, p, u = np.broadcast_arrays(whole, np.asarray(p, np.float64), u)
     if np.any(n < 0) or not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
         raise ValueError("binomial needs n >= 0 and p in [0, 1]")
     out, live = np.where(p == 1.0, n, 0), (n > 0) & (p > 0.0) & (p < 1.0)
@@ -155,6 +146,8 @@ def multinomial(seeds, n: int, pvals) -> np.ndarray:
     followed by the category axis, and each draw sums to n exactly.  Each stage
     is one binomial call; binomial j of a draw reads word j+1 of SplitMix64(seed).
     """
+    if int(n) != n:
+        raise ValueError(f"multinomial needs a whole number of trials, got {n!r}")
     p = np.asarray(pvals, dtype=np.float64)
     # NaN fails every comparison, so it is caught by isfinite; an empty last axis sums to 0.
     if p.ndim < 1 or not np.isfinite(p).all() or np.any(p < -1e-12) or np.any(np.abs(p.sum(-1) - 1) > 1e-9):

@@ -23,7 +23,8 @@ from chshlab.chsh import (
     xi_param,
 )
 from chshlab.expsim import NoiseModel, setting_probabilities
-from chshlab.linalg import PAULI_X, PAULI_Z, expectation, tensor
+from chshlab.linalg import PAULI_X, PAULI_Z, expectation, herm_eigenvalues, tensor
+from chshlab.rng import _unit, words
 
 SQRT2 = math.sqrt(2.0)
 
@@ -461,10 +462,20 @@ class TestHaarSampling:
                 haar_sample_s(0.3, n, 1)
 
     def test_prefix_stable_across_chunk_boundaries(self):
-        # Sample i reads normals 8i..8i+7 of the seed's stream, whatever n is.
+        # Sample i reads words 3i+1..3i+3 of the seed's stream, whatever n is.
         full = haar_sample_s(0.3, 2 * chsh._HAAR_CHUNK + 5000, 9)
         for k in (1, 1234, chsh._HAAR_CHUNK, chsh._HAAR_CHUNK + 1, 2 * chsh._HAAR_CHUNK + 3):
             assert np.array_equal(full[:k], haar_sample_s(0.3, k, 9))
+
+    def test_state_reads_its_three_words(self):
+        # State i: the spacings of the sorted uniforms of words 3i+1..3i+3, summed
+        # against the ascending spectrum in a fixed order.
+        lam = herm_eigenvalues(bell_operator(0.3))
+        samples = haar_sample_s(0.3, 40, 9)
+        for i in (0, 1, 39):
+            u0, u1, u2 = sorted(float(x) for x in _unit(words(9, 3 * i, 3)))
+            w = (u0, u1 - u0, u2 - u1, 1.0 - u2)
+            assert samples[i] == ((lam[0] * w[0] + lam[1] * w[1]) + lam[2] * w[2]) + lam[3] * w[3]
 
     def test_bytes_do_not_depend_on_chunk_size(self, monkeypatch):
         expected = {theta: haar_sample_s(theta, 5000, 9) for theta in (0.3, math.pi / 4)}
@@ -474,8 +485,8 @@ class TestHaarSampling:
                 assert np.array_equal(haar_sample_s(theta, 5000, 9), samples)
 
     def test_memory_is_bounded(self):
-        # All 400k states' normals and kets at once take about 120 MB; chunks
-        # of 2**14 states leave the 3.2 MB result and one chunk.
+        # All 400k states' words, uniforms and spacings at once peak at about 30 MB;
+        # chunks of 2**14 states leave the 3.2 MB result and one chunk (about 5 MB in all).
         haar_sample_s(math.pi / 4, 1000, 1)
         tracemalloc.start()
         try:

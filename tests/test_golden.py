@@ -57,6 +57,8 @@ CASES = {
     "sweep-theta-custom": ("sweep-theta", "--xi-list", "0.1,1.2,2.9", "--theta-grid", "0.01:3.1:97"),
     # The spectral bounds at a theta off the default grids.
     "sample-theta-0.3": ("sample", "--theta", "0.3", "--n", "1000", "--seed", "5"),
+    # Enough rows to show last digits that move with numpy's SIMD dispatch; CI reruns the goldens without it.
+    "sample-100k": ("sample", "--theta", PI_4, "--n", "100000", "--seed", "3"),
 }
 
 

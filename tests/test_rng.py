@@ -83,35 +83,12 @@ class TestSplitMix64:
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.02
 
-    def test_standard_normal_moments(self):
-        z = SplitMix64(123).standard_normal(1_000_000)
-        assert abs(z.mean()) < 0.005
-        assert abs(z.std() - 1.0) < 0.005
-
     def test_determinism(self):
-        assert np.array_equal(SplitMix64(7).standard_normal(101), SplitMix64(7).standard_normal(101))
-
-    def test_standard_normal_calls_continue_one_stream(self):
-        for seed in (0, 11, MASK64):
-            a = SplitMix64(seed)
-            chunks = np.concatenate([a.standard_normal(6), a.standard_normal(10)])
-            assert np.array_equal(chunks, SplitMix64(seed).standard_normal(16))
-
-    def test_standard_normal_matches_box_muller_reference(self):
-        # Normals 2i and 2i+1 take their radius from word 2i+1 and their angle from word 2i+2.
-        words = splitmix_reference(42, 10)
-        u = [((w >> 11) + 1) * 2.0**-53 for w in words]
-        expected = []
-        for radius_u, angle_u in zip(u[0::2], u[1::2]):
-            r, t = math.sqrt(-2.0 * math.log(radius_u)), 2.0 * math.pi * angle_u
-            expected += [r * math.cos(t), r * math.sin(t)]
-        np.testing.assert_allclose(SplitMix64(42).standard_normal(10), expected, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(SplitMix64(42).standard_normal(9), expected[:9], rtol=1e-14, atol=1e-15)
+        assert np.array_equal(SplitMix64(7).next_uint64(101), SplitMix64(7).next_uint64(101))
 
     def test_methods_are_array_only(self):
-        for method in (SplitMix64.next_uint64, SplitMix64.standard_normal):
-            with pytest.raises(TypeError):
-                method(SplitMix64(1))
+        with pytest.raises(TypeError):
+            SplitMix64.next_uint64(SplitMix64(1))
 
 
 class TestWords:
@@ -172,6 +149,13 @@ class TestBinomial:
             binomial(10, 1.5, u)
         with pytest.raises(ValueError):
             binomial(-1, 0.5, u)
+
+    def test_rejects_fractional_n(self):
+        # 2.9 trials used to be drawn as 2.
+        assert binomial(3.0, 0.999, 0.99) == binomial(3, 0.999, 0.99)
+        for n in (2.9, [10, 2.5], np.float64(1e9 + 0.5)):
+            with pytest.raises(ValueError, match="whole"):
+                binomial(n, 0.999, 0.99)
 
     def test_consumes_one_word_regardless_of_outcome(self):
         # Binomial j of a multinomial draw reads word j+1 of the seed's
@@ -294,6 +278,13 @@ class TestMultinomial:
             multinomial(0, 10, [[0.5, 0.5], [0.5, 0.6]])
         with pytest.raises(ValueError):
             multinomial(0, 10, 1.0)
+
+    def test_rejects_fractional_n(self):
+        # 2.9 trials used to be drawn as 2.
+        assert np.array_equal(multinomial(0, 2.0, [0.5, 0.5]), multinomial(0, 2, [0.5, 0.5]))
+        for n in (2.9, 0.5, np.float64(1e9 + 0.5)):
+            with pytest.raises(ValueError, match="whole"):
+                multinomial(0, n, [0.5, 0.5])
 
     def test_rejects_non_finite_pvals(self):
         # A NaN makes the sum NaN, which no range check catches.
