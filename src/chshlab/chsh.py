@@ -24,7 +24,7 @@ CLASSICAL_LIMIT = 2.0
 CIRELSON_LIMIT = 2.0 * math.sqrt(2.0)
 
 BOUND_TOL = 1e-9
-_HAAR_CHUNK = 2**14  # states per block of words (three per state) in haar_sample_s
+_HAAR_CHUNK = 2**14  # states per block of words (three per state) in haar_blocks
 
 
 def _scalar_or_array(values):
@@ -195,12 +195,17 @@ class QuantumBounds:
             raise ValueError("bounds exceed the quantum ceiling")
 
 
+def bell_spectrum(theta) -> np.ndarray:
+    """The Bell operator's eigenvalues at theta, ascending on the last axis, from the Jacobi eigensolver."""
+    return herm_eigenvalues(bell_operator(theta))
+
+
 def quantum_bounds(theta) -> QuantumBounds:
-    """Spectral S bounds for the theta settings, from the Jacobi eigensolver.
+    """Spectral S bounds for the theta settings: the ends of bell_spectrum.
 
     A scalar theta gives floats; an array of theta gives arrays of its shape.
     """
-    vals = herm_eigenvalues(bell_operator(theta))
+    vals = bell_spectrum(theta)
     return QuantumBounds(s_min=_scalar_or_array(vals[..., 0]), s_max=_scalar_or_array(vals[..., -1]))
 
 
@@ -222,25 +227,49 @@ def classical_s_values() -> list[float]:
     return [float(_combine(x * y for x, y in _settings(a, b))) for a in signs for b in signs]
 
 
-def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:
-    """Bell-operator expectations for n Haar-random pure two-qubit states.
-
-    In B's eigenbasis the squared moduli of a Haar-random ket are uniform on the
-    simplex (Zyczkowski & Sommers 2001), so <psi|B|psi> = sum_k lambda_k w_k, with
-    w the spacings of three sorted uniforms.  State i reads words 3i+1..3i+3 of
-    SplitMix64(seed), and its sum is written out in a fixed order with IEEE + and
-    * alone, so its bytes do not depend on numpy's SIMD dispatch.  Reading the
-    stream _HAAR_CHUNK states at a time bounds memory to 8 bytes per state plus a
-    constant; sample i depends on neither n nor the chunk size.
-    """
+def _sample_count(n) -> int:
+    """n as an int, once it is a whole number of at least one."""
     count = int(n)
     if count != n:
         raise ValueError(f"need a whole number of samples, got {n!r}")
     if count < 1:
         raise ValueError(f"need at least one sample, got {n!r}")
-    lam, stream, out = herm_eigenvalues(bell_operator(theta)), SplitMix64(seed), np.empty(count)
-    for start in range(0, count, _HAAR_CHUNK):
-        u = np.sort(_unit(stream.next_uint64(3 * min(_HAAR_CHUNK, count - start))).reshape(-1, 3), axis=1)
-        w = (u[:, 0], u[:, 1] - u[:, 0], u[:, 2] - u[:, 1], 1.0 - u[:, 2])
-        out[start : start + len(u)] = ((lam[0] * w[0] + lam[1] * w[1]) + lam[2] * w[2]) + lam[3] * w[3]
+    return count
+
+
+def haar_blocks(lam, n: int, seed: int):
+    """Bell-operator expectations of n Haar-random pure two-qubit states, block by block.
+
+    ``lam`` is B's ascending spectrum (bell_spectrum).  In B's eigenbasis the
+    squared moduli of a Haar-random ket are uniform on the simplex (Zyczkowski
+    & Sommers 2001), so <psi|B|psi> = sum_k lambda_k w_k, with w the spacings
+    of three sorted uniforms.  State i reads words 3i+1..3i+3 of
+    SplitMix64(seed), and its sum is written out in a fixed order with IEEE +
+    and * alone, so its bytes do not depend on numpy's SIMD dispatch.  Returns
+    an iterator of (start, values): states start.. of at most _HAAR_CHUNK at a
+    time, so memory is flat in n and sample i depends on neither n nor the
+    block size.  n is checked before this returns, before any state is drawn.
+    """
+    count = _sample_count(n)
+
+    def blocks():
+        stream = SplitMix64(seed)
+        for start in range(0, count, _HAAR_CHUNK):
+            u = _unit(stream.next_uint64(3 * min(_HAAR_CHUNK, count - start))).reshape(-1, 3)
+            # Three compare-exchanges order each triple as np.sort does: uniforms are never NaN or -0.
+            lo, hi = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
+            mid, top = np.minimum(hi, u[:, 2]), np.maximum(hi, u[:, 2])
+            low, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+            w = (low, mid - low, top - mid, 1.0 - top)
+            yield start, ((lam[0] * w[0] + lam[1] * w[1]) + lam[2] * w[2]) + lam[3] * w[3]
+
+    return blocks()
+
+
+def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:
+    """The n values of haar_blocks at B(theta)'s spectrum, in one array: 8 bytes per state plus a constant."""
+    count = _sample_count(n)
+    out = np.empty(count)
+    for start, values in haar_blocks(bell_spectrum(theta), count, seed):
+        out[start : start + values.size] = values
     return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import os
 import shutil
@@ -17,7 +16,9 @@ import sys
 
 import numpy as np
 
-from .chsh import CIRELSON_LIMIT, CLASSICAL_LIMIT, haar_sample_s, quantum_bounds, s_parameter
+from .chsh import (
+    CIRELSON_LIMIT, CLASSICAL_LIMIT, QuantumBounds, bell_spectrum, haar_blocks, quantum_bounds, s_parameter,
+)
 from .expsim import NoiseModel, estimate_s
 from .rng import derive_seed
 
@@ -31,15 +32,25 @@ _CELL = "%.12g"
 _BLOCK_ROWS = 1024
 
 
+def _cell(a: np.ndarray) -> str:
+    """%d for an integer column that _CELL would write in full (fewer than 13 digits), else _CELL."""
+    if a.dtype.kind in "iu" and a.size and -(10**12) < a.min() and a.max() < 10**12:
+        return "%d"
+    return _CELL
+
+
 def _lines(*columns):
     """CSV text of the broadcast columns, yielded _BLOCK_ROWS whole lines at a time.
 
     A string column is a literal cell, the same on every row.  Every other
     column is numeric, broadcasts against the rest and is formatted with
-    _CELL: 12 significant digits, as ``format(value, ".12g")`` gives them.
-    Rows run in C order of the broadcast shape, so the first axis runs slowest.
+    _CELL: 12 significant digits, as ``format(value, ".12g")`` gives them.  An
+    integer column whose values all lie strictly between -10**12 and 10**12
+    is written with %d, which gives the same bytes faster; its range comes
+    from min and max, so no copy of the column is made.  Rows run in C order
+    of the broadcast shape, so the first axis runs slowest.
     """
-    template = ",".join(c if isinstance(c, str) else _CELL for c in columns) + "\n"
+    template = ",".join(c if isinstance(c, str) else _cell(np.asarray(c)) for c in columns) + "\n"
     arrays = [np.asarray(c) for c in columns if not isinstance(c, str)]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     flats = [np.broadcast_to(a, shape).flat for a in arrays]
@@ -197,13 +208,18 @@ def cmd_simulate(
 
 
 def cmd_sample(theta: float, n: int, seed: int, out: str) -> None:
-    samples = haar_sample_s(theta, n, seed)
-    bounds = quantum_bounds(theta)
-    rows = itertools.chain(
-        _lines(np.arange(samples.size), samples, "", "", "", ""),
-        _lines("summary", "", samples.min(), samples.max(), bounds.s_min, bounds.s_max),
-    )
-    _write_rows(out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows)
+    lam = bell_spectrum(theta)
+    blocks = haar_blocks(lam, n, seed)
+    bounds = QuantumBounds(s_min=float(lam[0]), s_max=float(lam[-1]))
+
+    def rows():
+        lo, hi = math.inf, -math.inf
+        for start, values in blocks:
+            lo, hi = min(lo, values.min()), max(hi, values.max())
+            yield from _lines(np.arange(start, start + values.size), values, "", "", "", "")
+        yield from _lines("summary", "", lo, hi, bounds.s_min, bounds.s_max)
+
+    _write_rows(out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows())
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

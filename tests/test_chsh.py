@@ -14,6 +14,7 @@ from chshlab.chsh import (
     classical_s_values,
     correlation,
     family_extremum,
+    haar_blocks,
     haar_sample_s,
     observable,
     quantum_bounds,
@@ -476,6 +477,18 @@ class TestHaarSampling:
             u0, u1, u2 = sorted(float(x) for x in _unit(words(9, 3 * i, 3)))
             w = (u0, u1 - u0, u2 - u1, 1.0 - u2)
             assert samples[i] == ((lam[0] * w[0] + lam[1] * w[1]) + lam[2] * w[2]) + lam[3] * w[3]
+
+    def test_weights_match_sorted_spacings_with_ties_and_zeros(self, monkeypatch):
+        # Every triple over {0, 0.25, 0.75} and some random ones: ties, exact 0.0 and
+        # every order.  Against a unit-vector spectrum each sample is one weight, exactly.
+        grid = np.array(np.meshgrid(*[[0.0, 0.25, 0.75]] * 3)).reshape(3, -1).T
+        triples = np.concatenate([grid, np.random.default_rng(2).random((50, 3))])
+        monkeypatch.setattr(chsh, "_unit", lambda words: triples.reshape(-1))
+        u = np.sort(triples, axis=1)
+        expected = (u[:, 0], u[:, 1] - u[:, 0], u[:, 2] - u[:, 1], 1.0 - u[:, 2])
+        for k in range(4):
+            ((start, weights),) = haar_blocks(np.eye(4)[k], len(triples), 1)
+            assert start == 0 and np.array_equal(weights, expected[k])
 
     def test_bytes_do_not_depend_on_chunk_size(self, monkeypatch):
         expected = {theta: haar_sample_s(theta, 5000, 9) for theta in (0.3, math.pi / 4)}

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chshlab import cli, expsim
-from chshlab.chsh import quantum_bounds, s_parameter
+from chshlab import chsh, cli, expsim
+from chshlab.chsh import haar_sample_s, quantum_bounds, s_parameter
 from chshlab.cli import (
     _lines,
     _write_rows,
@@ -20,6 +20,7 @@ from chshlab.cli import (
     parse_grid,
 )
 from chshlab.expsim import NoiseModel, estimate_s
+from chshlab.linalg import herm_eigenvalues
 from chshlab.rng import derive_seed
 
 SQRT2 = math.sqrt(2.0)
@@ -175,6 +176,18 @@ class TestSpectralCalls:
         monkeypatch.setattr(cli, "quantum_bounds", counted)
         assert run_cli(*command, "--theta-grid", "0:3:31", "--out", tmp_path / "x.csv") == 0
         assert calls == [(31,)]
+
+    def test_one_spectrum_per_sample_run(self, tmp_path, monkeypatch):
+        # The samples and the summary's s_qmin/s_qmax come from one eigensolver call.
+        calls = []
+
+        def counted(h):
+            calls.append(np.shape(h))
+            return herm_eigenvalues(h)
+
+        monkeypatch.setattr(chsh, "herm_eigenvalues", counted)
+        assert run_cli("sample", "--theta", "0.3", "--n", "5000", "--out", tmp_path / "x.csv") == 0
+        assert calls == [(4, 4)]
 
 
 class TestBounds:
@@ -369,6 +382,32 @@ class TestSample:
         assert rc == 1
         assert "sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [("--n", "0"), ("--n", "-3"), ("--n", "10", "--theta", "4")])
+    def test_bad_flags_write_no_byte(self, flags, tmp_path, capsys):
+        # n and theta are checked before the output is opened: no file appears at
+        # a path, and a FIFO reader sees end of file with no header before it.
+        argv = ("sample", "--theta", "0.5", *flags)
+        assert run_cli(*argv, "--out", tmp_path / "x.csv") == 1
+        assert list(tmp_path.iterdir()) == []
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run_cli(*argv, "--out", fifo) == 1
+            assert os.read(reader, 4096) == b""
+        finally:
+            os.close(reader)
+        assert capsys.readouterr().err.count("chshlab: error:") == 2
+
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    def test_bytes_do_not_depend_on_block_sizes(self, n, tmp_path, monkeypatch):
+        argv = ("sample", "--theta", str(PI / 4), "--n", n, "--seed", "3", "--out")
+        assert run_cli(*argv, tmp_path / "default.csv") == 0
+        monkeypatch.setattr(chsh, "_HAAR_CHUNK", 7)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+        assert run_cli(*argv, tmp_path / "small.csv") == 0
+        assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
 
 class TestErrorHandling:
     @pytest.mark.parametrize(
@@ -467,6 +506,14 @@ class TestFormatting:
         text = "".join(_lines(ints, 0.5))
         assert text == "".join(f"{format(int(i), '.12g')},0.5\n" for i in ints)
 
+    def test_int_cells_at_the_digit_limit(self):
+        # %d strictly inside +-10**12, %.12g (1e+12) from there on: format(i, ".12g") either way.
+        edges = [10**12 - 1, 1 - 10**12, 10**12, -(10**12), 10**15]
+        columns = [np.array([v]) for v in edges] + [np.array(edges)]
+        columns += [np.array(edges[:1], dtype=np.uint64), np.array([10**12 - 1, 10**12], dtype=np.uint64)]
+        for ints in columns:
+            assert "".join(_lines(ints)) == "".join(format(int(i), ".12g") + "\n" for i in ints)
+
     def test_broadcast_constants_and_literal_cells(self):
         rows = "".join(_lines(np.array([[0.25], [1.5]]), np.array([1.0, -0.0, 3e-7]), "", 2.0, "x"))
         expected = [f"{o:.12g},{i:.12g},,2,x\n" for o in (0.25, 1.5) for i in (1.0, -0.0, 3e-7)]
@@ -480,21 +527,26 @@ class TestFormatting:
 
 
 class TestSampleMemory:
-    def test_rows_are_written_in_bounded_blocks(self, tmp_path, monkeypatch):
-        n = 200_000
-        samples = np.random.default_rng(5).uniform(-2.8, 2.8, n)
-        monkeypatch.setattr(cli, "haar_sample_s", lambda theta, count, seed: samples)
-        out = tmp_path / "sample.csv"
-        tracemalloc.start()
-        try:
-            cmd_sample(0.785, n, 1, str(out))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-        header, rows = read_csv(out)
-        assert len(rows) == n + 1
-        assert rows[-1][:4] == ["summary", "", f"{samples.min():.12g}", f"{samples.max():.12g}"]
+    def test_rows_are_written_in_bounded_blocks(self, tmp_path):
+        # cmd_sample holds one sampler block and one block of formatted rows at a
+        # time, never all n samples or indices, so its peak does not grow with n.
+        peaks = []
+        for n in (200_000, 2_000_000):
+            out = tmp_path / "sample.csv"
+            tracemalloc.start()
+            try:
+                cmd_sample(0.785, n, 1, str(out))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            with open(out, "rb") as fh:
+                fh.seek(-200, os.SEEK_END)
+                last = fh.read().decode().splitlines()[-1]
+            samples = haar_sample_s(0.785, n, 1)
+            assert last.split(",")[:4] == ["summary", "", f"{samples.min():.12g}", f"{samples.max():.12g}"]
+        mib = [round(p / 2**20, 2) for p in peaks]
+        assert max(peaks) < 8 * 2**20, f"tracemalloc peaks {mib} MiB"
+        assert abs(peaks[1] - peaks[0]) < 2**20, f"tracemalloc peaks {mib} MiB"
 
 
 class TestSweepSpecValidation:
