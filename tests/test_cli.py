@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import os
@@ -12,6 +13,7 @@ from chshlab.chsh import haar_sample_s, quantum_bounds, s_parameter
 from chshlab.cli import (
     _lines,
     _write_rows,
+    build_parser,
     cmd_sample,
     cmd_simulate,
     load_noise_config,
@@ -35,6 +37,83 @@ def read_csv(path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+# Every action of build_parser() and of its subparsers, as
+# (class, option strings, dest, default, type, required, help).
+HELP_ACTION = (
+    "_HelpAction", ("-h", "--help"), "help", argparse.SUPPRESS, None, False, "show this help message and exit"
+)
+GRID_HELP = "start:stop:count (default 0:pi:181)"
+
+
+def store(flag, dest, default, kind, required, help):
+    return ("_StoreAction", (flag,), dest, default, kind, required, help)
+
+
+OPTION_PIN = {
+    "--theta-grid": store("--theta-grid", "theta_grid", None, None, False, GRID_HELP),
+    "--xi-grid": store("--xi-grid", "xi_grid", None, None, False, GRID_HELP),
+    "--theta-list": store("--theta-list", "theta_list", None, None, False, "comma-separated theta values"),
+    "--xi-list": store("--xi-list", "xi_list", None, None, False, "comma-separated xi values"),
+    "--pairs": store("--pairs", "pairs", 10000, "int", False, "photon pairs per setting"),
+    "--replications": store("--replications", "replications", 1, "int", False, "replications per (theta, xi)"),
+    "--config": store("--config", "config", None, None, False, "noise profile file with key = value lines"),
+    "--visibility": store("--visibility", "visibility", None, "float", False, "Werner visibility in [0, 1]"),
+    "--offset-a": store("--offset-a", "analyzer_offset_a", None, "float", False, "analyzer a offset angle"),
+    "--offset-b": store("--offset-b", "analyzer_offset_b", None, "float", False, "analyzer b offset angle"),
+    "--accidentals": store(
+        "--accidentals", "accidental_fraction", None, "float", False, "accidental coincidence fraction in [0, 1)"
+    ),
+    "--theta": store("--theta", "theta", None, "float", True, "setting parameter theta"),
+    "--n": store("--n", "n", 10000, "int", False, "number of random states"),
+    "--out": store("--out", "out", None, None, True, "output CSV path"),
+    "--seed": store("--seed", "seed", 0, "int", False, "64-bit seed (default 0)"),
+    "--degrees": (
+        "_StoreTrueAction", ("--degrees",), "degrees", False, None, False, "interpret command-line angles as degrees"
+    ),
+}
+COMMON = ("--out", "--seed", "--degrees")
+NOISE = ("--config", "--visibility", "--offset-a", "--offset-b", "--accidentals")
+COMMAND_PIN = {
+    "surface": ("S over a full (theta, xi) grid", ("--theta-grid", "--xi-grid", *COMMON)),
+    "sweep-xi": ("S versus xi for chosen theta values", ("--theta-list", "--xi-grid", *COMMON)),
+    "sweep-theta": ("S versus theta with the spectral bound envelope", ("--xi-list", "--theta-grid", *COMMON)),
+    "bounds": ("classical, spectral, and quantum-ceiling bounds per theta", ("--theta-grid", *COMMON)),
+    "simulate": (
+        "simulated S measurements with error bars",
+        ("--theta-list", "--xi-list", "--pairs", "--replications", *NOISE, *COMMON),
+    ),
+    "sample": ("Bell-operator expectations of random pure states", ("--theta", "--n", *COMMON)),
+}
+
+
+def parser_actions(parser):
+    return [
+        (type(a).__name__, tuple(a.option_strings), a.dest, a.default, getattr(a.type, "__name__", a.type),
+         a.required, a.help)
+        for a in parser._actions
+    ]
+
+
+class TestParserPin:
+    """The parser's options, defaults and help strings, pinned action by action.
+
+    The --help text itself is left out: argparse formats it differently across
+    Python versions, while these fields are the same on all of them.
+    """
+
+    def test_top_level(self):
+        parser = build_parser()
+        description = "CHSH parameter sweeps, correlation bounds, and coincidence-counting simulation."
+        assert (parser.prog, parser.description) == ("chshlab", description)
+        assert parser_actions(parser) == [HELP_ACTION, ("_SubParsersAction", (), "command", None, None, True, None)]
+
+    def test_subcommands(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert [(c.dest, c.help) for c in sub._choices_actions] == [(k, v[0]) for k, v in COMMAND_PIN.items()]
+        for name, (_, flags) in COMMAND_PIN.items():
+            assert parser_actions(sub.choices[name]) == [HELP_ACTION] + [OPTION_PIN[f] for f in flags], name
 
 
 class TestParsing:
