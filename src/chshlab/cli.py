@@ -26,6 +26,9 @@ DEFAULT_GRID_COUNT = 181
 DEFAULT_ANGLE_LIST = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 
 _CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(NoiseModel))
+# argparse reads a separate token that starts with - as a flag unless it is a plain number.
+_NEGATIVE_NOTE = "; join a negative first value to the flag with ="
+_GRID_HELP = "start:stop:count (default 0:pi:181)" + _NEGATIVE_NOTE
 
 
 _CELL = "%.12g"
@@ -131,7 +134,7 @@ def parse_angle_list(text: str | None, degrees: bool = False) -> tuple[float, ..
 
 
 def load_noise_config(path: str) -> dict[str, float]:
-    """Read `key = value` lines; keys limited to the noise-model fields."""
+    """Read `key = value` lines; keys limited to the noise-model fields, each given at most once."""
     out: dict[str, float] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -148,6 +151,8 @@ def load_noise_config(path: str) -> dict[str, float]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             out[key] = float(value.strip())
         except ValueError as exc:
@@ -248,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("surface", help="S over a full (theta, xi) grid")
-    p.add_argument("--theta-grid", default=None, help="start:stop:count (default 0:pi:181)")
-    p.add_argument("--xi-grid", default=None, help="start:stop:count (default 0:pi:181)")
+    p.add_argument("--theta-grid", default=None, help=_GRID_HELP)
+    p.add_argument("--xi-grid", default=None, help=_GRID_HELP)
     _add_common(p)
     p.set_defaults(
         func=lambda a: cmd_surface(
@@ -258,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sweep-xi", help="S versus xi for chosen theta values")
-    p.add_argument("--theta-list", default=None, help="comma-separated theta values")
-    p.add_argument("--xi-grid", default=None, help="start:stop:count (default 0:pi:181)")
+    p.add_argument("--theta-list", default=None, help="comma-separated theta values" + _NEGATIVE_NOTE)
+    p.add_argument("--xi-grid", default=None, help=_GRID_HELP)
     _add_common(p)
     p.set_defaults(
         func=lambda a: cmd_sweep_xi(
@@ -268,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sweep-theta", help="S versus theta with the spectral bound envelope")
-    p.add_argument("--xi-list", default=None, help="comma-separated xi values")
-    p.add_argument("--theta-grid", default=None, help="start:stop:count (default 0:pi:181)")
+    p.add_argument("--xi-list", default=None, help="comma-separated xi values" + _NEGATIVE_NOTE)
+    p.add_argument("--theta-grid", default=None, help=_GRID_HELP)
     _add_common(p)
     p.set_defaults(
         func=lambda a: cmd_sweep_theta(
@@ -278,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("bounds", help="classical, spectral, and quantum-ceiling bounds per theta")
-    p.add_argument("--theta-grid", default=None, help="start:stop:count (default 0:pi:181)")
+    p.add_argument("--theta-grid", default=None, help=_GRID_HELP)
     _add_common(p)
     p.set_defaults(func=lambda a: cmd_bounds(parse_grid(a.theta_grid, a.degrees), a.out))
 
     p = sub.add_parser("simulate", help="simulated S measurements with error bars")
-    p.add_argument("--theta-list", default=None, help="comma-separated theta values")
-    p.add_argument("--xi-list", default=None, help="comma-separated xi values")
+    p.add_argument("--theta-list", default=None, help="comma-separated theta values" + _NEGATIVE_NOTE)
+    p.add_argument("--xi-list", default=None, help="comma-separated xi values" + _NEGATIVE_NOTE)
     p.add_argument("--pairs", type=int, default=10000, help="photon pairs per setting")
     p.add_argument("--replications", type=int, default=1, help="replications per (theta, xi)")
     _add_noise_flags(p)

@@ -44,7 +44,8 @@ def run_cli(*argv):
 HELP_ACTION = (
     "_HelpAction", ("-h", "--help"), "help", argparse.SUPPRESS, None, False, "show this help message and exit"
 )
-GRID_HELP = "start:stop:count (default 0:pi:181)"
+NEGATIVE_NOTE = "; join a negative first value to the flag with ="
+GRID_HELP = "start:stop:count (default 0:pi:181)" + NEGATIVE_NOTE
 
 
 def store(flag, dest, default, kind, required, help):
@@ -54,8 +55,10 @@ def store(flag, dest, default, kind, required, help):
 OPTION_PIN = {
     "--theta-grid": store("--theta-grid", "theta_grid", None, None, False, GRID_HELP),
     "--xi-grid": store("--xi-grid", "xi_grid", None, None, False, GRID_HELP),
-    "--theta-list": store("--theta-list", "theta_list", None, None, False, "comma-separated theta values"),
-    "--xi-list": store("--xi-list", "xi_list", None, None, False, "comma-separated xi values"),
+    "--theta-list": store(
+        "--theta-list", "theta_list", None, None, False, "comma-separated theta values" + NEGATIVE_NOTE
+    ),
+    "--xi-list": store("--xi-list", "xi_list", None, None, False, "comma-separated xi values" + NEGATIVE_NOTE),
     "--pairs": store("--pairs", "pairs", 10000, "int", False, "photon pairs per setting"),
     "--replications": store("--replications", "replications", 1, "int", False, "replications per (theta, xi)"),
     "--config": store("--config", "config", None, None, False, "noise profile file with key = value lines"),
@@ -219,6 +222,31 @@ class TestSweepXi:
         assert "error" in capsys.readouterr().err
 
 
+class TestNegativeValues:
+    """argparse reads a separate token such as -0.5:0.5:3 as a flag; joined to its flag with = it is a value."""
+
+    def test_equals_form_reaches_negative_xi(self, tmp_path):
+        out = tmp_path / "xi.csv"
+        assert run_cli("sweep-xi", "--theta-list", "0.5", "--xi-grid=-0.5:0.5:3", "--out", out) == 0
+        _, rows = read_csv(out)
+        assert [r[1] for r in rows] == ["-0.5", "0", "0.5"]
+        assert [r[2] for r in rows] == [f"{s_parameter(0.5, xi):.12g}" for xi in (-0.5, 0.0, 0.5)]
+        assert run_cli("sweep-theta", "--xi-list=-0.5,0.2", "--theta-grid", "0:1:3", "--out", out) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["-0.5"] * 3 + ["0.2"] * 3
+        assert [r[2] for r in rows] == [f"{s_parameter(t, xi):.12g}" for xi in (-0.5, 0.2) for t in (0.0, 0.5, 1.0)]
+
+    @pytest.mark.parametrize(
+        "argv", [("sweep-xi", "--xi-grid", "-0.5:0.5:3"), ("sweep-theta", "--xi-list", "-0.5,0.2")]
+    )
+    def test_separate_token_is_read_as_a_flag(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestSweepTheta:
     def test_envelope_accompanies_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -359,6 +387,14 @@ class TestSimulate:
         )
         assert rc == 1
         assert "darkrate" in capsys.readouterr().err
+
+    def test_config_rejects_duplicate_key(self, tmp_path, capsys):
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text("visibility = 0.9\n# later\nvisibility = 0.5\n")
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--pairs", "500", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == f"chshlab: error: {cfg}:3: duplicate key 'visibility'\n"
+        assert not out.exists()
 
     def test_cmd_simulate_direct_call(self, tmp_path):
         out = tmp_path / "direct.csv"
