@@ -26,9 +26,6 @@ DEFAULT_GRID_COUNT = 181
 DEFAULT_ANGLE_LIST = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 
 _CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(NoiseModel))
-# argparse reads a separate token that starts with - as a flag unless it is a plain number.
-_NEGATIVE_NOTE = "; join a negative first value to the flag with ="
-_GRID_HELP = "start:stop:count (default 0:pi:181)" + _NEGATIVE_NOTE
 
 
 _CELL = "%.12g"
@@ -161,12 +158,11 @@ def load_noise_config(path: str) -> dict[str, float]:
 
 
 def resolve_noise(args: argparse.Namespace) -> NoiseModel:
-    """Noise model from defaults, then config file, then explicit flags."""
+    """Noise model from defaults, then config file, then explicit flags (whose angles main has read)."""
     fields = load_noise_config(args.config) if args.config is not None else {}
     for key in _CONFIG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            fields[key] = math.radians(value) if args.degrees and key.startswith("analyzer_offset") else value
+        if getattr(args, key) is not None:
+            fields[key] = getattr(args, key)
     return NoiseModel(**fields)
 
 
@@ -227,22 +223,67 @@ def cmd_sample(theta: float, n: int, seed: int, out: str) -> None:
     _write_rows(out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows())
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    parser.add_argument(
-        "--degrees", action="store_true", help="interpret command-line angles as degrees"
-    )
+def _radians(value: float | None, degrees: bool) -> float | None:
+    """A float flag's angle in radians, converted from degrees when asked; None stays None."""
+    return math.radians(value) if degrees and value is not None else value
 
 
-def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="noise profile file with key = value lines")
-    parser.add_argument("--visibility", type=float, help="Werner visibility in [0, 1]")
-    parser.add_argument("--offset-a", dest="analyzer_offset_a", type=float, help="analyzer a offset angle")
-    parser.add_argument("--offset-b", dest="analyzer_offset_b", type=float, help="analyzer b offset angle")
-    parser.add_argument(
-        "--accidentals", dest="accidental_fraction", type=float, help="accidental coincidence fraction in [0, 1)"
-    )
+# argparse reads a separate token that starts with - as a flag unless it is a plain number.
+_NEGATIVE_NOTE = "; join a negative first value to the flag with ="
+_GRID_HELP = "start:stop:count (default 0:pi:181)" + _NEGATIVE_NOTE
+
+# Each option's argparse keywords, and the reader of its value as an angle (None for a flag that is no angle).
+_FLAGS = {
+    "--theta-grid": (dict(help=_GRID_HELP), parse_grid),
+    "--xi-grid": (dict(help=_GRID_HELP), parse_grid),
+    "--theta-list": (dict(help="comma-separated theta values" + _NEGATIVE_NOTE), parse_angle_list),
+    "--xi-list": (dict(help="comma-separated xi values" + _NEGATIVE_NOTE), parse_angle_list),
+    "--pairs": (dict(type=int, default=10000, help="photon pairs per setting"), None),
+    "--replications": (dict(type=int, default=1, help="replications per (theta, xi)"), None),
+    "--config": (dict(help="noise profile file with key = value lines"), None),
+    "--visibility": (dict(type=float, help="Werner visibility in [0, 1]"), None),
+    "--offset-a": (dict(dest="analyzer_offset_a", type=float, help="analyzer a offset angle"), _radians),
+    "--offset-b": (dict(dest="analyzer_offset_b", type=float, help="analyzer b offset angle"), _radians),
+    "--accidentals": (
+        dict(dest="accidental_fraction", type=float, help="accidental coincidence fraction in [0, 1)"),
+        None,
+    ),
+    "--theta": (dict(type=float, required=True, help="setting parameter theta"), _radians),
+    "--n": (dict(type=int, default=10000, help="number of random states"), None),
+    "--out": (dict(required=True, help="output CSV path"), None),
+    "--seed": (dict(type=int, default=0, help="64-bit seed (default 0)"), None),
+    "--degrees": (dict(action="store_true", help="interpret command-line angles as degrees"), None),
+}
+_NOISE = ("--config", "--visibility", "--offset-a", "--offset-b", "--accidentals")
+_COMMON = ("--out", "--seed", "--degrees")
+
+# Each command's help, the flags it has before _COMMON's, and its handler, which main calls with every angle in radians.
+_COMMANDS = {
+    "surface": (
+        "S over a full (theta, xi) grid", ("--theta-grid", "--xi-grid"),
+        lambda a: cmd_surface(a.theta_grid, a.xi_grid, a.out),
+    ),
+    "sweep-xi": (
+        "S versus xi for chosen theta values", ("--theta-list", "--xi-grid"),
+        lambda a: cmd_sweep_xi(a.theta_list, a.xi_grid, a.out),
+    ),
+    "sweep-theta": (
+        "S versus theta with the spectral bound envelope", ("--xi-list", "--theta-grid"),
+        lambda a: cmd_sweep_theta(a.xi_list, a.theta_grid, a.out),
+    ),
+    "bounds": (
+        "classical, spectral, and quantum-ceiling bounds per theta", ("--theta-grid",),
+        lambda a: cmd_bounds(a.theta_grid, a.out),
+    ),
+    "simulate": (
+        "simulated S measurements with error bars", ("--theta-list", "--xi-list", "--pairs", "--replications", *_NOISE),
+        lambda a: cmd_simulate(a.theta_list, a.xi_list, a.pairs, resolve_noise(a), a.seed, a.replications, a.out),
+    ),
+    "sample": (
+        "Bell-operator expectations of random pure states", ("--theta", "--n"),
+        lambda a: cmd_sample(a.theta, a.n, a.seed, a.out),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,78 +292,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="CHSH parameter sweeps, correlation bounds, and coincidence-counting simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("surface", help="S over a full (theta, xi) grid")
-    p.add_argument("--theta-grid", default=None, help=_GRID_HELP)
-    p.add_argument("--xi-grid", default=None, help=_GRID_HELP)
-    _add_common(p)
-    p.set_defaults(
-        func=lambda a: cmd_surface(
-            parse_grid(a.theta_grid, a.degrees), parse_grid(a.xi_grid, a.degrees), a.out
-        )
-    )
-
-    p = sub.add_parser("sweep-xi", help="S versus xi for chosen theta values")
-    p.add_argument("--theta-list", default=None, help="comma-separated theta values" + _NEGATIVE_NOTE)
-    p.add_argument("--xi-grid", default=None, help=_GRID_HELP)
-    _add_common(p)
-    p.set_defaults(
-        func=lambda a: cmd_sweep_xi(
-            parse_angle_list(a.theta_list, a.degrees), parse_grid(a.xi_grid, a.degrees), a.out
-        )
-    )
-
-    p = sub.add_parser("sweep-theta", help="S versus theta with the spectral bound envelope")
-    p.add_argument("--xi-list", default=None, help="comma-separated xi values" + _NEGATIVE_NOTE)
-    p.add_argument("--theta-grid", default=None, help=_GRID_HELP)
-    _add_common(p)
-    p.set_defaults(
-        func=lambda a: cmd_sweep_theta(
-            parse_angle_list(a.xi_list, a.degrees), parse_grid(a.theta_grid, a.degrees), a.out
-        )
-    )
-
-    p = sub.add_parser("bounds", help="classical, spectral, and quantum-ceiling bounds per theta")
-    p.add_argument("--theta-grid", default=None, help=_GRID_HELP)
-    _add_common(p)
-    p.set_defaults(func=lambda a: cmd_bounds(parse_grid(a.theta_grid, a.degrees), a.out))
-
-    p = sub.add_parser("simulate", help="simulated S measurements with error bars")
-    p.add_argument("--theta-list", default=None, help="comma-separated theta values" + _NEGATIVE_NOTE)
-    p.add_argument("--xi-list", default=None, help="comma-separated xi values" + _NEGATIVE_NOTE)
-    p.add_argument("--pairs", type=int, default=10000, help="photon pairs per setting")
-    p.add_argument("--replications", type=int, default=1, help="replications per (theta, xi)")
-    _add_noise_flags(p)
-    _add_common(p)
-    p.set_defaults(
-        func=lambda a: cmd_simulate(
-            parse_angle_list(a.theta_list, a.degrees),
-            parse_angle_list(a.xi_list, a.degrees),
-            a.pairs,
-            resolve_noise(a),
-            a.seed,
-            a.replications,
-            a.out,
-        )
-    )
-
-    p = sub.add_parser("sample", help="Bell-operator expectations of random pure states")
-    p.add_argument("--theta", type=float, required=True, help="setting parameter theta")
-    p.add_argument("--n", type=int, default=10000, help="number of random states")
-    _add_common(p)
-    p.set_defaults(
-        func=lambda a: cmd_sample(
-            math.radians(a.theta) if a.degrees else a.theta, a.n, a.seed, a.out
-        )
-    )
-
+    for name, (summary, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag in flags + _COMMON:
+            p.add_argument(flag, **_FLAGS[flag][0])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, flags, handler = _COMMANDS[args.command]
     try:
-        args.func(args)
+        # The one place --degrees is read: each angle-valued flag in the command's flag order, so that of two
+        # bad flags the first is reported.
+        for flag in flags:
+            keywords, read = _FLAGS[flag]
+            if read is not None:
+                dest = keywords.get("dest", flag[2:].replace("-", "_"))
+                setattr(args, dest, read(getattr(args, dest), args.degrees))
+        handler(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"chshlab: error: {exc}", file=sys.stderr)
         return 1
