@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULI_X, PAULI_Z, herm_eigenvalues, tensor
-from .rng import SplitMix64, _unit
+from .rng import _unit, words
 
 TWO_PI = 2.0 * math.pi
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -243,8 +243,8 @@ def haar_blocks(lam, n: int, seed: int):
     ``lam`` is B's ascending spectrum (bell_spectrum).  In B's eigenbasis the
     squared moduli of a Haar-random ket are uniform on the simplex (Zyczkowski
     & Sommers 2001), so <psi|B|psi> = sum_k lambda_k w_k, with w the spacings
-    of three sorted uniforms.  State i reads words 3i+1..3i+3 of
-    SplitMix64(seed), and its sum is written out in a fixed order with IEEE +
+    of three sorted uniforms.  State i reads words 3i+1..3i+3 of the stream
+    rng.words(seed, ...), and its sum is written out in a fixed order with IEEE +
     and * alone, so its bytes do not depend on numpy's SIMD dispatch.  Returns
     an iterator of (start, values): states start.. of at most _HAAR_CHUNK at a
     time, so memory is flat in n and sample i depends on neither n nor the
@@ -253,9 +253,8 @@ def haar_blocks(lam, n: int, seed: int):
     count = _sample_count(n)
 
     def blocks():
-        stream = SplitMix64(seed)
         for start in range(0, count, _HAAR_CHUNK):
-            u = _unit(stream.next_uint64(3 * min(_HAAR_CHUNK, count - start))).reshape(-1, 3)
+            u = _unit(words(seed, 3 * start, 3 * min(_HAAR_CHUNK, count - start))).reshape(-1, 3)
             # Three compare-exchanges order each triple as np.sort does: uniforms are never NaN or -0.
             lo, hi = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
             mid, top = np.minimum(hi, u[:, 2]), np.maximum(hi, u[:, 2])

@@ -62,6 +62,7 @@ def words(seed, first: int, count: int) -> np.ndarray:
     return mix64(_uint64(seed)[..., None] + index * np.uint64(GOLDEN))
 
 
+# Unused by the program, which reads words by (seed, index); bench/tracing.py's TRACED_CLASS looks it up by name.
 class SplitMix64:
     """SplitMix64 stream of words, drawn as numpy arrays.
 

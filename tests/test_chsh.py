@@ -457,7 +457,7 @@ class TestHaarSampling:
             raise AssertionError("the count is checked before any state is drawn")
 
         monkeypatch.setattr(chsh, "bell_operator", unreachable)
-        monkeypatch.setattr(chsh, "SplitMix64", unreachable)
+        monkeypatch.setattr(chsh, "words", unreachable)
         for n in (2.5, 0.5, np.float64(1000.25)):
             with pytest.raises(ValueError, match="whole number"):
                 haar_sample_s(0.3, n, 1)
