@@ -216,6 +216,46 @@ class TestRunSetting:
             estimate_s(0.5, 0.1, 0, NO_NOISE, seed=1)
 
 
+class TestSimulatorLaw:
+    """The law of estimate_s's draws, over many seeds in one broadcast call.
+
+    The seeds, the setting and the thresholds were fixed before the first run:
+    a moment fails beyond 5 standard errors, a chi-square test below p = 1e-6.
+    """
+
+    THETA, XI, PAIRS, RUNS = 0.3, 0.2, 10_000, 40_000
+    NOISE = NoiseModel(analyzer_offset_a=0.02, analyzer_offset_b=-0.01)
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        t = self.THETA
+        # (a1, b1), (a2, b1), (a1, b2), (a2, b2) with a1 = 2t, a2 = 0, b1 = t, b2 = 3t.
+        alphas, betas = np.array([2 * t, 0.0, 2 * t, 0.0]), np.array([t, t, 3 * t, 3 * t])
+        probs = setting_probabilities(alphas, betas, self.XI, self.NOISE)
+        seeds = derive_seed(2026, np.arange(self.RUNS))
+        return probs, estimate_s(self.THETA, self.XI, self.PAIRS, self.NOISE, seeds)
+
+    def test_pull_is_standard(self, draws):
+        probs, est = draws
+        e = probs[:, 0] + probs[:, 3] - probs[:, 1] - probs[:, 2]
+        s_expected = e[0] + e[1] + e[2] - e[3]
+        pull = (est.s_hat - s_expected) / est.std_err
+        assert abs(pull.mean()) < 5 / math.sqrt(self.RUNS)
+        assert abs(pull.var() - 1.0) < 5 * math.sqrt(2 / self.RUNS)
+
+    def test_counts_match_setting_probabilities(self, draws):
+        stats = pytest.importorskip("scipy.stats")
+        probs, est = draws
+        expected = self.PAIRS * probs
+        # Pooled over the runs, each setting's counts are one multinomial draw of RUNS * PAIRS pairs.
+        pooled = (est.counts.sum(axis=0) - self.RUNS * expected) ** 2 / (self.RUNS * expected)
+        assert stats.chi2.sf(pooled.sum(), df=12) > 1e-6
+        # Run by run, the statistics add up to a chi-square with 12 degrees of freedom per run.
+        spread = ((est.counts - expected) ** 2 / expected).sum()
+        df = 12 * self.RUNS
+        assert min(stats.chi2.sf(spread, df), stats.chi2.cdf(spread, df)) > 1e-6
+
+
 class TestEstimateS:
     def test_noiseless_hits_quantum_ceiling(self):
         est = estimate_s(math.pi / 4, 0.0, 100_000, NO_NOISE, seed=2024)
