@@ -158,11 +158,12 @@ def load_noise_config(path: str) -> dict[str, float]:
 
 
 def resolve_noise(args: argparse.Namespace) -> NoiseModel:
-    """Noise model from defaults, then config file, then explicit flags (whose angles main has read)."""
+    """Noise model from defaults, then config file, then explicit flags, whose angles main has put in radians."""
     fields = load_noise_config(args.config) if args.config is not None else {}
     for key in _CONFIG_KEYS:
-        if getattr(args, key) is not None:
-            fields[key] = getattr(args, key)
+        value = getattr(args, key)
+        if value is not None:
+            fields[key] = value
     return NoiseModel(**fields)
 
 
