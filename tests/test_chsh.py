@@ -361,6 +361,11 @@ class TestQuantumBounds:
         assert qb.s_min.tobytes() == np.array([b.s_min for b in per_theta]).tobytes()
         assert qb.s_max.tobytes() == np.array([b.s_max for b in per_theta]).tobytes()
 
+    def test_empty_theta_gives_empty_arrays(self):
+        qb = quantum_bounds(np.array([]))
+        assert qb.s_min.shape == qb.s_max.shape == (0,)
+        assert s_parameter(np.array([]), 0.0).shape == (0,)
+
     def test_scalar_gives_floats(self):
         qb = quantum_bounds(0.3)
         assert type(qb.s_min) is float and type(qb.s_max) is float

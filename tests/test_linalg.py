@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from chshlab import linalg
+from chshlab.chsh import bell_operator
+from chshlab.cli import parse_grid
 from chshlab.linalg import (
     PAULI_X,
     PAULI_Z,
@@ -47,6 +50,48 @@ def bell_matrix(theta):
         + np.kron(obs(2 * theta), obs(3 * theta))
         - np.kron(obs(0.0), obs(3 * theta))
     )
+
+
+def scalar_rotation(a_pp, a_pq, a_qq):
+    # One pivot's rotation in Python scalar arithmetic.
+    mag = abs(a_pq)
+    if mag == 0.0:
+        return 1.0, 0.0 + 0.0j
+    phase = a_pq / mag
+    angle = 0.5 * math.atan2(2.0 * mag, a_pp - a_qq)
+    if angle > 0.25 * math.pi:
+        angle -= 0.5 * math.pi
+    return math.cos(angle), math.sin(angle) * phase
+
+
+def jacobi_one_matrix(a):
+    """Reference: ascending eigenvalues of one Hermitian matrix by cyclic Jacobi, one rotation at a time."""
+    n = a.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    goal = linalg._JACOBI_OFF_TOL * scale
+    for _ in range(linalg._JACOBI_MAX_SWEEPS):
+        if np.linalg.norm(a[off]) <= goal:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) <= 1e-18 * scale:
+                    continue
+                c, s = scalar_rotation(a[p, p].real, a[p, q], a[q, q].real)
+                j = np.eye(n, dtype=complex)
+                j[p, p] = c
+                j[p, q] = -s
+                j[q, p] = np.conj(s)
+                j[q, q] = c
+                a = j.conj().T @ a @ j
+    assert np.linalg.norm(a[off]) <= goal
+    vals = np.diag(a).real
+    return vals[np.argsort(vals, kind="stable")]
+
+
+def one_matrix_at_a_time(m):
+    stack = m.reshape(-1, *m.shape[-2:])
+    return np.array([jacobi_one_matrix(a) for a in stack]).reshape(m.shape[:-1])
 
 
 class TestTensor:
@@ -173,12 +218,29 @@ class TestEigensolver:
                 assert np.linalg.svd(m - lam * np.eye(4), compute_uv=False)[-1] <= 1e-9
 
     def test_stack_matches_per_matrix_calls(self):
+        # The diagonal matrix has converged before the first sweep and ZZ is
+        # degenerate; both leave the active set while dense matrices rotate on.
         rng = np.random.default_rng(19)
         stack = np.array([[random_hermitian(rng) for _ in range(5)] for _ in range(3)])
+        stack[0, 1] = np.diag([4.0, 1.0, 3.0, 2.0])
+        stack[2, 3] = ZZ
         vals = herm_eigenvalues(stack)
         assert vals.shape == (3, 5, 4)
         per_matrix = np.array([[herm_eigenvalues(m) for m in row] for row in stack])
         assert vals.tobytes() == per_matrix.tobytes()
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        stack = np.array([np.diag([1.0, 2.0, 3.0, 4.0])] + [random_hermitian(rng) for _ in range(4)])
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(ArithmeticError, match=r"did not converge within 1 sweeps \(off-diagonal mass \d"):
+            herm_eigenvalues(stack)
+
+    def test_empty_stack(self):
+        assert hermiticity_defect(np.zeros((0, 4, 4))) == 0.0
+        vals = herm_eigenvalues(np.zeros((0, 4, 4)))
+        assert vals.shape == (0, 4) and vals.dtype == float
+        assert herm_eigenvalues(np.zeros((2, 0, 3, 3))).shape == (2, 0, 3)
 
     def test_rejects_non_hermitian_in_stack(self):
         rng = np.random.default_rng(20)
@@ -186,6 +248,35 @@ class TestEigensolver:
         stack[4, 1, 3] += 1e-3
         with pytest.raises(ValueError, match="not Hermitian: max asymmetry 1.000e-03"):
             herm_eigenvalues(stack)
+
+
+class TestJacobiOracle:
+    """The stacked solver against the one-matrix reference, byte for byte.
+
+    Both take libm's atan2, cos, sin and complex abs and BLAS's zgemm for
+    every rotation, so no tolerance is needed.
+    """
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            parse_grid(None),
+            parse_grid("0:180:721", degrees=True),
+            np.random.default_rng(2026).uniform(0.0, math.pi, 2000),
+            0.3,
+            math.pi / 4,
+        ],
+        ids=["grid-181", "degrees-721", "random-2000", "0.3", "pi/4"],
+    )
+    def test_bell_spectra(self, theta):
+        b = bell_operator(theta)
+        assert herm_eigenvalues(b).tobytes() == one_matrix_at_a_time(b).tobytes()
+
+    @pytest.mark.parametrize("n, scale", [(2, 1.0), (3, 1.0), (4, 1e-9), (4, 1.0), (4, 1e6), (6, 1.0)])
+    def test_dense_hermitian_stacks(self, n, scale):
+        rng = np.random.default_rng(22 + n)
+        stack = scale * np.array([random_hermitian(rng, n) for _ in range(200)])
+        assert herm_eigenvalues(stack).tobytes() == one_matrix_at_a_time(stack).tobytes()
 
 
 class TestExpectation:
