@@ -97,8 +97,8 @@ def herm_eigenvalues(m: np.ndarray) -> np.ndarray:
                 # the goal; skipping them avoids denormal phase division.
                 idx = active[np.abs(a[active, p, q]) > 1e-18 * scale[active]]
                 c, s = jacobi_rotation(a[idx, p, p].real, a[idx, p, q], a[idx, q, q].real)
-                j = np.tile(np.eye(n, dtype=complex), (idx.size, 1, 1))
-                j[:, [p, p, q, q], [p, q, p, q]] = np.stack([c, -s, s.conj(), c], axis=-1)
+                j = np.eye(n, dtype=complex)[None].repeat(idx.size, axis=0)
+                j[:, [p, p, q, q], [p, q, p, q]] = np.array([c, -s, s.conj(), c]).T
                 a[idx] = np.swapaxes(j.conj(), -1, -2) @ a[idx] @ j
     mass = np.linalg.norm(a[:, off], axis=-1)
     if np.any(mass > goal):
