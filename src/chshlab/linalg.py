@@ -49,7 +49,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(*prod.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
-def jacobi_rotation(a_pp, a_pq, a_qq) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_rotation(a_pp: np.ndarray, a_pq: np.ndarray, a_qq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosines and complex sines annihilating the off-diagonals of Hermitian 2x2 blocks.
 
     For M = [[a_pp, a_pq], [conj(a_pq), a_qq]] the returned pair (c, s) defines the
