@@ -23,7 +23,6 @@ SQRT1_2 = 1.0 / math.sqrt(2.0)
 CLASSICAL_LIMIT = 2.0
 CIRELSON_LIMIT = 2.0 * math.sqrt(2.0)
 
-BOUND_TOL = 1e-9
 _HAAR_CHUNK = 2**14  # states per block of words (three per state) in haar_blocks
 
 
@@ -103,9 +102,8 @@ def _parity(n_pp, n_pm, n_mp, n_mm):
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Dichotomic polarization observable with its defining analyzer angle."""
+    """Dichotomic polarization observable."""
 
-    alpha: float
     matrix: np.ndarray
 
 
@@ -113,7 +111,7 @@ def observable(alpha) -> Observable:
     """O(alpha) = cos(alpha) Z + sin(alpha) X; an array of alpha gives a stack of 2x2 matrices."""
     a = analyzer_angle(alpha)
     a_col = np.asarray(a)[..., None, None]
-    return Observable(alpha=a, matrix=np.cos(a_col) * PAULI_Z + np.sin(a_col) * PAULI_X)
+    return Observable(matrix=np.cos(a_col) * PAULI_Z + np.sin(a_col) * PAULI_X)
 
 
 def state_phi(xi: float) -> np.ndarray:
@@ -166,10 +164,7 @@ def s_parameter(theta, xi):
     Broadcasts over arrays of theta and xi; scalars give a float.
     """
     pairs, x = _settings(*_analyzers(theta)), xi_param(xi)
-    s = _combine(_correlation(a, b, x) for a, b in pairs)
-    if np.any(np.abs(s) > CIRELSON_LIMIT + BOUND_TOL):
-        raise ArithmeticError(f"|S| = {float(np.max(np.abs(s)))!r} exceeds the quantum ceiling")
-    return _scalar_or_array(s)
+    return _scalar_or_array(_combine(_correlation(a, b, x) for a, b in pairs))
 
 
 def bell_operator(theta) -> np.ndarray:
@@ -187,12 +182,6 @@ class QuantumBounds:
 
     s_min: float
     s_max: float
-
-    def __post_init__(self):
-        if np.any(self.s_min > self.s_max):
-            raise ValueError("s_min exceeds s_max")
-        if np.any(np.maximum(np.abs(self.s_min), np.abs(self.s_max)) > CIRELSON_LIMIT + BOUND_TOL):
-            raise ValueError("bounds exceed the quantum ceiling")
 
 
 def bell_spectrum(theta) -> np.ndarray:
@@ -231,9 +220,9 @@ def _sample_count(n) -> int:
     """n as an int, once it is a whole number of at least one."""
     count = int(n)
     if count != n:
-        raise ValueError(f"need a whole number of samples, got {n!r}")
+        raise ValueError(f"n must be a whole number, got {n!r}")
     if count < 1:
-        raise ValueError(f"need at least one sample, got {n!r}")
+        raise ValueError(f"n must be at least 1, got {n!r}")
     return count
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .chsh import (
-    CIRELSON_LIMIT, CLASSICAL_LIMIT, QuantumBounds, bell_spectrum, haar_blocks, quantum_bounds, s_parameter,
+    CIRELSON_LIMIT, CLASSICAL_LIMIT, bell_spectrum, haar_blocks, quantum_bounds, s_parameter,
 )
 from .expsim import NoiseModel, estimate_s
 from .rng import derive_seed
@@ -172,8 +172,6 @@ def cmd_surface(thetas: np.ndarray, xis: np.ndarray, out: str) -> None:
 
 
 def cmd_sweep_xi(theta_list, xis: np.ndarray, out: str) -> None:
-    if not theta_list:
-        raise ValueError("theta list must not be empty")
     thetas = np.asarray(theta_list)[:, None]
     s = s_parameter(thetas, xis)
     header = ("theta", "xi", "s", "classical_limit", "cirelson_limit")
@@ -181,8 +179,6 @@ def cmd_sweep_xi(theta_list, xis: np.ndarray, out: str) -> None:
 
 
 def cmd_sweep_theta(xi_list, thetas: np.ndarray, out: str) -> None:
-    if not xi_list:
-        raise ValueError("xi list must not be empty")
     xis = np.asarray(xi_list)[:, None]
     env = quantum_bounds(thetas)
     rows = _lines(xis, thetas, s_parameter(thetas, xis), env.s_min, env.s_max)
@@ -198,8 +194,6 @@ def cmd_bounds(thetas: np.ndarray, out: str) -> None:
 def cmd_simulate(
     theta_list, xi_list, pairs: int, noise: NoiseModel, seed: int, replications: int, out: str
 ) -> None:
-    if not theta_list or not xi_list:
-        raise ValueError("theta and xi lists must not be empty")
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications!r}")
     i, j, rep = np.ix_(range(len(theta_list)), range(len(xi_list)), range(replications))
@@ -212,14 +206,13 @@ def cmd_simulate(
 def cmd_sample(theta: float, n: int, seed: int, out: str) -> None:
     lam = bell_spectrum(theta)
     blocks = haar_blocks(lam, n, seed)
-    bounds = QuantumBounds(s_min=float(lam[0]), s_max=float(lam[-1]))
 
     def rows():
         lo, hi = math.inf, -math.inf
         for start, values in blocks:
             lo, hi = min(lo, values.min()), max(hi, values.max())
             yield from _lines(np.arange(start, start + values.size), values, "", "", "", "")
-        yield from _lines("summary", "", lo, hi, bounds.s_min, bounds.s_max)
+        yield from _lines("summary", "", lo, hi, lam[0], lam[-1])
 
     _write_rows(out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows())
 

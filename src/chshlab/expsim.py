@@ -120,7 +120,7 @@ def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     counts = multinomial(seeds, pairs, probs)
     # Each setting's correlation, settings first.
     e = np.moveaxis(_parity(*np.moveaxis(counts, -1, 0)) / pairs, -1, 0)
-    # The variances add in quadrature, in setting order.
-    std_err = np.sqrt(np.maximum(sum((1.0 - e_k * e_k) / pairs for e_k in e), 0.0))
+    # The variances add in quadrature, in setting order; no term is negative, as each |e_k| <= 1 exactly.
+    std_err = np.sqrt(sum((1.0 - e_k * e_k) / pairs for e_k in e))
     s_hat = _combine(e)
     return SEstimate(s_hat=_scalar_or_array(s_hat), std_err=_scalar_or_array(std_err), counts=counts)

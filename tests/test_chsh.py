@@ -8,7 +8,6 @@ from chshlab import chsh
 from chshlab.chsh import (
     CIRELSON_LIMIT,
     CLASSICAL_LIMIT,
-    QuantumBounds,
     analyzer_angle,
     bell_operator,
     classical_s_values,
@@ -370,11 +369,22 @@ class TestQuantumBounds:
         qb = quantum_bounds(0.3)
         assert type(qb.s_min) is float and type(qb.s_max) is float
 
-    def test_array_checks(self):
-        with pytest.raises(ValueError, match="s_min exceeds s_max"):
-            QuantumBounds(s_min=np.array([-1.0, 1.5]), s_max=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="quantum ceiling"):
-            QuantumBounds(s_min=np.array([-1.0, -3.0]), s_max=np.array([1.0, 3.0]))
+    def test_spectrum_contains_s_below_cirelson(self):
+        # Two paths: S from the probability kernel, the bounds from the Jacobi
+        # spectrum.  Thetas: the default grid, the 0:180:721 --degrees grid and
+        # random points.  The containment and ceiling asserts hold with a worst
+        # margin of -4.4e-16, so 1e-12 leaves room only for rounding.
+        thetas = np.concatenate([
+            np.linspace(0.0, math.pi, 181),
+            np.linspace(0.0, math.pi, 721),
+            np.random.default_rng(15).uniform(0.0, math.pi, 2000),
+        ])
+        tol = 1e-12
+        qb = quantum_bounds(thetas)
+        s = s_parameter(thetas[:, None], np.linspace(0.0, math.pi, 181))
+        assert np.all(qb.s_min[:, None] - tol <= s) and np.all(s <= qb.s_max[:, None] + tol)
+        assert np.all(qb.s_min <= qb.s_max + tol)
+        assert np.all(np.maximum(np.abs(qb.s_min), np.abs(qb.s_max)) <= CIRELSON_LIMIT + tol)
 
 
 class TestFamilyExtremum:

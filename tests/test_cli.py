@@ -402,10 +402,18 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert len(rows) == 4
 
-    @pytest.mark.parametrize("flag, value", [("--replications", "0"), ("--pairs", "1")])
-    def test_counts_below_minimum_fail(self, flag, value, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (("simulate",), "--replications", "0"),
+            (("simulate",), "--pairs", "1"),
+            (("sample", "--theta", "0.3"), "--n", "0"),
+        ],
+        ids=["--replications-0", "--pairs-1", "--n-0"],
+    )
+    def test_counts_below_minimum_fail(self, command, flag, value, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert run_cli("simulate", flag, value, "--out", out) == 1
+        assert run_cli(*command, flag, value, "--out", out) == 1
         assert capsys.readouterr().err.startswith(f"chshlab: error: {flag.lstrip('-')} must be at least")
         assert not out.exists()
 
@@ -495,7 +503,7 @@ class TestSample:
     def test_rejects_zero_samples(self, tmp_path, capsys):
         rc = run_cli("sample", "--theta", "0.5", "--n", "0", "--out", tmp_path / "x.csv")
         assert rc == 1
-        assert "sample" in capsys.readouterr().err
+        assert capsys.readouterr().err == "chshlab: error: n must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("flags", [("--n", "0"), ("--n", "-3"), ("--n", "10", "--theta", "4")])
     def test_bad_flags_write_no_byte(self, flags, tmp_path, capsys):
