@@ -42,22 +42,28 @@ def _cell(a: np.ndarray) -> str:
 def _lines(*columns):
     """CSV text of the broadcast columns, yielded _BLOCK_ROWS whole lines at a time.
 
-    A string column is a literal cell, the same on every row.  Every other
-    column is numeric, broadcasts against the rest and is formatted with
-    _CELL: 12 significant digits, as ``format(value, ".12g")`` gives them.  An
-    integer column whose values all lie strictly between -10**12 and 10**12
-    is written with %d, which gives the same bytes faster; its range comes
-    from min and max, so no copy of the column is made.  Rows run in C order
-    of the broadcast shape, so the first axis runs slowest.
+    A string column is a literal cell, the same on every row; a % in it is
+    escaped as %% in the row template.  Every other column is numeric,
+    broadcasts against the rest and is formatted with _CELL: 12 significant
+    digits, as ``format(value, ".12g")`` gives them.  An integer column whose
+    values all lie strictly between -10**12 and 10**12 is written with %d,
+    which gives the same bytes faster; its range comes from min and max, so
+    no copy of the column is made.  Rows run in C order of the broadcast
+    shape, so the first axis runs slowest.  A block of k rows is one %
+    operation: the row template repeated k times, applied to the block's
+    cells interleaved row by row into one flat list.
     """
-    template = ",".join(c if isinstance(c, str) else _cell(np.asarray(c)) for c in columns) + "\n"
+    template = ",".join(c.replace("%", "%%") if isinstance(c, str) else _cell(np.asarray(c)) for c in columns) + "\n"
     arrays = [np.asarray(c) for c in columns if not isinstance(c, str)]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     flats = [np.broadcast_to(a, shape).flat for a in arrays]
-    size = math.prod(shape)
+    size, width = math.prod(shape), len(flats)
     for start in range(0, size, _BLOCK_ROWS):
-        block = [f[start : start + _BLOCK_ROWS].tolist() for f in flats]
-        yield "".join([template % row for row in zip(*block)])
+        k = min(_BLOCK_ROWS, size - start)
+        cells = [None] * (k * width)
+        for c, f in enumerate(flats):
+            cells[c::width] = f[start : start + k].tolist()
+        yield (template * k) % tuple(cells)
 
 
 def _write_rows(path: str, header: tuple[str, ...], lines) -> None:

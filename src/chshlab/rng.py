@@ -115,13 +115,17 @@ def binomial(n, p, u) -> int | np.ndarray:
         raise ValueError("binomial needs n >= 0 and p in [0, 1]")
     out, live = np.where(p == 1.0, n, 0), (n > 0) & (p > 0.0) & (p < 1.0)
     lo, hi = binomial_window(n[live], p[live])
-    # Distinct (n, p) rows, widest first, so that a chunk's first row sets its width.
-    keys, row = np.unique(np.c_[lo - hi, lo, n[live], p[live].view("i8")], axis=0, return_inverse=True)
+    # Distinct (n, p) rows, widest first, so that a chunk's first row sets its width.  The entries are
+    # sorted by row (the first column most significant), so each chunk's draws are a slice.
+    cols = np.c_[lo - hi, lo, n[live], p[live].view("i8")]
+    order = np.lexsort(cols.T[::-1])
+    cols, first = cols[order], np.ones(len(cols), bool)
+    first[1:] = (cols[1:] != cols[:-1]).any(axis=1)
+    keys, row, start = cols[first], np.cumsum(first) - 1, 0
     width, lo, rn, rp = 1 - keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3].view(np.float64)
     logit = np.log(rp) - np.log1p(-rp)
     anchor = _lgamma(rn + 1.0) - _lgamma(lo + 1.0) - _lgamma(rn - lo + 1.0) + rn * np.log1p(-rp) + lo * logit
-    order, start = np.argsort(row.reshape(-1)), 0  # then each chunk's draws are a slice
-    row, u, at = row.reshape(-1)[order], u[live][order], np.flatnonzero(live)[order]
+    u, at = u[live][order], np.flatnonzero(live)[order]
     while start < len(keys):
         w = int(width[start])
         c, j = slice(start, start + max(1, _BUDGET // w)), np.arange(w)

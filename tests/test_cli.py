@@ -648,6 +648,42 @@ class TestFormatting:
         lines = "".join(_lines(np.arange(n), values)).splitlines()
         assert lines == [f"{i},{v:.12g}" for i, v in enumerate(values.tolist())]
 
+    def test_percent_in_literal_cells(self):
+        # A literal % is a cell, not a conversion, also when the template repeats across a block.
+        assert "".join(_lines(np.array([1.0]), "50%")) == "1,50%\n"
+        n = cli._BLOCK_ROWS + 3
+        text = "".join(_lines(np.arange(n), "%d", "%%s"))
+        assert text == "".join(f"{i},%d,%%s\n" for i in range(n))
+
+
+class TestBlockSizes:
+    # Each command on a small grid: its argv, the rows of its main table and a block size dividing them.
+    CASES = {
+        "surface": (("surface", "--theta-grid", "0:3:7", "--xi-grid", "0:3:6"), 42, 21),
+        "sweep-xi": (("sweep-xi", "--theta-list", "0.1,0.2", "--xi-grid", "0:3:9"), 18, 9),
+        "sweep-theta": (("sweep-theta", "--xi-list", "0.1,1.2,2.9", "--theta-grid", "0.01:3.1:5"), 15, 5),
+        "bounds": (("bounds", "--theta-grid", "0:3:8"), 8, 4),
+        "simulate": (
+            ("simulate", "--theta-list", "0.1,0.7", "--xi-list", "0.2", "--pairs", "1000", "--replications", "3"),
+            6,
+            3,
+        ),
+        # n rows, then the summary row.
+        "sample": (("sample", "--theta", "0.7", "--n", "12", "--seed", "4"), 12, 4),
+    }
+
+    @pytest.mark.parametrize("block", ["one", "divisor"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes_do_not_depend_on_block_size(self, name, block, tmp_path, monkeypatch):
+        argv, rows, divisor = self.CASES[name]
+        assert rows % divisor == 0 and rows > divisor
+        assert run_cli(*argv, "--out", tmp_path / "default.csv") == 0
+        default = (tmp_path / "default.csv").read_bytes()
+        assert default.count(b"\n") == 1 + rows + (name == "sample")
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 1 if block == "one" else divisor)
+        assert run_cli(*argv, "--out", tmp_path / "blocked.csv") == 0
+        assert (tmp_path / "blocked.csv").read_bytes() == default
+
 
 class TestSampleMemory:
     def test_rows_are_written_in_bounded_blocks(self, tmp_path):

@@ -140,6 +140,28 @@ class TestBinomial:
             p = float(rng.random())
             assert binomial(n, p, u) == binomial_cdf_inverse_exact(u, n, p)
 
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            ([0, 5, 7, 9], [0.3, 0.0, 1.0, 0.0]),  # no live entry
+            ([40], [0.3]),  # one row
+            ([40] * 6, [0.3] * 6),  # every row the same
+            # At n = 40 these p share the window [0, 40], so only the p column tells the rows apart.
+            ([40] * 6, [0.3, 0.5, 0.3, 0.2, 0.5, 0.3]),
+        ],
+        ids=["no-live", "one-row", "equal-rows", "rows-differ-in-p-only"],
+    )
+    def test_shared_rows_draw_as_single_calls(self, n, p):
+        # Entries that share a table row, or whose rows differ only in p, draw as they would alone.
+        n, p = np.array(n), np.array(p)
+        u = _unit(SplitMix64(17).next_uint64(len(n)))
+        live = (n > 0) & (p > 0) & (p < 1)
+        lo, hi = binomial_window(n[live], p[live])
+        assert len(set(zip(lo.tolist(), hi.tolist(), n[live].tolist()))) == int(live.any())  # one window at most
+        expected = [binomial(int(k), float(q), float(v)) for k, q, v in zip(n, p, u)]
+        assert binomial(n, p, u).tolist() == expected
+        assert expected == [binomial_cdf_inverse_exact(float(v), int(k), float(q)) for k, q, v in zip(n, p, u)]
+
     def test_edge_cases(self):
         u = float(_unit(SplitMix64(3).next_uint64(1))[0])
         assert binomial(100, 0.0, u) == 0
