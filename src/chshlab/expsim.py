@@ -22,8 +22,9 @@ from .chsh import (
 )
 from .rng import derive_seed, multinomial
 
-# Pairs per setting above this are refused: the widest binomial table row grows
-# as sqrt(pairs), and at 1e15 pairs one row alone needs gigabytes.
+# Pairs per setting above this are refused.  The cap bounds time and float exactness, not memory,
+# which is flat in pairs: each binomial walks its whole window, about 1e7 entries at 1e12 pairs,
+# and counts stay far below 2**53, where binomial's floats stop being exact.
 MAX_PAIRS = 10**12
 
 

@@ -80,9 +80,11 @@ class SplitMix64:
         return words(self._seed, self._drawn - n, n)
 
 
-# A binomial window leaves out under 2**-64 of the mass on each side; a chunk of
-# tables holds about _BUDGET entries, and a wider row is a chunk of its own.
+# A binomial window leaves out under 2**-64 of the mass on each side.  A table is built in blocks of
+# about _BUDGET entries: a chunk of narrow rows, or _BUDGET columns of one wider row at a time.
 _TAIL, _BUDGET = 64.0 * math.log(2.0), 2**14
+# Counts up to 2**53 are exact floats, so k, n - k and k + 1 are too.
+_MAX_N = 2**53
 _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
@@ -100,12 +102,40 @@ def binomial_window(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.clip(lo, 0, n).astype(np.int64), np.clip(hi, 0, n).astype(np.int64)
 
 
+def _cdf_block(lo, n, logit, anchor, width, start, stop, step=0.0, cdf=0.0):
+    """Columns start..stop-1 of the CDF table of rows (lo, n, logit, anchor, width), and their step sums.
+
+    Each row argument is a column of shape (rows, 1).  Column j holds lo + j and steps in from
+    k = lo + j - 1 by log(pmf(k + 1) / pmf(k)); column 0 holds the anchor, log pmf(lo), and columns
+    past a row's width add no mass.  ``step`` and ``cdf`` are the sums at column start - 1: a row
+    built block by block repeats the sequential cumsums of the whole row bit for bit.
+    """
+    km = np.arange(start - 1, stop - 1, dtype=np.float64)  # k - lo; exact, as are k + 1 and n - k, for n <= 2**53
+    if start == 0:  # column 0 takes no step, and padding columns step in from some k in [0, n)
+        km = np.clip(km, -lo, n - 1 - lo)
+    t = np.log(((n - lo) - km) / ((lo + 1) + km))
+    t += logit
+    if start == 0:
+        t[:, 0] = 0.0
+    t[:, 0] += step
+    steps = np.cumsum(t, axis=1)
+    np.add(steps, anchor, out=t)
+    if stop > width.min():
+        t[np.arange(start, stop) >= width] = -np.inf
+    np.exp(t, out=t)
+    t[:, 0] += cdf
+    return np.cumsum(t, axis=1, out=t), steps
+
+
 def binomial(n, p, u) -> int | np.ndarray:
     """Binomial(n, p) draws at uniforms ``u`` in [0, 1) by inverse CDF; the arguments broadcast.
 
     The mass function is tabulated on binomial_window(n, p).  Scaling the uniform by the table's
     total mass cancels the rounding of its math.lgamma anchor: the draw is the exact inverse CDF up to
     n = 1e9 except within about 1e-12 of a CDF value.  Equal (n, p) share one zero-padded table row.
+    A row wider than _BUDGET is built in blocks of _BUDGET columns, which keep only the step and CDF
+    sums at every mark of _BUDGET // 16 columns; then the marks that hold a draw are built again from
+    their sums and searched.  The draws are those of the whole row, bit for bit.  n may be at most 2**53.
     """
     whole = np.asarray(n, np.int64)
     if np.any(whole != n):
@@ -113,6 +143,8 @@ def binomial(n, p, u) -> int | np.ndarray:
     n, p, u = np.broadcast_arrays(whole, np.asarray(p, np.float64), u)
     if np.any(n < 0) or not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
         raise ValueError("binomial needs n >= 0 and p in [0, 1]")
+    if np.any(n > _MAX_N):
+        raise ValueError(f"binomial needs n <= 2**53, got {n.max()}")
     out, live = np.where(p == 1.0, n, 0), (n > 0) & (p > 0.0) & (p < 1.0)
     lo, hi = binomial_window(n[live], p[live])
     # Distinct (n, p) rows, widest first, so that a chunk's first row sets its width.  The entries are
@@ -128,16 +160,30 @@ def binomial(n, p, u) -> int | np.ndarray:
     u, at = u[live][order], np.flatnonzero(live)[order]
     while start < len(keys):
         w = int(width[start])
-        c, j = slice(start, start + max(1, _BUDGET // w)), np.arange(w)
-        # Lane j holds k = lo + j and steps in by log(pmf(k) / pmf(k - 1)); lanes past a row's end hold 0.
-        k = np.clip(lo[c, None] + j - 1, 0, rn[c, None] - 1)
-        steps = np.cumsum((np.log((rn[c, None] - k) / (k + 1.0)) + logit[c, None]) * (j > 0), axis=1)
-        cdf = np.cumsum(np.exp(np.where(j < width[c, None], anchor[c, None] + steps, -np.inf)), axis=1)
+        c = slice(start, start + max(1, _BUDGET // w))
         sel = slice(np.searchsorted(row, start), np.searchsorted(row, c.stop))
-        r, count = row[sel] - start, 0
-        for bit in reversed(range(w.bit_length())):  # binary search for the count of entries below u * total
-            step = count + (1 << bit)
-            count = np.where(cdf[r, np.minimum(step, w) - 1] < u[sel] * cdf[r, -1], step, count)
+        args = lo[c, None], rn[c, None], logit[c, None], anchor[c, None], width[c, None]
+        if w > _BUDGET:  # one row: pass 1 keeps the sums at every mark, pass 2 rebuilds the marks that hold a draw
+            mark = max(1, _BUDGET // 16)
+            edges, per = np.append(np.arange(0, w, mark), w), _BUDGET // mark
+            step_at, cdf_at = np.zeros(len(edges)), np.zeros(len(edges))  # the sums at column edges[i] - 1
+            for i in range(0, len(edges) - 1, per):
+                e = edges[i : i + per + 1]  # the block's marks and its end
+                cdf, steps = _cdf_block(*args, e[0], e[-1], step_at[i], cdf_at[i])
+                last = e[1:] - e[0] - 1  # each mark's last column in the block
+                step_at[i + 1 : i + len(e)], cdf_at[i + 1 : i + len(e)] = steps[0, last], cdf[0, last]
+            target = u[sel] * cdf_at[-1]
+            unit = np.searchsorted(cdf_at[1:], target)  # the count of marks that end below each target
+            count = edges[unit]
+            for i in np.unique(unit):
+                cdf, _ = _cdf_block(*args, edges[i], edges[i + 1], step_at[i], cdf_at[i])
+                count[unit == i] += np.searchsorted(cdf[0], target[unit == i])
+        else:
+            cdf, _ = _cdf_block(*args, 0, w)
+            r, count = row[sel] - start, 0
+            for bit in reversed(range(w.bit_length())):  # binary search for the count of entries below u * total
+                step = count + (1 << bit)
+                count = np.where(cdf[r, np.minimum(step, w) - 1] < u[sel] * cdf[r, -1], step, count)
         out.flat[at[sel]] = lo[row[sel]] + count
         start = c.stop
     return int(out) if out.ndim == 0 else out

@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from chshlab import rng as rng_module
 from chshlab.cli import main
 from chshlab.rng import (
-    GOLDEN, MASK64, SplitMix64, _unit, binomial, binomial_window, derive_seed, mix64, multinomial, words,
+    GOLDEN, MASK64, SplitMix64, _lgamma, _unit, binomial, binomial_window, derive_seed, mix64, multinomial, words,
 )
 
 # Seeds at the edges of the 64-bit range, above it and below zero.
@@ -60,6 +61,42 @@ def binomial_cdf_inverse_exact(u, n, p):
         if u <= acc:
             return k
     return n
+
+
+def whole_rows_cdf(lo, n, p, width):
+    # CDF tables of the rows (lo, n, p), zero-padded to the widest and each built whole, as binomial
+    # built every row before it built wide rows in blocks.
+    logit = np.log(p) - np.log1p(-p)
+    anchor = _lgamma(n + 1.0) - _lgamma(lo + 1.0) - _lgamma(n - lo + 1.0) + n * np.log1p(-p) + lo * logit
+    j = np.arange(width.max())
+    k = np.clip(lo[:, None] + j - 1, 0, n[:, None] - 1)
+    steps = np.cumsum((np.log((n[:, None] - k) / (k + 1.0)) + logit[:, None]) * (j > 0), axis=1)
+    return np.cumsum(np.exp(np.where(j < width[:, None], anchor[:, None] + steps, -np.inf)), axis=1)
+
+
+def binomial_whole_rows(n, p, u):
+    # binomial's whole-row chunk loop: distinct rows in chunks of about 2**14 entries, a wider row a
+    # chunk of its own, and a binary search per draw.  n, p and u are 1-d, with n > 0 and 0 < p < 1.
+    lo, hi = binomial_window(n, p)
+    cols = np.c_[lo - hi, lo, n, p.view("i8")]
+    order = np.lexsort(cols.T[::-1])
+    cols, first = cols[order], np.ones(len(cols), bool)
+    first[1:] = (cols[1:] != cols[:-1]).any(axis=1)
+    keys, row, start = cols[first], np.cumsum(first) - 1, 0
+    width, lo, rn, rp = 1 - keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3].view(np.float64)
+    u, out = u[order], np.empty(len(n), np.int64)
+    while start < len(keys):
+        c = slice(start, start + max(1, 2**14 // int(width[start])))
+        cdf = whole_rows_cdf(lo[c], rn[c], rp[c], width[c])
+        w = cdf.shape[1]
+        sel = slice(np.searchsorted(row, start), np.searchsorted(row, c.stop))
+        r, count = row[sel] - start, 0
+        for bit in reversed(range(w.bit_length())):
+            step = count + (1 << bit)
+            count = np.where(cdf[r, np.minimum(step, w) - 1] < u[sel] * cdf[r, -1], step, count)
+        out[order[sel]] = lo[row[sel]] + count
+        start = c.stop
+    return out
 
 
 class TestSplitMix64:
@@ -269,6 +306,65 @@ class TestBinomial:
         expected = binom.ppf(u, 10**9, 1e-8).astype(np.int64)
         assert np.array_equal(binomial(10**9, 1e-8, u), expected)
 
+    def test_rejects_n_above_two_to_the_53(self):
+        # Above 2**53 the counts are no longer exact floats.  The check runs before any table is built:
+        # 2**60 trials at p = 1/2 would need a row of about 1e10 entries.
+        for n, p in ((2**60, 0.5), (2**53 + 1, 1e-12), ([10, 2**62], 0.5)):
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                binomial(n, p, 0.3)
+
+
+class TestWideRows:
+    # A row wider than _BUDGET is built in blocks; its draws must be those of the whole row, bit for bit.
+    @staticmethod
+    def entries():
+        rng = np.random.default_rng(24)
+        n = np.array([10**6, 3 * 10**7, 10**9, 10**10, 10**11, 10**12])
+        p = np.array([0.5, 1e-3, 0.999, *rng.random(3)])
+        n, p = (a.ravel() for a in np.meshgrid(n, p))
+        keep = n * p * (1 - p) <= 3e9  # whole rows of at most about 1e6 entries
+        n, p = np.repeat(n[keep], 3), np.repeat(p[keep], 3)  # three draws share each row
+        u = rng.random(len(n))
+        u[::7], u[3::7] = 0.0, 1.0 - 2.0**-53
+        return n, p, u
+
+    def test_matches_whole_row_reference(self):
+        n, p, u = self.entries()
+        assert (n.min(), n.max()) == (10**6, 10**12)
+        assert binomial(n, p, u).tolist() == binomial_whole_rows(n, p, u).tolist()
+
+    def test_draws_at_the_edges_of_blocks_and_marks(self):
+        # Each uniform is the top of the CDF at column c, so it draws lo + c: the first and last entries of
+        # the 2**14-column blocks and of the 2**10-column marks that pass 2 rebuilds.
+        n, p = np.array([10**9]), np.array([0.25])
+        lo, hi = binomial_window(n, p)
+        cdf = whole_rows_cdf(lo, n, p, hi - lo + 1)[0]
+        cols = np.array([0, 1, 1023, 1024, 2**14 - 1, 2**14, 2**14 + 1, 5 * 2**14 - 1, 5 * 2**14, 8 * 2**14 + 1024])
+        u = cdf[cols] / cdf[-1]
+        n, p = np.repeat(n, len(cols)), np.repeat(p, len(cols))
+        assert (binomial(n, p, u) - lo).tolist() == cols.tolist()
+        assert binomial(n, p, u).tolist() == binomial_whole_rows(n, p, u).tolist()
+
+    @pytest.mark.parametrize("budget", [7, 1000, 2**14])
+    def test_draws_do_not_depend_on_the_block_size(self, budget, monkeypatch):
+        n = np.repeat([40, 10**4, 10**6, 10**7], 2)
+        p = np.array([0.3, 0.5, 0.25, 1e-3, 0.5, 0.999, 0.3, 0.5])
+        u = _unit(SplitMix64(25).next_uint64(len(n)))
+        monkeypatch.setattr(rng_module, "_BUDGET", budget)
+        assert binomial(n, p, u).tolist() == binomial_whole_rows(n, p, u).tolist()
+
+    def test_memory_is_flat_in_the_row_width(self):
+        # A whole row of Binomial(1e11, 1/2) has about 3e6 entries; built whole, it peaked at 116 MB.
+        u = _unit(SplitMix64(26).next_uint64(3))
+        binomial(10**11, 0.5, u)
+        tracemalloc.start()
+        try:
+            binomial(10**11, 0.5, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
 
 class TestMultinomial:
     def test_sum_is_exact(self):
@@ -360,11 +456,11 @@ class TestMultinomial:
             binomial([1, 2, 10**9, 10**9], [5e-324, 1 - 2**-53, 5e-324, 1 - 2**-53], [0.0, 0.5, 0.999, 0.0])
 
     def test_memory_stays_bounded(self, tmp_path):
-        # A table chunk holds about 2**14 entries and a wide row is its own
-        # chunk: the limits fail for a +-60-sigma window or a 2**15-entry chunk.
+        # A table is built in blocks of about 2**14 entries, a wide row's too, so the 1e9-trial draws
+        # peak under 1 MB: the first limit fails for rows built whole (13 MB) or a +-60-sigma window.
         argv = ["simulate", "--pairs", "10000", "--replications", "20", "--seed", "1", "--out"]
         for call, limit_mb in (
-            (lambda: multinomial(derive_seed(1, np.arange(20)), 10**9, [0.25] * 4), 16.0),
+            (lambda: multinomial(derive_seed(1, np.arange(20)), 10**9, [0.25] * 4), 4.0),
             (lambda: main([*argv, str(tmp_path / "m.csv")]), 1.8),
         ):
             call()
