@@ -137,7 +137,10 @@ def binomial(n, p, u) -> int | np.ndarray:
     sums at every mark of _BUDGET // 16 columns; then the marks that hold a draw are built again from
     their sums and searched.  The draws are those of the whole row, bit for bit.  n may be at most 2**53.
     """
-    whole = np.asarray(n, np.int64)
+    try:
+        whole = np.asarray(n, np.int64)
+    except OverflowError:
+        raise ValueError(f"binomial needs n <= 2**53, got {n!r}") from None
     if np.any(whole != n):
         raise ValueError(f"binomial needs whole-number n, got {n!r}")
     n, p, u = np.broadcast_arrays(whole, np.asarray(p, np.float64), u)

@@ -309,15 +309,14 @@ class TestBinomial:
     def test_rejects_n_above_two_to_the_53(self):
         # Above 2**53 the counts are no longer exact floats.  The check runs before any table is built:
         # 2**60 trials at p = 1/2 would need a row of about 1e10 entries.
-        for n, p in ((2**60, 0.5), (2**53 + 1, 1e-12), ([10, 2**62], 0.5)):
+        for n, p in ((2**60, 0.5), (2**53 + 1, 1e-12), ([10, 2**62], 0.5), (2**64, 0.5)):
             with pytest.raises(ValueError, match=r"2\*\*53"):
                 binomial(n, p, 0.3)
 
 
 class TestWideRows:
     # A row wider than _BUDGET is built in blocks; its draws must be those of the whole row, bit for bit.
-    @staticmethod
-    def entries():
+    def test_matches_whole_row_reference(self):
         rng = np.random.default_rng(24)
         n = np.array([10**6, 3 * 10**7, 10**9, 10**10, 10**11, 10**12])
         p = np.array([0.5, 1e-3, 0.999, *rng.random(3)])
@@ -326,10 +325,6 @@ class TestWideRows:
         n, p = np.repeat(n[keep], 3), np.repeat(p[keep], 3)  # three draws share each row
         u = rng.random(len(n))
         u[::7], u[3::7] = 0.0, 1.0 - 2.0**-53
-        return n, p, u
-
-    def test_matches_whole_row_reference(self):
-        n, p, u = self.entries()
         assert (n.min(), n.max()) == (10**6, 10**12)
         assert binomial(n, p, u).tolist() == binomial_whole_rows(n, p, u).tolist()
 
