@@ -102,26 +102,24 @@ def binomial_window(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.clip(lo, 0, n).astype(np.int64), np.clip(hi, 0, n).astype(np.int64)
 
 
-def _cdf_block(lo, n, logit, anchor, width, start, stop, step=0.0, cdf=0.0):
-    """Columns start..stop-1 of the CDF table of rows (lo, n, logit, anchor, width), and their step sums.
+def _cdf_block(top, bottom, logit, anchor, start, stop, step=0.0, cdf=0.0):
+    """Columns start..stop-1 of the CDF table of rows (top, bottom, logit, anchor), and their step sums.
 
-    Each row argument is a column of shape (rows, 1).  Column j holds lo + j and steps in from
-    k = lo + j - 1 by log(pmf(k + 1) / pmf(k)); column 0 holds the anchor, log pmf(lo), and columns
-    past a row's width add no mass.  ``step`` and ``cdf`` are the sums at column start - 1: a row
-    built block by block repeats the sequential cumsums of the whole row bit for bit.
+    Each row argument is a column of shape (rows, 1), with top = n - lo and bottom = lo + 1 as floats.
+    Column j holds lo + j and steps in from k = lo + j - 1 by log(pmf(k + 1) / pmf(k)); column 0 holds
+    the anchor, log pmf(lo).  Columns past a row's width hold unspecified values (NaN past n, or the
+    mass above the window), so callers read a row only inside its width and silence the divide and
+    invalid errors there.  ``step`` and ``cdf`` are the sums at column start - 1: a row built block by
+    block repeats the sequential cumsums of the whole row bit for bit.
     """
     km = np.arange(start - 1, stop - 1, dtype=np.float64)  # k - lo; exact, as are k + 1 and n - k, for n <= 2**53
-    if start == 0:  # column 0 takes no step, and padding columns step in from some k in [0, n)
-        km = np.clip(km, -lo, n - 1 - lo)
-    t = np.log(((n - lo) - km) / ((lo + 1) + km))
+    t = np.log((top - km) / (bottom + km))
     t += logit
-    if start == 0:
+    if start == 0:  # column 0 takes no step
         t[:, 0] = 0.0
     t[:, 0] += step
     steps = np.cumsum(t, axis=1)
     np.add(steps, anchor, out=t)
-    if stop > width.min():
-        t[np.arange(start, stop) >= width] = -np.inf
     np.exp(t, out=t)
     t[:, 0] += cdf
     return np.cumsum(t, axis=1, out=t), steps
@@ -132,10 +130,12 @@ def binomial(n, p, u) -> int | np.ndarray:
 
     The mass function is tabulated on binomial_window(n, p).  Scaling the uniform by the table's
     total mass cancels the rounding of its math.lgamma anchor: the draw is the exact inverse CDF up to
-    n = 1e9 except within about 1e-12 of a CDF value.  Equal (n, p) share one zero-padded table row.
-    A row wider than _BUDGET is built in blocks of _BUDGET columns, which keep only the step and CDF
-    sums at every mark of _BUDGET // 16 columns; then the marks that hold a draw are built again from
-    their sums and searched.  The draws are those of the whole row, bit for bit.  n may be at most 2**53.
+    n = 1e9 except within about 1e-12 of a CDF value.  Equal (n, p) share one table row, and narrow rows
+    are built in chunks as wide as their widest row; a binary search finds u * total in each draw's row,
+    reading only the columns inside that row's width.  A row wider than _BUDGET is built in blocks of
+    _BUDGET columns, which keep only the step and CDF sums at every mark of _BUDGET // 16 columns; then
+    the marks that hold a draw are built again from their sums and searched.  The draws are those of the
+    whole row, bit for bit.  n may be at most 2**53.
     """
     try:
         whole = np.asarray(n, np.int64)
@@ -161,34 +161,38 @@ def binomial(n, p, u) -> int | np.ndarray:
     logit = np.log(rp) - np.log1p(-rp)
     anchor = _lgamma(rn + 1.0) - _lgamma(lo + 1.0) - _lgamma(rn - lo + 1.0) + rn * np.log1p(-rp) + lo * logit
     u, at = u[live][order], np.flatnonzero(live)[order]
-    while start < len(keys):
-        w = int(width[start])
-        c = slice(start, start + max(1, _BUDGET // w))
-        sel = slice(np.searchsorted(row, start), np.searchsorted(row, c.stop))
-        args = lo[c, None], rn[c, None], logit[c, None], anchor[c, None], width[c, None]
-        if w > _BUDGET:  # one row: pass 1 keeps the sums at every mark, pass 2 rebuilds the marks that hold a draw
-            mark = max(1, _BUDGET // 16)
-            edges, per = np.append(np.arange(0, w, mark), w), _BUDGET // mark
-            step_at, cdf_at = np.zeros(len(edges)), np.zeros(len(edges))  # the sums at column edges[i] - 1
-            for i in range(0, len(edges) - 1, per):
-                e = edges[i : i + per + 1]  # the block's marks and its end
-                cdf, steps = _cdf_block(*args, e[0], e[-1], step_at[i], cdf_at[i])
-                last = e[1:] - e[0] - 1  # each mark's last column in the block
-                step_at[i + 1 : i + len(e)], cdf_at[i + 1 : i + len(e)] = steps[0, last], cdf[0, last]
-            target = u[sel] * cdf_at[-1]
-            unit = np.searchsorted(cdf_at[1:], target)  # the count of marks that end below each target
-            count = edges[unit]
-            for i in np.unique(unit):
-                cdf, _ = _cdf_block(*args, edges[i], edges[i + 1], step_at[i], cdf_at[i])
-                count[unit == i] += np.searchsorted(cdf[0], target[unit == i])
-        else:
-            cdf, _ = _cdf_block(*args, 0, w)
-            r, count = row[sel] - start, 0
-            for bit in reversed(range(w.bit_length())):  # binary search for the count of entries below u * total
-                step = count + (1 << bit)
-                count = np.where(cdf[r, np.minimum(step, w) - 1] < u[sel] * cdf[r, -1], step, count)
-        out.flat[at[sel]] = lo[row[sel]] + count
-        start = c.stop
+    top, bottom = (rn - lo).astype(np.float64), (lo + 1).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # column 0 at lo = 0, and columns past a row's width
+        while start < len(keys):
+            w = int(width[start])
+            c = slice(start, start + max(1, _BUDGET // w))
+            sel = slice(np.searchsorted(row, start), np.searchsorted(row, c.stop))
+            args = top[c, None], bottom[c, None], logit[c, None], anchor[c, None]
+            if w > _BUDGET:  # one row: pass 1 keeps the sums at every mark, pass 2 rebuilds the marks that hold a draw
+                mark = max(1, _BUDGET // 16)
+                edges, per = np.append(np.arange(0, w, mark), w), _BUDGET // mark
+                step_at, cdf_at = np.zeros(len(edges)), np.zeros(len(edges))  # the sums at column edges[i] - 1
+                for i in range(0, len(edges) - 1, per):
+                    e = edges[i : i + per + 1]  # the block's marks and its end
+                    cdf, steps = _cdf_block(*args, e[0], e[-1], step_at[i], cdf_at[i])
+                    last = e[1:] - e[0] - 1  # each mark's last column in the block
+                    step_at[i + 1 : i + len(e)], cdf_at[i + 1 : i + len(e)] = steps[0, last], cdf[0, last]
+                target = u[sel] * cdf_at[-1]
+                unit = np.searchsorted(cdf_at[1:], target)  # the count of marks that end below each target
+                count = edges[unit]
+                for i in np.unique(unit):
+                    cdf, _ = _cdf_block(*args, edges[i], edges[i + 1], step_at[i], cdf_at[i])
+                    count[unit == i] += np.searchsorted(cdf[0], target[unit == i])
+            else:
+                flat = _cdf_block(*args, 0, w)[0].ravel()
+                head = (row[sel] - start) * w  # the flat index of each draw's row, and of the row's last entry
+                tail = head + width[row[sel]] - 1
+                target, found = u[sel] * flat[tail], head.copy()
+                for bit in reversed(range(w.bit_length())):  # binary search for the entries below target in the row
+                    found += np.where(flat[np.minimum(found + ((1 << bit) - 1), tail)] < target, 1 << bit, 0)
+                count = found - head
+            out.flat[at[sel]] = lo[row[sel]] + count
+            start = c.stop
     return int(out) if out.ndim == 0 else out
 
 
@@ -200,6 +204,8 @@ def multinomial(seeds, n: int, pvals) -> np.ndarray:
     followed by the category axis, and each draw sums to n exactly.  Each stage
     is one binomial call; binomial j of a draw reads word j+1 of SplitMix64(seed).
     """
+    if not 0 <= n <= _MAX_N:  # NaN fails too
+        raise ValueError(f"multinomial needs 0 <= n <= 2**53, got {n!r}")
     if int(n) != n:
         raise ValueError(f"multinomial needs a whole number of trials, got {n!r}")
     p = np.asarray(pvals, dtype=np.float64)

@@ -361,6 +361,32 @@ class TestWideRows:
         assert peak < 4 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
 
+class TestNarrowRows:
+    # Narrow rows share a chunk as wide as its widest row.  Columns past a row's width hold NaN or
+    # extra mass, so each draw's search must stay inside its own row.
+    N = np.array([1000, 10**4, 2000, 40, 5, 1, 3, 200, 10**4, 50, 300, 7])
+    P = np.array([0.5, 0.01, 0.02, 0.3, 0.5, 0.7, 0.999, 0.99, 1 - 1e-6, 1e-3, 0.5, 0.9])
+
+    @pytest.mark.parametrize("budget", [2**14, 997])
+    def test_matches_whole_row_reference(self, budget, monkeypatch):
+        lo, hi = binomial_window(self.N, self.P)
+        width = hi - lo + 1
+        assert width[0] == width.max() and len(width) <= 2**14 // width[0]  # one chunk at the default budget
+        assert (lo == 0).any() and (hi == self.N).any() and (lo > 0).any() and (hi < self.N).any()
+        assert ((lo > 0) & (hi == self.N)).any()
+        # Each row draws at 0, at 1 - 2**-53, at the top of its CDF at two columns and at random.
+        cdf = whole_rows_cdf(lo, self.N, self.P, width)
+        rng = np.random.default_rng(27)
+        u = [np.r_[0.0, 1.0 - 2.0**-53, c[[0, (w - 1) // 2]] / c[w - 1], rng.random(4)] for c, w in zip(cdf, width)]
+        n, p, u = np.repeat(self.N, 8), np.repeat(self.P, 8), np.concatenate(u)
+        monkeypatch.setattr(rng_module, "_BUDGET", budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = binomial(n, p, u)
+        assert draws.tolist() == binomial_whole_rows(n, p, u).tolist()
+        assert ((np.repeat(lo, 8) <= draws) & (draws <= np.repeat(hi, 8))).all()
+
+
 class TestMultinomial:
     def test_sum_is_exact(self):
         counts = multinomial(1, 12345, [0.1, 0.2, 0.3, 0.4])
@@ -398,6 +424,13 @@ class TestMultinomial:
         for n in (2.9, 0.5, np.float64(1e9 + 0.5)):
             with pytest.raises(ValueError, match="whole"):
                 multinomial(0, n, [0.5, 0.5])
+
+    def test_rejects_n_outside_zero_to_two_to_the_53(self):
+        # n >= 2**63 used to raise OverflowError from the int64 count array, before any binomial ran.
+        for n in (2**64, 2**63, 2**53 + 1, math.inf, -math.inf, math.nan, -1):
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                multinomial(1, n, [0.5, 0.5])
+        assert multinomial(1, 2**53, [0.5, 0.5]).sum() == 2**53
 
     def test_rejects_non_finite_pvals(self):
         # A NaN makes the sum NaN, which no range check catches.
