@@ -135,7 +135,7 @@ def binomial(n, p, u) -> int | np.ndarray:
     reading only the columns inside that row's width.  A row wider than _BUDGET is built in blocks of
     _BUDGET columns, which keep only the step and CDF sums at every mark of _BUDGET // 16 columns; then
     the marks that hold a draw are built again from their sums and searched.  The draws are those of the
-    whole row, bit for bit.  n may be at most 2**53.
+    whole row, bit for bit.  n may be at most 2**53.  u = 1 draws the row's top; u outside [0, 1] raises.
     """
     try:
         whole = np.asarray(n, np.int64)
@@ -143,9 +143,11 @@ def binomial(n, p, u) -> int | np.ndarray:
         raise ValueError(f"binomial needs n <= 2**53, got {n!r}") from None
     if np.any(whole != n):
         raise ValueError(f"binomial needs whole-number n, got {n!r}")
-    n, p, u = np.broadcast_arrays(whole, np.asarray(p, np.float64), u)
+    n, p, u = np.broadcast_arrays(whole, np.asarray(p, np.float64), np.asarray(u, np.float64))
     if np.any(n < 0) or not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
         raise ValueError("binomial needs n >= 0 and p in [0, 1]")
+    if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
+        raise ValueError("binomial needs uniforms u in [0, 1]")
     if np.any(n > _MAX_N):
         raise ValueError(f"binomial needs n <= 2**53, got {n.max()}")
     out, live = np.where(p == 1.0, n, 0), (n > 0) & (p > 0.0) & (p < 1.0)

@@ -2,8 +2,9 @@ import argparse
 import csv
 import math
 import os
+import subprocess
+import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from chshlab.cli import (
     _lines,
     _write_rows,
     build_parser,
-    cmd_sample,
     cmd_simulate,
     load_noise_config,
     main,
@@ -37,6 +37,19 @@ def read_csv(path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+# Prints the peak RSS, in KiB on Linux, of python -m chshlab.  Linux hands a spawned child the high-water
+# RSS of its parent, so this small process spawns the run, not pytest.
+RSS_PROBE = """import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "chshlab", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"""
+
+
+def cli_peak_mib(*argv):
+    """Peak RSS in MiB of a CLI run, ``python -m chshlab *argv``, on the sys.path of the tests."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return int(subprocess.check_output([sys.executable, "-c", RSS_PROBE, *map(str, argv)], env=env)) / 1024
 
 
 # Every action of build_parser() and of its subparsers, as
@@ -470,6 +483,12 @@ class TestSimulate:
             values = (theta, xi, est.s_hat, est.std_err, s_parameter(theta, xi))
             assert row == [f"{v:.12g}" for v in values]
 
+    def test_a_1e12_pair_setting_peaks_below_60_mib(self, tmp_path):
+        # Each setting walks about 1e7 binomial table entries, built in blocks; rows built whole peaked at 394 MiB.
+        argv = ("simulate", "--theta-list", PI / 4, "--xi-list", 0, "--pairs", 10**12, "--seed", 5)
+        peak = cli_peak_mib(*argv, "--out", tmp_path / "deep.csv")
+        assert peak < 60, f"ru_maxrss {peak:.1f} MiB"
+
 
 class TestSample:
     def test_summary_and_containment(self, tmp_path):
@@ -687,26 +706,19 @@ class TestBlockSizes:
 
 class TestSampleMemory:
     def test_rows_are_written_in_bounded_blocks(self, tmp_path):
-        # cmd_sample holds one sampler block and one block of formatted rows at a
-        # time, never all n samples or indices, so its peak does not grow with n.
+        # cmd_sample holds one block of samples and of rows at a time, so its peak does not grow with n: about
+        # 34 MiB at both n, where keeping every block's values peaked at 34.7 and 48.5 MiB.
         peaks = []
         for n in (200_000, 2_000_000):
             out = tmp_path / "sample.csv"
-            tracemalloc.start()
-            try:
-                cmd_sample(0.785, n, 1, str(out))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(cli_peak_mib("sample", "--theta", 0.785, "--n", n, "--seed", 1, "--out", out))
             with open(out, "rb") as fh:
                 fh.seek(-200, os.SEEK_END)
                 *_, final_row, summary = fh.read().decode().splitlines()
             samples = haar_sample_s(0.785, n, 1)
             assert final_row.startswith(f"{n - 1},")
             assert summary.split(",")[:4] == ["summary", "", f"{samples.min():.12g}", f"{samples.max():.12g}"]
-        mib = [round(p / 2**20, 2) for p in peaks]
-        assert max(peaks) < 8 * 2**20, f"tracemalloc peaks {mib} MiB"
-        assert abs(peaks[1] - peaks[0]) < 2**20, f"tracemalloc peaks {mib} MiB"
+        assert max(peaks) < 42 and abs(peaks[1] - peaks[0]) < 1, f"ru_maxrss {peaks} MiB"
 
 
 class TestSweepSpecValidation:

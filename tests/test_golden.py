@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of CLI outputs at fixed flags and seeds.
 
-Any change to an output byte fails here.  A deliberate change, such as a new
-RNG stream, rewrites the digests with ``PYTHONPATH=src python
-tests/test_golden.py`` and says so in CHANGES.md.
+Any change to an output byte fails here, and CI runs every case of CASES through
+both installed entry points, so a new case is added here alone.  A deliberate
+change, such as a new RNG stream, rewrites the digests with ``PYTHONPATH=src
+python tests/test_golden.py`` and says so in CHANGES.md.
 """
 
 import hashlib
@@ -57,7 +58,7 @@ CASES = {
     "sweep-theta-custom": ("sweep-theta", "--xi-list", "0.1,1.2,2.9", "--theta-grid", "0.01:3.1:97"),
     # The spectral bounds at a theta off the default grids.
     "sample-theta-0.3": ("sample", "--theta", "0.3", "--n", "1000", "--seed", "5"),
-    # Enough rows to show last digits that move with numpy's SIMD dispatch; CI reruns the goldens without it.
+    # Enough rows to show last digits that move with numpy's SIMD dispatch; CI reruns tier-1 without it.
     "sample-100k": ("sample", "--theta", PI_4, "--n", "100000", "--seed", "3"),
 }
 

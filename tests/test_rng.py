@@ -209,6 +209,15 @@ class TestBinomial:
         with pytest.raises(ValueError):
             binomial(-1, 0.5, u)
 
+    def test_rejects_uniforms_outside_zero_to_one(self):
+        # u = 1.5 drew 15 of 10 trials, or past the window's edge; NaN drew the lower edge; on a wide row both
+        # raised IndexError.  u = 1 is the top of a CDF and draws inside the window.
+        for n in (10, 10**4, 10**7):
+            for u in (1.5, 1.0 + 2.0**-52, -2.0**-53, math.nan, math.inf, [0.5, math.nan]):
+                with pytest.raises(ValueError, match=r"u in \[0, 1\]"):
+                    binomial(n, 0.5, u)
+            assert binomial(n, 0.5, 1.0) <= binomial_window(np.array(n), np.array(0.5))[1]
+
     def test_rejects_fractional_n(self):
         # 2.9 trials used to be drawn as 2.
         assert binomial(3.0, 0.999, 0.99) == binomial(3, 0.999, 0.99)
@@ -430,7 +439,10 @@ class TestMultinomial:
         for n in (2**64, 2**63, 2**53 + 1, math.inf, -math.inf, math.nan, -1):
             with pytest.raises(ValueError, match=r"2\*\*53"):
                 multinomial(1, n, [0.5, 0.5])
-        assert multinomial(1, 2**53, [0.5, 0.5]).sum() == 2**53
+        # n = 2**53 is accepted.  Each table has 56 entries, and on them n - k, or k, reaches 2**53.
+        for pvals in ([1e-15, 1 - 1e-15], [1 - 1e-15, 1e-15]):
+            counts = multinomial(1, 2**53, pvals)
+            assert counts.sum() == 2**53 and counts.min() < 100
 
     def test_rejects_non_finite_pvals(self):
         # A NaN makes the sum NaN, which no range check catches.
