@@ -52,12 +52,32 @@ def _lines(*columns):
     shape, so the first axis runs slowest.  A block of k rows is one %
     operation: the row template repeated k times, applied to the block's
     cells interleaved row by row into one flat list.
+
+    No value is formatted twice.  A 0-d column is formatted once and becomes
+    a literal cell.  A column with fewer values than there are rows, and at
+    most _BLOCK_ROWS of them, is formatted once per value, with the spec its
+    own values choose, and its texts fill %s cells; so memory stays at about
+    one block of cells per column.  Every other column is formatted block by
+    block.  Each value gets the same spec on every path, so the bytes do not
+    depend on the path.
     """
-    template = ",".join(c.replace("%", "%%") if isinstance(c, str) else _cell(np.asarray(c)) for c in columns) + "\n"
-    arrays = [np.asarray(c) for c in columns if not isinstance(c, str)]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    flats = [np.broadcast_to(a, shape).flat for a in arrays]
-    size, width = math.prod(shape), len(flats)
+    columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
+    columns = [c if isinstance(c, str) or c.ndim else _cell(c) % c.item() for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, str)))
+    size = math.prod(shape)
+    specs, flats = [], []
+    for c in columns:
+        if isinstance(c, str):
+            specs.append(c.replace("%", "%%"))
+        elif c.size < size and c.size <= _BLOCK_ROWS:
+            spec = _cell(c)
+            texts = np.array([spec % v for v in c.ravel().tolist()], dtype=object)
+            specs.append("%s")
+            flats.append(np.broadcast_to(texts.reshape(c.shape), shape).flat)
+        else:
+            specs.append(_cell(c))
+            flats.append(np.broadcast_to(c, shape).flat)
+    template, width = ",".join(specs) + "\n", len(flats)
     for start in range(0, size, _BLOCK_ROWS):
         k = min(_BLOCK_ROWS, size - start)
         cells = [None] * (k * width)

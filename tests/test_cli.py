@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ def read_csv(path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def joined_rows(*columns):
+    """The reference for _lines: each row's cells joined one by one, a number as format(value, ".12g")."""
+    arrays = np.broadcast_arrays(*(np.asarray(c) for c in columns if not isinstance(c, str)))
+    rows = []
+    for index in np.ndindex(arrays[0].shape if arrays else ()):
+        values = iter([a[index].item() for a in arrays])
+        rows.append(",".join(c if isinstance(c, str) else format(next(values), ".12g") for c in columns) + "\n")
+    return "".join(rows)
 
 
 # Prints the peak RSS, in KiB on Linux, of python -m chshlab.  Linux hands a spawned child the high-water
@@ -673,6 +684,64 @@ class TestFormatting:
         n = cli._BLOCK_ROWS + 3
         text = "".join(_lines(np.arange(n), "%d", "%%s"))
         assert text == "".join(f"{i},%d,%%s\n" for i in range(n))
+
+    def test_literal_and_constant_only_calls(self):
+        # With no cell left to fill, the template still goes through %, which turns each %% back into %.
+        assert "".join(_lines("50%")) == "50%\n"
+        assert "".join(_lines("a", 2.0)) == "a,2\n"
+        for value in (-0.0, math.nan, math.inf, 2.0 * SQRT2, 10**12):
+            assert "".join(_lines("%", np.asarray(value), "50%")) == f"%,{format(value, '.12g')},50%\n"
+
+    @pytest.mark.parametrize("block", [None, 1, 5])
+    def test_matches_per_row_reference(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        n = cli._BLOCK_ROWS
+        values = np.random.default_rng(5).normal(size=(5, 5, 3)) * 10.0 ** np.arange(-6, 9, 1).reshape(5, 1, 3)
+        angles = np.array(self.EDGES[:5])
+        # Integer columns that %d writes (strictly inside +-10**12) and that %.12g writes, as int64 and uint64.
+        ints_in, ints_out = np.array([10**12 - 1, 1 - 10**12, 0]), np.array([10**12, -5, -(10**12)])
+        uints_in, uints_out = np.array([10**12 - 1, 0], np.uint64), np.array([10**12, 2**64 - 1], np.uint64)
+        cases = [
+            (np.array([[0.25], [1.5], [-0.0]]), np.array([1.0, 3e-7, math.pi, -1.0 / 3.0]), "50%"),
+            # The simulate layout: theta, xi, s_hat and std_err per replication, s_ideal per setting.
+            (angles[:, None, None], angles[None, :, None], values, values**2, values[:, :, :1] - 1.0),
+            (np.array([2.5]), np.arange(3), ""),
+            *((np.linspace(-1.0, 1.0, m)[:, None], np.array([0.5, -2.0]), 2.0) for m in (1, n, n + 1)),
+            (ints_in[:, None], ints_out, ints_in, np.uint64(2**64 - 1), "%d"),
+            (uints_in[:, None], uints_out, np.int64(10**12 - 1), np.int64(-(10**12)), ints_out[:2, None]),
+        ]
+        for columns in cases:
+            assert "".join(_lines(*columns)) == joined_rows(*columns)
+
+    def test_a_repeated_column_is_formatted_once_per_value(self):
+        calls = []
+
+        class Number:
+            def __init__(self, value):
+                self.value = value
+
+            def __float__(self):
+                calls.append(self.value)
+                return self.value
+
+        column = np.array([Number(0.5), Number(-1.25), Number(3.0)], dtype=object)[:, None]
+        text = "".join(_lines(column, np.arange(2000)))
+        assert text == "".join(f"{v:.12g},{i}\n" for v in (0.5, -1.25, 3.0) for i in range(2000))
+        assert calls == [0.5, -1.25, 3.0]
+
+    def test_memory_stays_at_about_one_block(self):
+        # A column of more than _BLOCK_ROWS values is formatted block by block; formatted whole, the strings
+        # of this one would hold about 15 MB.
+        column = np.linspace(0.0, 1.0, 200_000)[:, None]
+        tracemalloc.start()
+        try:
+            rows = sum(text.count("\n") for text in _lines(column, np.zeros(2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 400_000
+        assert peak < 2 * 2**20, f"tracemalloc peak {peak} bytes"
 
 
 class TestBlockSizes:
