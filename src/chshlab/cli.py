@@ -69,14 +69,12 @@ def _lines(*columns):
     for c in columns:
         if isinstance(c, str):
             specs.append(c.replace("%", "%%"))
-        elif c.size < size and c.size <= _BLOCK_ROWS:
-            spec = _cell(c)
-            texts = np.array([spec % v for v in c.ravel().tolist()], dtype=object)
-            specs.append("%s")
-            flats.append(np.broadcast_to(texts.reshape(c.shape), shape).flat)
-        else:
-            specs.append(_cell(c))
-            flats.append(np.broadcast_to(c, shape).flat)
+            continue
+        spec = _cell(c)
+        if c.size < size and c.size <= _BLOCK_ROWS:
+            spec, c = "%s", np.array([spec % v for v in c.ravel().tolist()], dtype=object).reshape(c.shape)
+        specs.append(spec)
+        flats.append(np.broadcast_to(c, shape).flat)
     template, width = ",".join(specs) + "\n", len(flats)
     for start in range(0, size, _BLOCK_ROWS):
         k = min(_BLOCK_ROWS, size - start)
