@@ -53,16 +53,14 @@ def _lines(*columns):
     operation: the row template repeated k times, applied to the block's
     cells interleaved row by row into one flat list.
 
-    No value is formatted twice.  A 0-d column is formatted once and becomes
-    a literal cell.  A column with fewer values than there are rows, and at
-    most _BLOCK_ROWS of them, is formatted once per value, with the spec its
-    own values choose, and its texts fill %s cells; so memory stays at about
-    one block of cells per column.  Every other column is formatted block by
-    block.  Each value gets the same spec on every path, so the bytes do not
-    depend on the path.
+    No value is formatted twice.  A column with fewer values than there are
+    rows, and at most _BLOCK_ROWS of them, such as a constant, is formatted
+    once per value, with the spec its own values choose, and its texts fill
+    %s cells; so memory stays at about one block of cells per column.  Every
+    other column is formatted block by block.  Each value gets the same spec
+    on every path, so the bytes do not depend on the path.
     """
     columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
-    columns = [c if isinstance(c, str) or c.ndim else _cell(c) % c.item() for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, str)))
     size = math.prod(shape)
     specs, flats = [], []
