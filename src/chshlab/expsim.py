@@ -6,8 +6,8 @@ check that equivalence), so the outcome probabilities come from the chsh
 kernel.  Imperfections are modeled as a depolarizing (Werner) admixture, fixed
 analyzer offsets, and a uniform accidental-coincidence floor; the admixture
 and the floor are affine in the pure-state probabilities, and the offsets
-shift the analyzer angles.  Counts per setting are multinomial draws and S is
-estimated from count-normalized correlations with multinomial error bars.
+shift the analyzer angles.  Each setting's same-outcome count is one binomial
+draw, and S is estimated from the counts' correlations with binomial error bars.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import (
-    _analyzers, _combine, _parity, _probabilities, _scalar_or_array, _settings, analyzer_angle, xi_param,
+    _analyzers, _combine, _probabilities, _scalar_or_array, _settings, analyzer_angle, xi_param,
 )
-from .rng import derive_seed, multinomial
+from .rng import _unit, binomial, derive_seed, words
 
 # Pairs per setting above this are refused.  The cap bounds time and float exactness, not memory,
-# which is flat in pairs: each binomial walks its whole window, about 1e7 entries at 1e12 pairs,
-# and counts stay far below 2**53, where binomial's floats stop being exact.
+# which is flat in pairs: each setting's binomial walks its whole window, about 1e7 entries at 1e12
+# pairs, and counts stay far below 2**53, where binomial's floats stop being exact.
 MAX_PAIRS = 10**12
 
 
@@ -65,8 +65,8 @@ class SEstimate:
     """Estimated S with its standard error, and the coincidence counts.
 
     ``s_hat`` and ``std_err`` are floats for scalar inputs and arrays of the
-    broadcast input shape otherwise; ``counts[..., setting, outcome]`` holds
-    the (n_pp, n_pm, n_mp, n_mm) counts of each of the four settings.
+    broadcast input shape otherwise; ``counts[..., setting, :]`` holds each
+    setting's same- and different-outcome counts (N_pp + N_mm, N_pm + N_mp).
     """
 
     s_hat: float
@@ -98,11 +98,11 @@ def setting_probabilities(alpha, beta, xi, noise: NoiseModel) -> np.ndarray:
 def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     """Simulate the four settings and combine the counts into an S estimate.
 
-    Broadcasts over arrays of theta, xi and seed.  Setting k draws from the
-    derived seed derive_seed(seed, k), so settings and replications are
-    independent streams.  Per-setting variance is the multinomial estimate
-    (1 - E^2)/pairs and the four settings add in quadrature.  pairs must be a
-    whole number in [2, MAX_PAIRS]; the checks run before anything is allocated.
+    Broadcasts over arrays of theta, xi and seed.  Setting k draws its
+    same-outcome count N_same at word 1 of derive_seed(seed, k), so settings and
+    replications are independent streams.  E = (2 N_same - pairs)/pairs has the
+    binomial variance (1 - E^2)/pairs, and the four settings add in quadrature.
+    pairs must be a whole number in [2, MAX_PAIRS]; the checks run before anything is allocated.
     """
     if int(pairs) != pairs:
         raise ValueError(f"pairs must be a whole number, got {pairs!r}")
@@ -118,10 +118,11 @@ def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     probs = setting_probabilities(alphas, betas, np.asarray(xi)[..., None], noise)
     # derive_seed(seed) wraps any int seed into uint64 before the setting axis is added.
     seeds = derive_seed(np.expand_dims(derive_seed(seed), -1), np.arange(alphas.shape[-1]))
-    counts = multinomial(seeds, pairs, probs)
+    # p_pp + p_mm rounds one ulp above 1 on some aligned analyzers, e.g. equal offsets at theta = 0, xi = 0.
+    same = binomial(pairs, np.minimum(probs[..., 0] + probs[..., 3], 1.0), _unit(words(seeds, 0, 1))[..., 0])
     # Each setting's correlation, settings first.
-    e = np.moveaxis(_parity(*np.moveaxis(counts, -1, 0)) / pairs, -1, 0)
+    e = np.moveaxis((2 * same - pairs) / pairs, -1, 0)
     # The variances add in quadrature, in setting order; no term is negative, as each |e_k| <= 1 exactly.
     std_err = np.sqrt(sum((1.0 - e_k * e_k) / pairs for e_k in e))
-    s_hat = _combine(e)
+    s_hat, counts = _combine(e), np.stack([same, pairs - same], axis=-1)
     return SEstimate(s_hat=_scalar_or_array(s_hat), std_err=_scalar_or_array(std_err), counts=counts)

@@ -128,14 +128,15 @@ def _cdf_block(top, bottom, logit, anchor, start, stop, step=0.0, cdf=0.0):
 def binomial(n, p, u) -> int | np.ndarray:
     """Binomial(n, p) draws at uniforms ``u`` in [0, 1) by inverse CDF; the arguments broadcast.
 
-    The mass function is tabulated on binomial_window(n, p).  Scaling the uniform by the table's
-    total mass cancels the rounding of its math.lgamma anchor: the draw is the exact inverse CDF up to
-    n = 1e9 except within about 1e-12 of a CDF value.  Equal (n, p) share one table row, and narrow rows
-    are built in chunks as wide as their widest row; a binary search finds u * total in each draw's row,
-    reading only the columns inside that row's width.  A row wider than _BUDGET is built in blocks of
-    _BUDGET columns, which keep only the step and CDF sums at every mark of _BUDGET // 16 columns; then
-    the marks that hold a draw are built again from their sums and searched.  The draws are those of the
-    whole row, bit for bit.  n may be at most 2**53.  u = 1 draws the row's top; u outside [0, 1] raises.
+    The mass function is tabulated on binomial_window(n, p).  Scaling the uniform by the table's total
+    mass cancels the rounding of its math.lgamma anchor: the draw is the exact inverse CDF except within
+    the table's CDF error of a CDF value: against scipy.stats.binom.cdf, at most 1.2e-12 at n = 1e9 and
+    3.7e-11 at n = 1e12, expsim.MAX_PAIRS.  Equal (n, p) share one table row, and narrow rows are built
+    in chunks as wide as their widest row; a binary search finds u * total in each draw's row, reading
+    only the columns inside that row's width.  A row wider than _BUDGET is built in blocks of _BUDGET
+    columns, which keep only the step and CDF sums at every mark of _BUDGET // 16 columns; then the marks
+    that hold a draw are built again from their sums and searched.  The draws are those of the whole row,
+    bit for bit.  n may be at most 2**53.  u = 1 draws the row's top; u outside [0, 1] raises.
     """
     try:
         whole = np.asarray(n, np.int64)
@@ -197,29 +198,3 @@ def binomial(n, p, u) -> int | np.ndarray:
             start = c.stop
     return int(out) if out.ndim == 0 else out
 
-
-def multinomial(seeds, n: int, pvals) -> np.ndarray:
-    """One Multinomial(n, pvals) draw per seed, as sequential conditional binomials.
-
-    ``pvals`` holds the category probabilities on its last axis and its other
-    axes broadcast against ``seeds``; the counts have the broadcast shape
-    followed by the category axis, and each draw sums to n exactly.  Each stage
-    is one binomial call; binomial j of a draw reads word j+1 of SplitMix64(seed).
-    """
-    if not 0 <= n <= _MAX_N:  # NaN fails too
-        raise ValueError(f"multinomial needs 0 <= n <= 2**53, got {n!r}")
-    if int(n) != n:
-        raise ValueError(f"multinomial needs a whole number of trials, got {n!r}")
-    p = np.asarray(pvals, dtype=np.float64)
-    # NaN fails every comparison, so it is caught by isfinite; an empty last axis sums to 0.
-    if p.ndim < 1 or not np.isfinite(p).all() or np.any(p < -1e-12) or np.any(np.abs(p.sum(-1) - 1) > 1e-9):
-        raise ValueError("pvals must be finite and nonnegative, and sum to 1 on the last axis")
-    u, tail = _unit(words(seeds, 0, p.shape[-1] - 1)), np.ones(p.shape[:-1])
-    counts, remaining = [], np.full(np.broadcast_shapes(u.shape[:-1], tail.shape), int(n), dtype=np.int64)
-    for j in range(p.shape[-1] - 1):
-        # Category j's probability given that the draw is not in 0..j-1.
-        cond = np.clip(np.divide(p[..., j], tail, out=np.zeros(tail.shape), where=tail > 0.0), 0.0, 1.0)
-        counts.append(binomial(remaining, cond, u[..., j]))
-        remaining = remaining - counts[-1]
-        tail = tail - p[..., j]
-    return np.stack(counts + [remaining], axis=-1)

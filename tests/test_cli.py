@@ -494,6 +494,18 @@ class TestSimulate:
             values = (theta, xi, est.s_hat, est.std_err, s_parameter(theta, xi))
             assert row == [f"{v:.12g}" for v in values]
 
+    def test_memory_stays_bounded(self, tmp_path):
+        # The default 5 x 5 lists at 20 replications, binomial tables included, peak under 1.8 MB.
+        argv = ["simulate", "--pairs", "10000", "--replications", "20", "--seed", "1", "--out", str(tmp_path / "m.csv")]
+        main(argv)
+        tracemalloc.start()
+        try:
+            main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
     def test_a_1e12_pair_setting_peaks_below_60_mib(self, tmp_path):
         # Each setting walks about 1e7 binomial table entries, built in blocks; rows built whole peaked at 394 MiB.
         argv = ("simulate", "--theta-list", PI / 4, "--xi-list", 0, "--pairs", 10**12, "--seed", 5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from chshlab import chsh, expsim
 from chshlab.chsh import s_parameter, state_phi
 from chshlab.expsim import NoiseModel, SEstimate, estimate_s, setting_probabilities
 from chshlab.linalg import PAULI_Z
-from chshlab.rng import derive_seed, multinomial
+from chshlab.rng import _unit, binomial, derive_seed, words
 
 SQRT2 = math.sqrt(2.0)
 NO_NOISE = NoiseModel.ideal()
@@ -183,13 +184,20 @@ class TestSettingProbabilities:
 
 
 class TestRunSetting:
-    """The per-setting multinomial draws inside estimate_s."""
+    """The per-setting same-outcome draws inside estimate_s."""
 
     def test_degenerate_distribution(self):
-        # phi+ with every analyzer at 0 (theta = 0) never sends a pair to +- or -+.
-        est = estimate_s(0.0, 0.0, 100, NO_NOISE, seed=5)
-        assert not est.counts[:, 1:3].any()
-        assert (est.counts[:, 0] + est.counts[:, 3] == 100).all()
+        # phi+ with aligned analyzers (theta = 0, no offsets or equal ones) never sends a pair to +- or -+.  At these
+        # equal offsets p_pp + p_mm rounds to 1 + 2**-52, which binomial would refuse.
+        offset = 4.614859254854469
+        aligned = NoiseModel(visibility=1.0, analyzer_offset_a=offset, analyzer_offset_b=offset, accidental_fraction=0.0)
+        p = setting_probabilities(0.0, 0.0, 0.0, aligned)
+        assert p[0] + p[3] > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for noise in (NO_NOISE, aligned):
+                for seed in range(20):
+                    assert estimate_s(0.0, 0.0, 100, noise, seed).counts.tolist() == [[100, 0]] * 4
 
     def test_deterministic(self):
         noise = NoiseModel(analyzer_offset_a=0.05, analyzer_offset_b=-0.02)
@@ -200,8 +208,8 @@ class TestRunSetting:
     def test_uniform_counts_within_five_sigma(self):
         noise = NoiseModel(visibility=0.0, accidental_fraction=0.0)
         est = estimate_s(0.2, 1.3, 1_000_000, noise, seed=8)
-        sigma = math.sqrt(1_000_000 * 0.25 * 0.75)
-        assert (np.abs(est.counts - 250_000) < 5 * sigma).all()
+        sigma = math.sqrt(1_000_000 * 0.5 * 0.5)
+        assert (np.abs(est.counts - 500_000) < 5 * sigma).all()
 
     def test_count_conservation(self):
         rng = np.random.default_rng(45)
@@ -246,13 +254,14 @@ class TestSimulatorLaw:
     def test_counts_match_setting_probabilities(self, draws):
         stats = pytest.importorskip("scipy.stats")
         probs, est = draws
-        expected = self.PAIRS * probs
-        # Pooled over the runs, each setting's counts are one multinomial draw of RUNS * PAIRS pairs.
+        p_same = probs[:, 0] + probs[:, 3]
+        expected = self.PAIRS * np.stack([p_same, 1.0 - p_same], axis=-1)
+        # Pooled over the runs, each setting's (N_same, N_diff) is one binomial draw of RUNS * PAIRS pairs.
         pooled = (est.counts.sum(axis=0) - self.RUNS * expected) ** 2 / (self.RUNS * expected)
-        assert stats.chi2.sf(pooled.sum(), df=12) > 1e-6
-        # Run by run, the statistics add up to a chi-square with 12 degrees of freedom per run.
+        assert stats.chi2.sf(pooled.sum(), df=4) > 1e-6
+        # Run by run, the statistics add up to a chi-square with 4 degrees of freedom per run.
         spread = ((est.counts - expected) ** 2 / expected).sum()
-        df = 12 * self.RUNS
+        df = 4 * self.RUNS
         assert min(stats.chi2.sf(spread, df), stats.chi2.cdf(spread, df)) > 1e-6
 
 
@@ -295,18 +304,18 @@ class TestEstimateS:
     def test_counts_attached_per_setting(self):
         est = estimate_s(0.7, 0.2, 500, NoiseModel(), seed=6)
         assert isinstance(est, SEstimate)
-        assert est.counts.shape == (4, 4)
+        assert est.counts.shape == (4, 2)
         assert est.counts.dtype.kind == "i"
         assert (est.counts.sum(axis=-1) == 500).all()
 
     def test_s_hat_combines_setting_correlations(self):
         est = estimate_s(0.7, 0.2, 500, NoiseModel(), seed=6)
-        e = [(int(c[0]) + int(c[3]) - int(c[1]) - int(c[2])) / 500 for c in est.counts]
+        e = [(int(same) - int(diff)) / 500 for same, diff in est.counts]
         assert est.s_hat == e[0] + e[1] + e[2] - e[3]
 
     def test_std_err_combines_setting_variances(self):
         est = estimate_s(0.7, 0.2, 500, NoiseModel(), seed=6)
-        e = (est.counts[:, 0] + est.counts[:, 3] - est.counts[:, 1] - est.counts[:, 2]) / 500
+        e = (est.counts[:, 0] - est.counts[:, 1]) / 500
         expected = math.sqrt(sum((1.0 - e**2) / 500))
         assert est.std_err == pytest.approx(expected, abs=1e-15)
 
@@ -325,7 +334,7 @@ class TestEstimateS:
         seeds = derive_seed(2**63 + 5, np.arange(4)[:, None, None], np.arange(3)[:, None], np.arange(5))
         est = estimate_s(thetas, xis, 20_000, noise, seeds)
         assert est.s_hat.shape == est.std_err.shape == (4, 3, 5)
-        assert est.counts.shape == (4, 3, 5, 4, 4)
+        assert est.counts.shape == (4, 3, 5, 4, 2)
         for (a, b, r), s_hat in np.ndenumerate(est.s_hat):
             theta, xi, seed = float(thetas[a, 0, 0]), float(xis[0, b, 0]), int(seeds[a, b, r])
             one = estimate_s(theta, xi, 20_000, noise, seed)
@@ -360,8 +369,8 @@ class TestEstimateS:
         assert len(plan) == 4
         for index, (a, b) in enumerate(plan):
             p = setting_probabilities(a, b, xi, noise)
-            counts = multinomial(derive_seed(seed, index), pairs, p)
-            assert np.array_equal(counts, est.counts[index])
+            same = binomial(pairs, p[0] + p[3], _unit(words(derive_seed(seed, index), 0, 1))[0])
+            assert est.counts[index].tolist() == [same, pairs - same]
 
     def test_one_kernel_call_per_estimate(self, monkeypatch):
         calls = []
@@ -376,6 +385,17 @@ class TestEstimateS:
         assert len(calls) == 1
         assert all(np.shape(arg) == (4,) for arg in calls[0][:2])
 
+    def test_one_binomial_call_per_estimate(self, monkeypatch):
+        calls = []
+
+        def counted(n, p, u):
+            calls.append((np.shape(p), np.shape(u)))
+            return binomial(n, p, u)
+
+        monkeypatch.setattr(expsim, "binomial", counted)
+        estimate_s(np.array([0.1, 0.2])[:, None], 0.3, 2000, NoiseModel(), np.arange(7))
+        assert calls == [((2, 1, 4), (7, 4))]
+
     def test_rejects_single_pair(self):
         with pytest.raises(ValueError):
             estimate_s(0.5, 0.1, 1, NoiseModel(), seed=0)
@@ -385,7 +405,7 @@ class TestEstimateS:
             raise AssertionError("the pair cap is checked before any table is built")
 
         monkeypatch.setattr(expsim, "setting_probabilities", unreachable)
-        monkeypatch.setattr(expsim, "multinomial", unreachable)
+        monkeypatch.setattr(expsim, "binomial", unreachable)
         assert expsim.MAX_PAIRS == 10**12
         with pytest.raises(ValueError, match=r"pairs must be at most 1000000000000, got 1000000000001"):
             estimate_s(0.5, 0.1, 10**12 + 1, NoiseModel(), seed=0)
@@ -399,7 +419,7 @@ class TestEstimateS:
             raise AssertionError("pairs are checked before any table is built")
 
         monkeypatch.setattr(expsim, "setting_probabilities", unreachable)
-        monkeypatch.setattr(expsim, "multinomial", unreachable)
+        monkeypatch.setattr(expsim, "binomial", unreachable)
         for pairs in (2.9, 1e4 + 0.5, np.float64(37.25)):
             with pytest.raises(ValueError, match="whole number"):
                 estimate_s(0.5, 0.1, pairs, NoiseModel(), seed=0)

@@ -3,12 +3,12 @@
 Any change to an output byte fails here, and CI runs every case of CASES through
 both installed entry points, so a new case is added here alone.  A deliberate
 change, such as a new RNG stream, rewrites the digests with ``PYTHONPATH=src
-python tests/test_golden.py`` and says so in CHANGES.md.
+python tests/test_golden.py``, which prints each case whose digest moved as
+``name: old -> new``, and says so in CHANGES.md.
 """
 
 import hashlib
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -46,8 +46,8 @@ CASES = {
         "simulate", "--theta-list", PI_4, "--xi-list", "0", "--pairs", "1000000000", "--replications", "2",
         "--seed", "7",
     ),
-    # No noise at 1e9 pairs: setting probabilities of 4.6e-9, 4.2e-13 and 1.9e-33, so the conditional
-    # binomials have means near 0 and probabilities near 0 or 1.
+    # No noise at 1e9 pairs: same-outcome probabilities of 9.3e-9, 3.7e-33 and 1 - 8.4e-13, so the binomials
+    # have means near 0 or near the pair count.
     "simulate-ideal-deep": (
         "simulate", "--theta-list", f"0,{PI_4}", "--xi-list", "1.5707,1.5707963267948966,0.3927",
         "--pairs", "1000000000", "--seed", "11", "--visibility", "1", "--accidentals", "0",
@@ -76,7 +76,10 @@ def test_output_digest(name, tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGEST_FILE.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: output_digest(argv, tmp) for name, argv in sorted(CASES.items())}
     DIGEST_FILE.write_text(json.dumps(digests, indent=2) + "\n")
-    json.dump(digests, sys.stdout, indent=2)
+    for name, digest in digests.items():
+        if old.get(name) != digest:
+            print(f"{name}: {old.get(name)} -> {digest}")

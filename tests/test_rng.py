@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from chshlab import rng as rng_module
-from chshlab.cli import main
+from chshlab.expsim import MAX_PAIRS
 from chshlab.rng import (
-    GOLDEN, MASK64, SplitMix64, _lgamma, _unit, binomial, binomial_window, derive_seed, mix64, multinomial, words,
+    GOLDEN, MASK64, SplitMix64, _lgamma, _unit, binomial, binomial_window, derive_seed, mix64, words,
 )
 
 # Seeds at the edges of the 64-bit range, above it and below zero.
@@ -39,18 +39,6 @@ def splitmix_reference(seed, n):
         state = (state + GOLDEN) & MASK64
         out.append(mix64_reference(state))
     return out
-
-
-def multinomial_reference(seed, n, pvals):
-    # Sequential conditional binomials, each taking the next word of one stream.
-    uniforms = _unit(SplitMix64(seed).next_uint64(len(pvals) - 1))
-    counts, remaining, tail = [], n, 1.0
-    for p, u in zip(pvals[:-1], uniforms):
-        cond = 0.0 if tail <= 0.0 else min(max(p / tail, 0.0), 1.0)
-        counts.append(binomial(remaining, cond, u))
-        remaining -= counts[-1]
-        tail -= p
-    return counts + [remaining]
 
 
 def binomial_cdf_inverse_exact(u, n, p):
@@ -165,7 +153,7 @@ class TestMix64:
             warnings.simplefilter("error")
             assert derive_seed(MASK64, 2**64 - 2, 3) == derive_seed_reference(MASK64, 2**64 - 2, 3)
             mix64(np.uint64(MASK64))
-            multinomial(MASK64, 1000, [0.25] * 4)
+            binomial(1000, 0.25, _unit(words(MASK64, 0, 1))[0])
 
 
 class TestBinomial:
@@ -204,8 +192,9 @@ class TestBinomial:
         assert binomial(100, 0.0, u) == 0
         assert binomial(100, 1.0, u) == 100
         assert binomial(0, 0.3, u) == 0
-        with pytest.raises(ValueError):
-            binomial(10, 1.5, u)
+        for p in (1.5, -1e-12, math.nan):
+            with pytest.raises(ValueError):
+                binomial(10, p, u)
         with pytest.raises(ValueError):
             binomial(-1, 0.5, u)
 
@@ -226,14 +215,11 @@ class TestBinomial:
                 binomial(n, 0.999, 0.99)
 
     def test_consumes_one_word_regardless_of_outcome(self):
-        # Binomial j of a multinomial draw reads word j+1 of the seed's
-        # stream, also when an earlier binomial was decided without it.
+        # Each entry of a batched call draws at its own uniform, also next to entries decided without one.
         for seed in range(20):
-            words = _unit(SplitMix64(seed).next_uint64(3))
-            counts = multinomial(seed, 1000, [0.0, 0.3, 0.2, 0.5])
-            assert counts[0] == 0
-            assert counts[1] == binomial(1000, 0.3, words[1])
-            assert counts[2] == binomial(1000 - counts[1], 0.2 / 0.7, words[2])
+            u = _unit(words(seed, 0, 4))
+            counts = binomial([1000, 1000, 0, 1000], [0.0, 0.3, 0.2, 1.0], u)
+            assert counts.tolist() == [0, binomial(1000, 0.3, u[1]), 0, 1000]
 
     def test_matches_exact_rational_cdf_mid_range(self):
         # Exact integer-arithmetic oracle at n = 500, p = 1/4: the CDF terms
@@ -323,6 +309,62 @@ class TestBinomial:
                 binomial(n, p, 0.3)
 
 
+    def test_mixed_width_batch_matches_scalar_calls(self):
+        # One call batches tables of width 2 to about 3e5 and rows at p = 0 or 1: narrow rows share padded
+        # chunks and wide ones fill chunks of their own, yet every entry draws as it would alone.
+        rng = np.random.default_rng(31)
+        p = np.r_[0.25, 1 / 3, 0.5, 1e-8, 0.3, 1 - 3e-8, 1 - 1.1e-4, 1 - 2e-5, 1e-12, 0.0, 1.0, 0.97, rng.random(4)]
+        n, p = (a.ravel() for a in np.meshgrid([10**9, 10**9 - 2, 999_999, 1000, 2, 1, 0], p))
+        # n = 2**53 is accepted; on its tables n - k, or k, reaches 2**53.
+        n, p = np.r_[np.repeat(n, 3), 2**53, 2**53], np.r_[np.repeat(p, 3), 1e-15, 1 - 1e-15]
+        u = _unit(words(derive_seed(33, np.arange(len(n))), 0, 1))[:, 0]
+        live = (n > 0) & (p > 0.0) & (p < 1.0)
+        lo, hi = binomial_window(n[live], p[live])
+        assert (hi - lo + 1).min() == 2 and 2e5 < (hi - lo + 1).max() < 4e5
+        draws = binomial(n, p, u)
+        assert draws.tolist() == [binomial(int(k), float(q), float(v)) for k, q, v in zip(n, p, u)]
+        assert draws[-2] < 100 and draws[-1] > 2**53 - 100
+
+    def test_padding_raises_no_warning(self):
+        # Rows of very different widths share a padded table; p = 0 and p = 1 rows, subnormal p and the
+        # lanes past a row's end must stay clean.
+        p = [0.0, 1.0, 0.5, 1e-8, 0.5 - 1e-8, 1e-300, 5e-324, 1 - 2**-53, 0.25, 1 / 3]
+        n, p = (a.ravel() for a in np.meshgrid([0, 1, 2, 1000, 10**9], p))
+        u = _unit(words(derive_seed(4, np.arange(len(n))), 0, 1))[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = binomial(n, p, u)
+            assert draws.tolist() == [binomial(int(k), float(q), float(v)) for k, q, v in zip(n, p, u)]
+            binomial([1, 2, 10**9, 10**9], [5e-324, 1 - 2**-53, 5e-324, 1 - 2**-53], [0.0, 0.5, 0.999, 0.0])
+
+    def test_batch_memory_stays_bounded(self):
+        # A table is built in blocks of about 2**14 entries, a wide row's too, so 60 distinct 1e9-trial rows
+        # peak at about 0.8 MB; built whole, one row at a time, they peaked at 9.1 MB.
+        n = 10**9 - 1000 * np.arange(20)[:, None]
+        u = _unit(words(derive_seed(1, np.arange(20)), 0, 3))
+        binomial(n, [0.25, 1 / 3, 0.5], u)
+        tracemalloc.start()
+        try:
+            binomial(n, [0.25, 1 / 3, 0.5], u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+    def test_draws_fall_in_scipy_cdf_brackets_up_to_max_pairs(self):
+        # Draw k at u satisfies F(k - 1) < u <= F(k) for the table's CDF, which measured within 3.7e-11 of
+        # scipy's at n = 1e12.  The tolerance was fixed before the first run.
+        binom = pytest.importorskip("scipy.stats").binom
+        tol = 1e-10
+        n, p = (a.ravel() for a in np.meshgrid(10 ** np.arange(4, 13), [0.5, 0.8535533905932737, 1e-3]))
+        n, p = np.repeat(n, 100), np.repeat(p, 100)
+        u = _unit(words(28, 0, len(n)))
+        u[::50], u[1::50] = 0.0, 1.0 - 2.0**-53
+        assert n.max() == MAX_PAIRS
+        k = binomial(n, p, u)
+        assert (binom.cdf(k - 1, n, p) - tol <= u).all() and (u <= binom.cdf(k, n, p) + tol).all()
+
+
 class TestWideRows:
     # A row wider than _BUDGET is built in blocks; its draws must be those of the whole row, bit for bit.
     def test_matches_whole_row_reference(self):
@@ -394,134 +436,6 @@ class TestNarrowRows:
             draws = binomial(n, p, u)
         assert draws.tolist() == binomial_whole_rows(n, p, u).tolist()
         assert ((np.repeat(lo, 8) <= draws) & (draws <= np.repeat(hi, 8))).all()
-
-
-class TestMultinomial:
-    def test_sum_is_exact(self):
-        counts = multinomial(1, 12345, [0.1, 0.2, 0.3, 0.4])
-        assert counts.sum() == 12345
-        assert (counts >= 0).all()
-
-    def test_determinism(self):
-        a = multinomial(77, 1000, [0.25] * 4)
-        b = multinomial(77, 1000, [0.25] * 4)
-        assert np.array_equal(a, b)
-
-    def test_degenerate_mass(self):
-        assert np.array_equal(multinomial(5, 100, [1.0, 0.0, 0.0, 0.0]), [100, 0, 0, 0])
-        assert np.array_equal(multinomial(5, 100, [0.0, 0.0, 0.0, 1.0]), [0, 0, 0, 100])
-
-    def test_uniform_quarter_moments(self):
-        # Binomial(1e6, 1/4) sigma is ~433; all four counts must sit within 5 sigma.
-        counts = multinomial(99, 1_000_000, [0.25] * 4)
-        sigma = math.sqrt(1_000_000 * 0.25 * 0.75)
-        assert all(abs(int(c) - 250_000) < 5 * sigma for c in counts)
-
-    def test_validates_pvals(self):
-        with pytest.raises(ValueError):
-            multinomial(0, 10, [0.5, 0.6])
-        with pytest.raises(ValueError):
-            multinomial(0, 10, [0.7, -0.2, 0.5])
-        with pytest.raises(ValueError):
-            multinomial(0, 10, [[0.5, 0.5], [0.5, 0.6]])
-        with pytest.raises(ValueError):
-            multinomial(0, 10, 1.0)
-
-    def test_rejects_fractional_n(self):
-        # 2.9 trials used to be drawn as 2.
-        assert np.array_equal(multinomial(0, 2.0, [0.5, 0.5]), multinomial(0, 2, [0.5, 0.5]))
-        for n in (2.9, 0.5, np.float64(1e9 + 0.5)):
-            with pytest.raises(ValueError, match="whole"):
-                multinomial(0, n, [0.5, 0.5])
-
-    def test_rejects_n_outside_zero_to_two_to_the_53(self):
-        # n >= 2**63 used to raise OverflowError from the int64 count array, before any binomial ran.
-        for n in (2**64, 2**63, 2**53 + 1, math.inf, -math.inf, math.nan, -1):
-            with pytest.raises(ValueError, match=r"2\*\*53"):
-                multinomial(1, n, [0.5, 0.5])
-        # n = 2**53 is accepted.  Each table has 56 entries, and on them n - k, or k, reaches 2**53.
-        for pvals in ([1e-15, 1 - 1e-15], [1 - 1e-15, 1e-15]):
-            counts = multinomial(1, 2**53, pvals)
-            assert counts.sum() == 2**53 and counts.min() < 100
-
-    def test_rejects_non_finite_pvals(self):
-        # A NaN makes the sum NaN, which no range check catches.
-        nan, inf = math.nan, math.inf
-        for pvals in ([0.5, 0.5, nan], [nan, 0.5, 0.5], [0.5, nan, 0.5], [0.5, 0.5, inf]):
-            with pytest.raises(ValueError, match="finite"):
-                multinomial(1, 10, pvals)
-
-    def test_matches_sequential_reference(self):
-        rng = np.random.default_rng(31)
-        for seed in EDGE_SEEDS + tuple(int(s) for s in rng.integers(0, 2**63, 40)):
-            k = int(rng.integers(1, 6))
-            pvals = rng.dirichlet(np.ones(k)).tolist()
-            n = int(rng.choice([2, 1000, 10**6, 10**9]))
-            assert multinomial(seed, n, pvals).tolist() == multinomial_reference(seed, n, pvals)
-        # One call whose conditional stages batch very different n and p: tables of
-        # width 1 to about 3e5 share padded chunks, or fill chunks of their own.
-        pvals = np.array([
-            [0.25, 0.25, 0.25, 0.25],
-            [1e-8, 0.3, 0.3, 0.4 - 1e-8],
-            [1 - 3e-8, 1e-8, 1e-8, 1e-8],
-            [1 - 1.1e-4, 5e-5, 5e-5, 1e-5],
-            [1 - 2e-5, 1e-5, 5e-6, 5e-6],
-            [0.5, 1e-12, 0.25, 0.25 - 1e-12],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.97, 0.01, 0.01, 0.01],
-            *rng.dirichlet(np.ones(4), size=4),
-        ])
-        seeds = derive_seed(33, np.arange(3))[:, None]
-        counts = multinomial(seeds, 10**9, pvals)
-        for (a, b), seed in np.ndenumerate(np.broadcast_to(seeds, counts.shape[:2])):
-            assert counts[a, b].tolist() == multinomial_reference(int(seed), 10**9, pvals[b].tolist())
-
-    def test_padding_raises_no_warning(self):
-        # Rows of very different widths share a padded table; p = 0 and p = 1
-        # rows and the lanes past a row's end must stay clean.
-        pvals = [
-            [0.0, 1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.5, 0.0, 0.5, 0.0],
-            [1e-8, 0.5, 0.0, 0.5 - 1e-8],
-            [1e-300, 0.5, 0.5 - 1e-300, 0.0],
-            [0.25, 0.25, 0.25, 0.25],
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for n in (0, 1, 2, 1000, 10**9):
-                counts = multinomial(derive_seed(4, np.arange(5))[:, None], n, pvals)
-                assert (counts.sum(axis=-1) == n).all()
-            binomial([1, 2, 10**9, 10**9], [5e-324, 1 - 2**-53, 5e-324, 1 - 2**-53], [0.0, 0.5, 0.999, 0.0])
-
-    def test_memory_stays_bounded(self, tmp_path):
-        # A table is built in blocks of about 2**14 entries, a wide row's too, so the 1e9-trial draws
-        # peak under 1 MB: the first limit fails for rows built whole (13 MB) or a +-60-sigma window.
-        argv = ["simulate", "--pairs", "10000", "--replications", "20", "--seed", "1", "--out"]
-        for call, limit_mb in (
-            (lambda: multinomial(derive_seed(1, np.arange(20)), 10**9, [0.25] * 4), 4.0),
-            (lambda: main([*argv, str(tmp_path / "m.csv")]), 1.8),
-        ):
-            call()
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < limit_mb * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
-
-    def test_broadcasts_seeds_against_pvals(self):
-        rng = np.random.default_rng(32)
-        seeds = derive_seed(5, np.arange(3))[:, None]
-        pvals = rng.dirichlet(np.ones(4), size=2)
-        counts = multinomial(seeds, 5000, pvals)
-        assert counts.shape == (3, 2, 4)
-        for a in range(3):
-            for b in range(2):
-                expected = multinomial_reference(int(seeds[a, 0]), 5000, pvals[b].tolist())
-                assert counts[a, b].tolist() == expected
 
 
 class TestDeriveSeed:
