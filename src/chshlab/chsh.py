@@ -41,12 +41,16 @@ def _validated(value, ok, message: str) -> np.ndarray:
     return v
 
 
-def analyzer_angle(alpha):
-    """Reduce analyzer angles into [0, 2*pi); a scalar gives a float, an array an array."""
+def _wrapped(a):
+    """Finite angles ``a`` reduced into [0, 2*pi), as _scalar_or_array gives them."""
     # Float modulo may return the modulus itself for tiny negative inputs; the
     # second modulo maps it to 0 and leaves every value below it unchanged.
-    a = _validated(alpha, np.isfinite, "analyzer angle must be finite") % TWO_PI % TWO_PI
-    return _scalar_or_array(a)
+    return _scalar_or_array(a % TWO_PI % TWO_PI)
+
+
+def analyzer_angle(alpha):
+    """Reduce analyzer angles into [0, 2*pi); a scalar gives a float, an array an array."""
+    return _wrapped(_validated(alpha, np.isfinite, "analyzer angle must be finite"))
 
 
 def theta_param(theta):
@@ -76,7 +80,8 @@ def _analyzers(theta) -> tuple:
     of a (theta, xi) grid instead of computing them on the whole grid.
     """
     t = theta_param(theta)
-    return tuple(tuple(analyzer_angle(m * t) if m else 0.0 for m in side) for side in _ANALYZER_MULTIPLES)
+    # A multiple of a checked theta is finite, so it needs analyzer_angle's reduction but not its check.
+    return tuple(tuple(_wrapped(np.multiply(m, t)) if m else 0.0 for m in side) for side in _ANALYZER_MULTIPLES)
 
 
 def _settings(a, b) -> list:

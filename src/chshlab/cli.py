@@ -302,21 +302,36 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The chshlab parser; with a ``command``, only that subcommand gets its -h and its flags.
+
+    Every subcommand is registered with its name and help either way, so the
+    top-level help, the usage line and the top-level errors are the same.  The
+    default, None, builds every subcommand's flags.  argparse hands all the
+    tokens after the command to that one subparser, so a parse that names
+    ``command`` gives the same result, output and exit from either parser,
+    and main builds only the flags it can use.
+    """
     parser = argparse.ArgumentParser(
         prog="chshlab",
         description="CHSH parameter sweeps, correlation bounds, and coincidence-counting simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, flags, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        for flag in flags + _COMMON:
-            p.add_argument(flag, **_FLAGS[flag][0])
+        if command is None or name == command:
+            p = sub.add_parser(name, help=summary)
+            for flag in flags + _COMMON:
+                p.add_argument(flag, **_FLAGS[flag][0])
+        else:
+            sub.add_parser(name, help=summary, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse dispatches on the first positional token.  The top level has no option that takes a value, so
+    # that is the first token without a leading -, or an earlier one such as "-" that names no command.
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     _, flags, handler = _COMMANDS[args.command]
     try:
         # The one place --degrees is read: each angle-valued flag in the command's flag order, so that of two

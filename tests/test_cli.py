@@ -25,6 +25,7 @@ from chshlab.cli import (
 from chshlab.expsim import NoiseModel, estimate_s
 from chshlab.linalg import herm_eigenvalues
 from chshlab.rng import derive_seed
+from test_golden import CASES as GOLDEN_CASES
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -141,6 +142,99 @@ class TestParserPin:
         assert [(c.dest, c.help) for c in sub._choices_actions] == [(k, v[0]) for k, v in COMMAND_PIN.items()]
         for name, (_, flags) in COMMAND_PIN.items():
             assert parser_actions(sub.choices[name]) == [HELP_ACTION] + [OPTION_PIN[f] for f in flags], name
+
+
+def subparsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+OUT = "<out>"  # stands for the output path in EQUIVALENCE_ARGVS
+EQUIVALENCE_ARGVS = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("bogus",),
+    ("simulate", "-h"),
+    ("surface", "--help"),
+    ("simulate", "--bogus"),
+    ("surface", "--pairs", "3"),
+    ("bounds",),
+    ("simulate", "--pairs", "x", "--out", OUT),
+    ("-h", "simulate"),
+    ("--", "bounds"),
+    ("--rep", "2"),
+    ("bounds", "--theta-grid", "-1:1:3", "--out", OUT),
+    ("sweep-xi", "--theta-list", "0.5", "--xi-grid=-0.5:0.5:3", "--out", OUT),
+    *((name, "-h") for name in cli._COMMANDS),
+    ("bounds", "--pairs", "3", "--out", OUT),
+    # Options before the command: argparse still hands the command's tokens to its subparser.
+    ("--bogus", "bounds"),
+    ("--bogus", "bounds", "--theta-grid", "0:1:3", "--out", OUT),
+    ("-", "bounds", "--out", OUT),
+    ("--", "bounds", "--theta-grid", "0:1:3", "--out", OUT),
+    # An abbreviated flag resolves only on a subparser that has its flags.
+    ("simulate", "--rep", "2", "--pairs", "100", "--theta-list", "0.5", "--xi-list", "0", "--out", OUT),
+    *((*argv, "--out", OUT) for argv in GOLDEN_CASES.values()),
+]
+
+
+def outcome(argv, out, capsys):
+    """main(argv)'s return value or SystemExit code, its stdout and stderr, and the output's bytes, which are removed.
+
+    OUT in ``argv`` stands for ``out``; None calls main() with no argument.
+    """
+    try:
+        code = main(None if argv is None else [str(out) if a == OUT else a for a in argv])
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, captured.out, captured.err, written
+
+
+class TestPerCommandParser:
+    """main builds the flags of the invoked subcommand only, and nothing it prints or writes changes."""
+
+    def test_a_named_command_gets_the_full_actions_and_the_others_none(self):
+        full = build_parser()
+        for command in COMMAND_PIN:
+            parser = build_parser(command)
+            assert parser_actions(parser) == parser_actions(full)
+            sub, full_sub = subparsers(parser), subparsers(full)
+            assert [(c.dest, c.help) for c in sub._choices_actions] == [
+                (c.dest, c.help) for c in full_sub._choices_actions
+            ]
+            for name, p in sub.choices.items():
+                assert parser_actions(p) == (parser_actions(full_sub.choices[name]) if name == command else [])
+
+    @pytest.mark.parametrize("argv", EQUIVALENCE_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_same_exit_output_and_bytes_as_the_full_parser(self, argv, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out.csv"
+        per_command = outcome(argv, out, capsys)
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        assert outcome(argv, out, capsys) == per_command
+
+    def test_only_the_invoked_commands_flags_are_registered(self, tmp_path, monkeypatch):
+        registered = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spy(self, *args, **kwargs):
+            registered.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        assert main(["bounds", "--theta-grid", "0:1:3", "--out", str(tmp_path / "b.csv")]) == 0
+        help_flags = ("-h", "--help")  # the top level's, then bounds'
+        assert registered == [help_flags, help_flags, ("--theta-grid",), ("--out",), ("--seed",), ("--degrees",)]
+
+    @pytest.mark.parametrize("argv", [("bounds", "--theta-grid", "0:1:3", "--out", OUT), ("simulate", "-h")])
+    def test_main_without_argv_reads_sys_argv(self, argv, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out.csv"
+        given = outcome(argv, out, capsys)
+        monkeypatch.setattr(sys, "argv", ["chshlab", *(str(out) if a == OUT else a for a in argv)])
+        assert outcome(None, out, capsys) == given
 
 
 class TestParsing:
