@@ -328,7 +328,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = sys.argv[1:] if argv is None else argv
     # argparse dispatches on the first positional token.  The top level has no option that takes a value, so
     # that is the first token without a leading -, or an earlier one such as "-" that names no command.
     args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
