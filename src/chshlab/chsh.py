@@ -100,11 +100,6 @@ def _combine(terms):
     return s - next(it)
 
 
-def _parity(n_pp, n_pm, n_mp, n_mm):
-    """The correlation of one setting's outcome probabilities (or counts): pp + mm - pm - mp."""
-    return n_pp + n_mm - n_pm - n_mp
-
-
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Dichotomic polarization observable."""
@@ -155,7 +150,9 @@ def _probabilities(alpha, beta, xi) -> tuple:
 
 
 def _correlation(alpha, beta, xi):
-    return _parity(*_probabilities(alpha, beta, xi))
+    """The correlation of one setting's outcome probabilities: p_pp + p_mm - p_pm - p_mp."""
+    p_pp, p_pm, p_mp, p_mm = _probabilities(alpha, beta, xi)
+    return p_pp + p_mm - p_pm - p_mp
 
 
 def correlation(alpha, beta, xi):
@@ -221,13 +218,15 @@ def classical_s_values() -> list[float]:
     return [float(_combine(x * y for x, y in _settings(a, b))) for a in signs for b in signs]
 
 
-def _sample_count(n) -> int:
-    """n as an int, once it is a whole number of at least one."""
-    count = int(n)
-    if count != n:
-        raise ValueError(f"n must be a whole number, got {n!r}")
-    if count < 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
+def _whole(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int, once it is a whole number in [low, high], or at least low when high is None."""
+    count = int(value)
+    if count != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {count}")
+    if high is not None and count > high:
+        raise ValueError(f"{name} must be at most {high}, got {count}")
     return count
 
 
@@ -244,7 +243,7 @@ def haar_blocks(lam, n: int, seed: int):
     time, so memory is flat in n and sample i depends on neither n nor the
     block size.  n is checked before this returns, before any state is drawn.
     """
-    count = _sample_count(n)
+    count = _whole(n, "n", 1)
 
     def blocks():
         for start in range(0, count, _HAAR_CHUNK):
@@ -261,7 +260,7 @@ def haar_blocks(lam, n: int, seed: int):
 
 def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:
     """The n values of haar_blocks at B(theta)'s spectrum, in one array: 8 bytes per state plus a constant."""
-    count = _sample_count(n)
+    count = _whole(n, "n", 1)
     out = np.empty(count)
     for start, values in haar_blocks(bell_spectrum(theta), count, seed):
         out[start : start + values.size] = values

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .chsh import (
-    CIRELSON_LIMIT, CLASSICAL_LIMIT, bell_spectrum, haar_blocks, quantum_bounds, s_parameter,
+    CIRELSON_LIMIT, CLASSICAL_LIMIT, _whole, bell_spectrum, haar_blocks, quantum_bounds, s_parameter,
 )
 from .expsim import NoiseModel, estimate_s
 from .rng import derive_seed
@@ -189,45 +189,43 @@ def resolve_noise(args: argparse.Namespace) -> NoiseModel:
     return NoiseModel(**fields)
 
 
-def cmd_surface(thetas: np.ndarray, xis: np.ndarray, out: str) -> None:
-    _write_rows(out, ("theta", "xi", "s"), _lines(thetas[:, None], xis, s_parameter(thetas[:, None], xis)))
+def cmd_surface(args: argparse.Namespace) -> None:
+    thetas, xis = args.theta_grid[:, None], args.xi_grid
+    _write_rows(args.out, ("theta", "xi", "s"), _lines(thetas, xis, s_parameter(thetas, xis)))
 
 
-def cmd_sweep_xi(theta_list, xis: np.ndarray, out: str) -> None:
-    thetas = np.asarray(theta_list)[:, None]
-    s = s_parameter(thetas, xis)
+def cmd_sweep_xi(args: argparse.Namespace) -> None:
+    thetas, xis = np.asarray(args.theta_list)[:, None], args.xi_grid
     header = ("theta", "xi", "s", "classical_limit", "cirelson_limit")
-    _write_rows(out, header, _lines(thetas, xis, s, CLASSICAL_LIMIT, CIRELSON_LIMIT))
+    _write_rows(args.out, header, _lines(thetas, xis, s_parameter(thetas, xis), CLASSICAL_LIMIT, CIRELSON_LIMIT))
 
 
-def cmd_sweep_theta(xi_list, thetas: np.ndarray, out: str) -> None:
-    xis = np.asarray(xi_list)[:, None]
+def cmd_sweep_theta(args: argparse.Namespace) -> None:
+    xis, thetas = np.asarray(args.xi_list)[:, None], args.theta_grid
     env = quantum_bounds(thetas)
     rows = _lines(xis, thetas, s_parameter(thetas, xis), env.s_min, env.s_max)
-    _write_rows(out, ("xi", "theta", "s", "s_qmin", "s_qmax"), rows)
+    _write_rows(args.out, ("xi", "theta", "s", "s_qmin", "s_qmax"), rows)
 
 
-def cmd_bounds(thetas: np.ndarray, out: str) -> None:
+def cmd_bounds(args: argparse.Namespace) -> None:
+    thetas = args.theta_grid
     q = quantum_bounds(thetas).s_max
     rows = _lines(thetas, CLASSICAL_LIMIT, q, CIRELSON_LIMIT, CIRELSON_LIMIT - q)
-    _write_rows(out, ("theta", "classical_bound", "quantum_max", "cirelson", "superquantum_gap"), rows)
+    _write_rows(args.out, ("theta", "classical_bound", "quantum_max", "cirelson", "superquantum_gap"), rows)
 
 
-def cmd_simulate(
-    theta_list, xi_list, pairs: int, noise: NoiseModel, seed: int, replications: int, out: str
-) -> None:
-    if replications < 1:
-        raise ValueError(f"replications must be at least 1, got {replications!r}")
-    i, j, rep = np.ix_(range(len(theta_list)), range(len(xi_list)), range(replications))
-    thetas, xis = np.asarray(theta_list)[i], np.asarray(xi_list)[j]
-    est = estimate_s(thetas, xis, pairs, noise, derive_seed(seed, i, j, rep))
+def cmd_simulate(args: argparse.Namespace) -> None:
+    noise, replications = resolve_noise(args), _whole(args.replications, "replications", 1)
+    i, j, rep = np.ix_(range(len(args.theta_list)), range(len(args.xi_list)), range(replications))
+    thetas, xis = np.asarray(args.theta_list)[i], np.asarray(args.xi_list)[j]
+    est = estimate_s(thetas, xis, args.pairs, noise, derive_seed(args.seed, i, j, rep))
     rows = _lines(thetas, xis, est.s_hat, est.std_err, s_parameter(thetas, xis))
-    _write_rows(out, ("theta", "xi", "s_hat", "std_err", "s_ideal"), rows)
+    _write_rows(args.out, ("theta", "xi", "s_hat", "std_err", "s_ideal"), rows)
 
 
-def cmd_sample(theta: float, n: int, seed: int, out: str) -> None:
-    lam = bell_spectrum(theta)
-    blocks = haar_blocks(lam, n, seed)
+def cmd_sample(args: argparse.Namespace) -> None:
+    lam = bell_spectrum(args.theta)
+    blocks = haar_blocks(lam, args.n, args.seed)
 
     def rows():
         lo, hi = math.inf, -math.inf
@@ -236,7 +234,7 @@ def cmd_sample(theta: float, n: int, seed: int, out: str) -> None:
             yield from _lines(np.arange(start, start + values.size), values, "", "", "", "")
         yield from _lines("summary", "", lo, hi, lam[0], lam[-1])
 
-    _write_rows(out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows())
+    _write_rows(args.out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows())
 
 
 def _radians(value: float | None, degrees: bool) -> float | None:
@@ -273,32 +271,18 @@ _FLAGS = {
 _NOISE = ("--config", "--visibility", "--offset-a", "--offset-b", "--accidentals")
 _COMMON = ("--out", "--seed", "--degrees")
 
-# Each command's help, the flags it has before _COMMON's, and its handler, which main calls with every angle in radians.
+# Each command's help, the flags it has before _COMMON's, and its handler, which main calls with the parsed
+# namespace once every angle in it is in radians.
 _COMMANDS = {
-    "surface": (
-        "S over a full (theta, xi) grid", ("--theta-grid", "--xi-grid"),
-        lambda a: cmd_surface(a.theta_grid, a.xi_grid, a.out),
-    ),
-    "sweep-xi": (
-        "S versus xi for chosen theta values", ("--theta-list", "--xi-grid"),
-        lambda a: cmd_sweep_xi(a.theta_list, a.xi_grid, a.out),
-    ),
-    "sweep-theta": (
-        "S versus theta with the spectral bound envelope", ("--xi-list", "--theta-grid"),
-        lambda a: cmd_sweep_theta(a.xi_list, a.theta_grid, a.out),
-    ),
-    "bounds": (
-        "classical, spectral, and quantum-ceiling bounds per theta", ("--theta-grid",),
-        lambda a: cmd_bounds(a.theta_grid, a.out),
-    ),
+    "surface": ("S over a full (theta, xi) grid", ("--theta-grid", "--xi-grid"), cmd_surface),
+    "sweep-xi": ("S versus xi for chosen theta values", ("--theta-list", "--xi-grid"), cmd_sweep_xi),
+    "sweep-theta": ("S versus theta with the spectral bound envelope", ("--xi-list", "--theta-grid"), cmd_sweep_theta),
+    "bounds": ("classical, spectral, and quantum-ceiling bounds per theta", ("--theta-grid",), cmd_bounds),
     "simulate": (
         "simulated S measurements with error bars", ("--theta-list", "--xi-list", "--pairs", "--replications", *_NOISE),
-        lambda a: cmd_simulate(a.theta_list, a.xi_list, a.pairs, resolve_noise(a), a.seed, a.replications, a.out),
+        cmd_simulate,
     ),
-    "sample": (
-        "Bell-operator expectations of random pure states", ("--theta", "--n"),
-        lambda a: cmd_sample(a.theta, a.n, a.seed, a.out),
-    ),
+    "sample": ("Bell-operator expectations of random pure states", ("--theta", "--n"), cmd_sample),
 }
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import (
-    _analyzers, _combine, _probabilities, _scalar_or_array, _settings, analyzer_angle, xi_param,
+    _analyzers, _combine, _probabilities, _scalar_or_array, _settings, _whole, analyzer_angle, xi_param,
 )
 from .rng import _unit, binomial, derive_seed, words
 
@@ -104,13 +104,7 @@ def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     binomial variance (1 - E^2)/pairs, and the four settings add in quadrature.
     pairs must be a whole number in [2, MAX_PAIRS]; the checks run before anything is allocated.
     """
-    if int(pairs) != pairs:
-        raise ValueError(f"pairs must be a whole number, got {pairs!r}")
-    pairs = int(pairs)
-    if pairs < 2:
-        raise ValueError(f"pairs must be at least 2, got {pairs!r}")
-    if pairs > MAX_PAIRS:
-        raise ValueError(f"pairs must be at most {MAX_PAIRS}, got {pairs!r}")
+    pairs = _whole(pairs, "pairs", 2, MAX_PAIRS)
     # The settings on the last axis, in S order.
     angles = zip(*_settings(*_analyzers(theta)))
     alphas, betas = (np.stack(np.broadcast_arrays(*side), axis=-1) for side in angles)

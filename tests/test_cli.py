@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chshlab import chsh, cli, expsim
-from chshlab.chsh import haar_sample_s, quantum_bounds, s_parameter
+from chshlab.chsh import haar_blocks, haar_sample_s, quantum_bounds, s_parameter
 from chshlab.cli import (
     _lines,
     _write_rows,
@@ -264,14 +264,6 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_angle_list("1,x")
 
-    def test_run_config_validation(self, tmp_path):
-        out = str(tmp_path / "x.csv")
-        with pytest.raises(ValueError, match="pairs"):
-            cmd_simulate((0.5,), (0.1,), 1, NoiseModel(), 0, 1, out)
-        with pytest.raises(ValueError, match="replications"):
-            cmd_simulate((0.5,), (0.1,), 10, NoiseModel(), 0, 0, out)
-        assert list(tmp_path.iterdir()) == []
-
 
 class TestSurface:
     def test_grid_shape_and_values(self, tmp_path):
@@ -303,11 +295,39 @@ class TestSurface:
         assert run_cli(*argv, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_degrees_flag_matches_radians(self, tmp_path):
-        a, b = tmp_path / "deg.csv", tmp_path / "rad.csv"
-        run_cli("surface", "--theta-grid", "0:180:7", "--xi-grid", "0:180:5", "--degrees", "--out", a)
-        run_cli("surface", "--theta-grid", f"0:{PI}:7", "--xi-grid", f"0:{PI}:5", "--out", b)
-        assert a.read_bytes() == b.read_bytes()
+
+class TestDegrees:
+    # Each command's angle flags in degrees, then the same angles in radians.
+    CASES = {
+        "surface": (
+            ("--theta-grid", "0:180:7", "--xi-grid", "0:180:5"),
+            ("--theta-grid", f"0:{PI}:7", "--xi-grid", f"0:{PI}:5"),
+        ),
+        "sweep-xi": (
+            ("--theta-list", "45,90", "--xi-grid", "0:180:5"),
+            ("--theta-list", f"{PI / 4},{PI / 2}", "--xi-grid", f"0:{PI}:5"),
+        ),
+        "sweep-theta": (
+            ("--xi-list", "0,45", "--theta-grid", "0:180:7"),
+            ("--xi-list", f"0,{PI / 4}", "--theta-grid", f"0:{PI}:7"),
+        ),
+        "bounds": (("--theta-grid", "0:180:7"), ("--theta-grid", f"0:{PI}:7")),
+        "simulate": (
+            ("--theta-list", "45,90", "--xi-list", "0,90", "--offset-a", "1", "--offset-b", "-2"),
+            (
+                "--theta-list", f"{PI / 4},{PI / 2}", "--xi-list", f"0,{PI / 2}",
+                "--offset-a", repr(math.radians(1)), "--offset-b", repr(math.radians(-2)),
+            ),
+        ),
+        "sample": (("--theta", "45", "--n", "50"), ("--theta", str(PI / 4), "--n", "50")),
+    }
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_output_matches_radians_byte_for_byte(self, command, tmp_path):
+        degrees, radians = self.CASES[command]
+        assert run_cli(command, *degrees, "--degrees", "--seed", "3", "--out", tmp_path / "deg.csv") == 0
+        assert run_cli(command, *radians, "--seed", "3", "--out", tmp_path / "rad.csv") == 0
+        assert (tmp_path / "deg.csv").read_bytes() == (tmp_path / "rad.csv").read_bytes()
 
 
 class TestSweepXi:
@@ -514,12 +534,6 @@ class TestSimulate:
         assert capsys.readouterr().err == f"chshlab: error: {cfg}:3: duplicate key 'visibility'\n"
         assert not out.exists()
 
-    def test_cmd_simulate_direct_call(self, tmp_path):
-        out = tmp_path / "direct.csv"
-        cmd_simulate((0.5,), (0.1, 0.2), 1000, NoiseModel.ideal(), 1, 2, str(out))
-        _, rows = read_csv(out)
-        assert len(rows) == 4
-
     @pytest.mark.parametrize(
         "command, flag, value",
         [
@@ -607,6 +621,46 @@ class TestSimulate:
         assert peak < 60, f"ru_maxrss {peak:.1f} MiB"
 
 
+def simulate_with_replications(replications, out):
+    """cmd_simulate at one setting, with the namespace main would pass it but for replications."""
+    args = build_parser("simulate").parse_args(["simulate", "--out", out])
+    args.theta_list, args.xi_list, args.replications = (0.5,), (0.1,), replications
+    cmd_simulate(args)
+
+
+class TestCountChecks:
+    # Each count through its caller: at each bound (accepted, no message), just past it, and as a non-whole float.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda out: haar_sample_s(0.3, 1.0, 1), None),
+            (lambda out: haar_sample_s(0.3, 0, 1), "n must be at least 1, got 0"),
+            (lambda out: haar_sample_s(0.3, 0.0, 1), "n must be at least 1, got 0"),
+            (lambda out: haar_blocks(np.zeros(4), -3, 1), "n must be at least 1, got -3"),
+            (lambda out: haar_sample_s(0.3, 2.5, 1), "n must be a whole number, got 2.5"),
+            (lambda out: estimate_s(0.3, 0.1, 2, NoiseModel(), 0), None),
+            (lambda out: estimate_s(0.3, 0.1, 1, NoiseModel(), 0), "pairs must be at least 2, got 1"),
+            (lambda out: estimate_s(0.3, 0.1, 1.0, NoiseModel(), 0), "pairs must be at least 2, got 1"),
+            (
+                lambda out: estimate_s(0.3, 0.1, 10**12 + 1, NoiseModel(), 0),
+                "pairs must be at most 1000000000000, got 1000000000001",
+            ),
+            (lambda out: estimate_s(0.3, 0.1, 100.5, NoiseModel(), 0), "pairs must be a whole number, got 100.5"),
+            (lambda out: simulate_with_replications(1, out), None),
+            (lambda out: simulate_with_replications(0, out), "replications must be at least 1, got 0"),
+            (lambda out: simulate_with_replications(1.5, out), "replications must be a whole number, got 1.5"),
+        ],
+    )
+    def test_messages(self, call, message, tmp_path):
+        if message is None:
+            call(str(tmp_path / "x.csv"))
+            return
+        with pytest.raises(ValueError) as exc:
+            call(str(tmp_path / "x.csv"))
+        assert str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSample:
     def test_summary_and_containment(self, tmp_path):
         out = tmp_path / "sample.csv"
@@ -629,12 +683,6 @@ class TestSample:
         run_cli("sample", "--theta", str(PI / 4), "--n", "100000", "--seed", "20260808", "--out", out)
         _, rows = read_csv(out)
         assert float(rows[-1][3]) >= 2.68
-
-    def test_degrees(self, tmp_path):
-        a, b = tmp_path / "deg.csv", tmp_path / "rad.csv"
-        run_cli("sample", "--theta", "45", "--degrees", "--n", "50", "--seed", "3", "--out", a)
-        run_cli("sample", "--theta", str(PI / 4), "--n", "50", "--seed", "3", "--out", b)
-        assert a.read_bytes() == b.read_bytes()
 
     def test_rejects_zero_samples(self, tmp_path, capsys):
         rc = run_cli("sample", "--theta", "0.5", "--n", "0", "--out", tmp_path / "x.csv")
