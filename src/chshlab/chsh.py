@@ -41,16 +41,16 @@ def _validated(value, ok, message: str) -> np.ndarray:
     return v
 
 
-def _wrapped(a):
-    """Finite angles ``a`` reduced into [0, 2*pi), as _scalar_or_array gives them."""
+def _wrapped(a, period: float):
+    """Finite angles ``a`` reduced into [0, period), as _scalar_or_array gives them."""
     # Float modulo may return the modulus itself for tiny negative inputs; the
     # second modulo maps it to 0 and leaves every value below it unchanged.
-    return _scalar_or_array(a % TWO_PI % TWO_PI)
+    return _scalar_or_array(a % period % period)
 
 
 def analyzer_angle(alpha):
     """Reduce analyzer angles into [0, 2*pi); a scalar gives a float, an array an array."""
-    return _wrapped(_validated(alpha, np.isfinite, "analyzer angle must be finite"))
+    return _wrapped(_validated(alpha, np.isfinite, "analyzer angle must be finite"), TWO_PI)
 
 
 def theta_param(theta):
@@ -62,8 +62,7 @@ def theta_param(theta):
 
 def xi_param(xi):
     """Reduce the state mixing angle xi into [0, pi); S is pi-periodic in xi. Arrays entrywise."""
-    x = _validated(xi, np.isfinite, "xi must be finite") % math.pi % math.pi
-    return _scalar_or_array(x)
+    return _wrapped(_validated(xi, np.isfinite, "xi must be finite"), math.pi)
 
 
 # The settings table.  Analyzer a takes (a1, a2) = (2 theta, 0) and b takes
@@ -81,7 +80,7 @@ def _analyzers(theta) -> tuple:
     """
     t = theta_param(theta)
     # A multiple of a checked theta is finite, so it needs analyzer_angle's reduction but not its check.
-    return tuple(tuple(_wrapped(np.multiply(m, t)) if m else 0.0 for m in side) for side in _ANALYZER_MULTIPLES)
+    return tuple(tuple(_wrapped(np.multiply(m, t), TWO_PI) if m else 0.0 for m in side) for side in _ANALYZER_MULTIPLES)
 
 
 def _settings(a, b) -> list:

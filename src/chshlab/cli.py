@@ -127,8 +127,9 @@ def parse_grid(text: str | None, degrees: bool = False) -> np.ndarray:
         raise ValueError(f"grid {text!r} is not of the form start:stop:count") from exc
     if degrees:
         start, stop = math.radians(start), math.radians(stop)
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError("grid endpoints must be finite")
+    # Also refuses finite endpoints whose difference overflows, which linspace would turn into NaN points.
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid {text!r} must span a finite interval")
     if count < 2:
         raise ValueError(f"grid count must be at least 2, got {count}")
     if not start < stop:
@@ -140,13 +141,11 @@ def parse_angle_list(text: str | None, degrees: bool = False) -> tuple[float, ..
     """Parse a nonempty comma-separated list of angles; None gives DEFAULT_ANGLE_LIST."""
     if text is None:
         return DEFAULT_ANGLE_LIST
-    items = [item.strip() for item in text.split(",") if item.strip()]
-    if not items:
-        raise ValueError("angle list must not be empty")
     try:
-        values = tuple(float(item) for item in items)
+        # float() ignores the whitespace around an entry and refuses an empty one.
+        values = tuple(float(item) for item in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"angle list {text!r} contains a non-numeric entry") from exc
+        raise ValueError(f"angle list {text!r} contains an empty or non-numeric entry") from exc
     if degrees:
         values = tuple(math.radians(v) for v in values)
     return values

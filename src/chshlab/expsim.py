@@ -6,8 +6,9 @@ check that equivalence), so the outcome probabilities come from the chsh
 kernel.  Imperfections are modeled as a depolarizing (Werner) admixture, fixed
 analyzer offsets, and a uniform accidental-coincidence floor; the admixture
 and the floor are affine in the pure-state probabilities, and the offsets
-shift the analyzer angles.  Each setting's same-outcome count is one binomial
-draw, and S is estimated from the counts' correlations with binomial error bars.
+shift the analyzer angles.  The simulator computes one probability per
+setting, p_pp + p_mm, draws the same-outcome count as one binomial of it, and
+estimates S from the counts' correlations with binomial error bars.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class SEstimate:
 
     ``s_hat`` and ``std_err`` are floats for scalar inputs and arrays of the
     broadcast input shape otherwise; ``counts[..., setting, :]`` holds each
-    setting's same- and different-outcome counts (N_pp + N_mm, N_pm + N_mp).
+    setting's same- and different-outcome counts (N_pp + N_mm, N_pm + N_mp),
+    drawn from one probability per setting.
     """
 
     s_hat: float
@@ -75,33 +77,30 @@ class SEstimate:
 
 
 def setting_probabilities(alpha, beta, xi, noise: NoiseModel) -> np.ndarray:
-    """Outcome probabilities (p_pp, p_pm, p_mp, p_mm) on the last axis, one row per analyzer pair.
+    """The noisy same-outcome probability p_pp + p_mm, one per analyzer pair.
 
     The pure-state probabilities come from the chsh kernel at the offset
     analyzer angles; the Werner admixture and the accidental floor are affine
-    in them: p = (1 - f) * (v * p_pure + (1 - v) / 4) + f / 4.  Broadcasts
-    over arrays of alpha, beta and xi.
+    in them, so p = (1 - f) * (v * (p_pp + p_mm) + (1 - v) / 2) + f / 2, capped
+    at 1.  Broadcasts over arrays of alpha, beta and xi.
     """
-    pure = np.stack(
-        _probabilities(
-            analyzer_angle(alpha + noise.analyzer_offset_a),
-            analyzer_angle(beta + noise.analyzer_offset_b),
-            xi_param(xi),
-        ),
-        axis=-1,
+    p_pp, _, _, p_mm = _probabilities(
+        analyzer_angle(alpha + noise.analyzer_offset_a), analyzer_angle(beta + noise.analyzer_offset_b), xi_param(xi)
     )
     v = noise.visibility
     f = noise.accidental_fraction
-    return (1.0 - f) * (v * pure + (1.0 - v) * 0.25) + 0.25 * f
+    # p_pp + p_mm rounds one ulp above 1 on some aligned analyzers, e.g. equal offsets at theta = 0, xi = 0.
+    return np.minimum((1.0 - f) * (v * (p_pp + p_mm) + (1.0 - v) * 0.5) + 0.5 * f, 1.0)
 
 
 def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     """Simulate the four settings and combine the counts into an S estimate.
 
     Broadcasts over arrays of theta, xi and seed.  Setting k draws its
-    same-outcome count N_same at word 1 of derive_seed(seed, k), so settings and
-    replications are independent streams.  E = (2 N_same - pairs)/pairs has the
-    binomial variance (1 - E^2)/pairs, and the four settings add in quadrature.
+    same-outcome count N_same from one probability per setting, at word 1 of
+    derive_seed(seed, k), so settings and replications are independent
+    streams.  E = (2 N_same - pairs)/pairs has the binomial variance
+    (1 - E^2)/pairs, and the four settings add in quadrature.
     pairs must be a whole number in [2, MAX_PAIRS]; the checks run before anything is allocated.
     """
     pairs = _whole(pairs, "pairs", 2, MAX_PAIRS)
@@ -109,11 +108,10 @@ def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     angles = zip(*_settings(*_analyzers(theta)))
     alphas, betas = (np.stack(np.broadcast_arrays(*side), axis=-1) for side in angles)
     # Replications share the (theta, xi) table: the seeds' axes are not in it.
-    probs = setting_probabilities(alphas, betas, np.asarray(xi)[..., None], noise)
+    p_same = setting_probabilities(alphas, betas, np.asarray(xi)[..., None], noise)
     # derive_seed(seed) wraps any int seed into uint64 before the setting axis is added.
     seeds = derive_seed(np.expand_dims(derive_seed(seed), -1), np.arange(alphas.shape[-1]))
-    # p_pp + p_mm rounds one ulp above 1 on some aligned analyzers, e.g. equal offsets at theta = 0, xi = 0.
-    same = binomial(pairs, np.minimum(probs[..., 0] + probs[..., 3], 1.0), _unit(words(seeds, 0, 1))[..., 0])
+    same = binomial(pairs, p_same, _unit(words(seeds, 0, 1))[..., 0])
     # Each setting's correlation, settings first.
     e = np.moveaxis((2 * same - pairs) / pairs, -1, 0)
     # The variances add in quadrature, in setting order; no term is negative, as each |e_k| <= 1 exactly.

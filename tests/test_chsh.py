@@ -22,7 +22,6 @@ from chshlab.chsh import (
     theta_param,
     xi_param,
 )
-from chshlab.expsim import NoiseModel, setting_probabilities
 from chshlab.linalg import PAULI_X, PAULI_Z, expectation, herm_eigenvalues, tensor
 from chshlab.rng import _unit, words
 
@@ -43,8 +42,8 @@ HAAR_SEED = 20260808
 
 
 def coincidence_probabilities(alpha, beta, xi):
-    # The noiseless table is the chsh probability kernel bit for bit.
-    return tuple(setting_probabilities(alpha, beta, xi, NoiseModel.ideal()))
+    # The chsh probability kernel's four outcomes, at angles reduced as the public functions reduce them.
+    return chsh._probabilities(analyzer_angle(alpha), analyzer_angle(beta), xi_param(xi))
 
 
 def s_closed_form(theta, xi):

@@ -251,7 +251,8 @@ class TestParsing:
         assert np.array_equal(parse_grid("10:170:33", degrees=True), parse_grid(radians))
 
     def test_grid_errors(self):
-        for bad in ("1:0:5", "0:1:1", "0:1", "a:b:c", "0:inf:4"):
+        # The last two have finite endpoints whose difference overflows, which linspace turns into NaN points.
+        for bad in ("1:0:5", "0:1:1", "0:1", "a:b:c", "0:inf:4", "-1e308:1e308:2", "-1.7e308:1.7e308:5"):
             with pytest.raises(ValueError):
                 parse_grid(bad)
 
@@ -259,10 +260,10 @@ class TestParsing:
         assert parse_angle_list("0, 0.5 ,1") == (0.0, 0.5, 1.0)
         assert parse_angle_list("90", degrees=True) == (PI / 2,)
         assert parse_angle_list(None) == cli.DEFAULT_ANGLE_LIST
-        with pytest.raises(ValueError):
-            parse_angle_list("")
-        with pytest.raises(ValueError):
-            parse_angle_list("1,x")
+        # An empty entry is refused, not dropped: "0,,1" does not mean "0,1".
+        for bad in ("", " ", "0,,1", "0,1,", ",0", "1,x"):
+            with pytest.raises(ValueError, match=f"angle list {bad!r} contains an empty or non-numeric entry"):
+                parse_angle_list(bad)
 
 
 class TestSurface:
@@ -590,7 +591,7 @@ class TestSimulate:
         argv = ["--theta-list", "0.1,0.7,1.3", "--xi-list", "0,0.4", "--pairs", "500", "--replications", "4"]
         assert run_cli("simulate", *argv, "--seed", "2", "--out", out) == 0
         assert len(estimates) == 1
-        assert [p.shape for p in tables] == [(3, 2, 1, 4, 4)]
+        assert [p.shape for p in tables] == [(3, 2, 1, 4)]
         # Row (i, j, rep) is the scalar estimate at derive_seed(seed, i, j, rep).
         _, rows = read_csv(out)
         assert len(rows) == 24
@@ -740,6 +741,18 @@ class TestErrorHandling:
         rc = run_cli("bounds", "--theta-grid", "0:7:3", "--out", tmp_path / "x.csv")
         assert rc == 1
         assert "theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sweep-xi", "--theta-list", "0,,1"), "angle list '0,,1' contains an empty or non-numeric entry"),
+            (("surface", "--xi-grid=-1e308:1e308:2"), "grid '-1e308:1e308:2' must span a finite interval"),
+        ],
+    )
+    def test_bad_angle_text_is_one_error_line(self, argv, message, tmp_path, capsys):
+        assert run_cli(*argv, "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr() == ("", f"chshlab: error: {message}\n")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_grid_syntax(self, tmp_path, capsys):
         rc = run_cli("surface", "--theta-grid", "0::5", "--out", tmp_path / "x.csv")

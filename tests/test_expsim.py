@@ -56,6 +56,12 @@ def reference_probabilities(alpha, beta, xi, noise):
     )
 
 
+def reference_same(alpha, beta, xi, noise):
+    """The reference's same-outcome probability p_pp + p_mm."""
+    p_pp, _, _, p_mm = reference_probabilities(alpha, beta, xi, noise)
+    return p_pp + p_mm
+
+
 class TestNoiseModel:
     def test_defaults(self):
         noise = NoiseModel()
@@ -113,36 +119,44 @@ class TestNoisyState:
     def test_mixture_expectation(self):
         rho = werner_state(state_phi(0.0), 0.9)
         assert np.trace(rho @ ZZ).real == pytest.approx(0.9, abs=1e-12)
-        # The same correlation from the simulator's probabilities.
+        # The same correlation from the simulator's same-outcome probability.
         p = setting_probabilities(0.0, 0.0, 0.0, NoiseModel(visibility=0.9, accidental_fraction=0.0))
-        assert p[0] + p[3] - p[1] - p[2] == pytest.approx(0.9, abs=1e-12)
+        assert 2 * p - 1 == pytest.approx(0.9, abs=1e-12)
 
 
 class TestSettingProbabilities:
+    """The noisy same-outcome probability, one per analyzer pair."""
+
     def test_pure_phi_plus_aligned(self):
-        p = setting_probabilities(0.0, 0.0, 0.0, NO_NOISE)
-        assert tuple(p) == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-12)
+        # (p_pp, p_pm, p_mp, p_mm) = (1/2, 0, 0, 1/2).
+        assert setting_probabilities(0.0, 0.0, 0.0, NO_NOISE) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_is_uniform(self):
         rng = np.random.default_rng(42)
         noise = NoiseModel(visibility=0.0, accidental_fraction=0.0)
         for _ in range(20):
             alpha, beta = rng.uniform(0, 2 * math.pi, 2)
-            p = setting_probabilities(alpha, beta, rng.uniform(0, math.pi), noise)
-            assert tuple(p) == pytest.approx((0.25,) * 4, abs=1e-12)
+            xi = rng.uniform(0, math.pi)
+            p = setting_probabilities(alpha, beta, xi, noise)
+            assert p == pytest.approx(0.5, abs=1e-12)
+            assert p == pytest.approx(reference_same(alpha, beta, xi, noise), abs=1e-12)
 
     def test_convex_mixture_arithmetic(self):
         noise = NoiseModel(visibility=0.96, accidental_fraction=0.0)
         p = setting_probabilities(0.0, 0.0, 0.0, noise)
-        # 0.96 * (1/2, 0, 0, 1/2) + 0.04 * (1/4, ...) by direct arithmetic
-        assert tuple(p) == pytest.approx((0.49, 0.01, 0.01, 0.49), abs=1e-12)
-        # cross-check one entry against the trace path
+        # 0.96 * (1/2 + 1/2) + 0.04 * (1/4 + 1/4) by direct arithmetic
+        assert p == pytest.approx(0.98, abs=1e-12)
+        # cross-check against the trace path
         rho = werner_state(state_phi(0.0), 0.96)
-        assert rho[0, 0].real == pytest.approx(0.49, abs=1e-12)
+        assert (rho[0, 0] + rho[3, 3]).real == pytest.approx(0.98, abs=1e-12)
+        assert p == pytest.approx(reference_same(0.0, 0.0, 0.0, noise), abs=1e-12)
 
     def test_accidental_floor(self):
-        p = setting_probabilities(0.0, 0.0, 0.0, NoiseModel(visibility=1.0, accidental_fraction=0.2))
-        assert tuple(p) == pytest.approx((0.45, 0.05, 0.05, 0.45), abs=1e-12)
+        noise = NoiseModel(visibility=1.0, accidental_fraction=0.2)
+        p = setting_probabilities(0.0, 0.0, 0.0, noise)
+        # 0.8 * (1/2 + 1/2) + 0.2 * (1/4 + 1/4)
+        assert p == pytest.approx(0.9, abs=1e-12)
+        assert p == pytest.approx(reference_same(0.0, 0.0, 0.0, noise), abs=1e-12)
 
     def test_offsets_shift_analyzers(self):
         rng = np.random.default_rng(43)
@@ -156,16 +170,19 @@ class TestSettingProbabilities:
                 accidental_fraction=0.0,
             )
             shifted = setting_probabilities(alpha + da, beta + db, 0.4, NO_NOISE)
-            assert tuple(setting_probabilities(alpha, beta, 0.4, noise)) == pytest.approx(
-                tuple(shifted), abs=1e-12
-            )
+            assert setting_probabilities(alpha, beta, 0.4, noise) == pytest.approx(shifted, abs=1e-12)
+            assert shifted == pytest.approx(reference_same(alpha, beta, 0.4, noise), abs=1e-12)
 
     def test_sums_to_one(self):
+        # With the reference's different-outcome probability p_pm + p_mp, the four outcomes sum to one.
         rng = np.random.default_rng(44)
         alpha, beta = rng.uniform(0, 2 * math.pi, (2, 50))
         p = setting_probabilities(alpha, beta, 1.1, NoiseModel())
-        assert p.shape == (50, 4)
-        assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-12
+        assert p.shape == (50,)
+        assert ((0.0 <= p) & (p <= 1.0)).all()
+        for p_same, a, b in zip(p, alpha, beta):
+            _, p_pm, p_mp, _ = reference_probabilities(a, b, 1.1, NoiseModel())
+            assert abs(p_same + (p_pm + p_mp) - 1.0) <= 1e-12
 
     def test_matches_density_matrix_reference(self):
         rng = np.random.default_rng(46)
@@ -179,8 +196,9 @@ class TestSettingProbabilities:
             alpha, beta = rng.uniform(0, 2 * math.pi, (2, 4))
             xi = rng.uniform(-4, 4)
             got = setting_probabilities(alpha, beta, xi, noise)
-            for row, a, b in zip(got, alpha, beta):
-                assert np.max(np.abs(row - reference_probabilities(a, b, xi, noise))) <= 1e-12
+            assert got.shape == (4,) and (got <= 1.0).all()
+            for p, a, b in zip(got, alpha, beta):
+                assert abs(p - reference_same(a, b, xi, noise)) <= 1e-12
 
 
 class TestRunSetting:
@@ -191,8 +209,10 @@ class TestRunSetting:
         # equal offsets p_pp + p_mm rounds to 1 + 2**-52, which binomial would refuse.
         offset = 4.614859254854469
         aligned = NoiseModel(visibility=1.0, analyzer_offset_a=offset, analyzer_offset_b=offset, accidental_fraction=0.0)
-        p = setting_probabilities(0.0, 0.0, 0.0, aligned)
-        assert p[0] + p[3] > 1.0
+        p_pp, _, _, p_mm = chsh._probabilities(chsh.analyzer_angle(offset), chsh.analyzer_angle(offset), 0.0)
+        assert p_pp + p_mm > 1.0
+        # setting_probabilities caps it at 1.
+        assert setting_probabilities(0.0, 0.0, 0.0, aligned) == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for noise in (NO_NOISE, aligned):
@@ -239,13 +259,13 @@ class TestSimulatorLaw:
         t = self.THETA
         # (a1, b1), (a2, b1), (a1, b2), (a2, b2) with a1 = 2t, a2 = 0, b1 = t, b2 = 3t.
         alphas, betas = np.array([2 * t, 0.0, 2 * t, 0.0]), np.array([t, t, 3 * t, 3 * t])
-        probs = setting_probabilities(alphas, betas, self.XI, self.NOISE)
+        p_same = setting_probabilities(alphas, betas, self.XI, self.NOISE)
         seeds = derive_seed(2026, np.arange(self.RUNS))
-        return probs, estimate_s(self.THETA, self.XI, self.PAIRS, self.NOISE, seeds)
+        return p_same, estimate_s(self.THETA, self.XI, self.PAIRS, self.NOISE, seeds)
 
     def test_pull_is_standard(self, draws):
-        probs, est = draws
-        e = probs[:, 0] + probs[:, 3] - probs[:, 1] - probs[:, 2]
+        p_same, est = draws
+        e = 2 * p_same - 1
         s_expected = e[0] + e[1] + e[2] - e[3]
         pull = (est.s_hat - s_expected) / est.std_err
         assert abs(pull.mean()) < 5 / math.sqrt(self.RUNS)
@@ -253,8 +273,7 @@ class TestSimulatorLaw:
 
     def test_counts_match_setting_probabilities(self, draws):
         stats = pytest.importorskip("scipy.stats")
-        probs, est = draws
-        p_same = probs[:, 0] + probs[:, 3]
+        p_same, est = draws
         expected = self.PAIRS * np.stack([p_same, 1.0 - p_same], axis=-1)
         # Pooled over the runs, each setting's (N_same, N_diff) is one binomial draw of RUNS * PAIRS pairs.
         pooled = (est.counts.sum(axis=0) - self.RUNS * expected) ** 2 / (self.RUNS * expected)
@@ -352,7 +371,7 @@ class TestEstimateS:
         monkeypatch.setattr(expsim, "setting_probabilities", counted)
         est = estimate_s(np.array([0.1, 0.2])[:, None], 0.3, 100, NoiseModel(), np.arange(7))
         assert est.s_hat.shape == (2, 7)
-        assert [p.shape for p in calls] == [(2, 1, 4, 4)]
+        assert [p.shape for p in calls] == [(2, 1, 4)]
 
     def test_deterministic(self):
         a = estimate_s(0.9, 0.1, 2000, NoiseModel(), seed=11)
@@ -369,7 +388,7 @@ class TestEstimateS:
         assert len(plan) == 4
         for index, (a, b) in enumerate(plan):
             p = setting_probabilities(a, b, xi, noise)
-            same = binomial(pairs, p[0] + p[3], _unit(words(derive_seed(seed, index), 0, 1))[0])
+            same = binomial(pairs, p, _unit(words(derive_seed(seed, index), 0, 1))[0])
             assert est.counts[index].tolist() == [same, pairs - same]
 
     def test_one_kernel_call_per_estimate(self, monkeypatch):
