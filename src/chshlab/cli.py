@@ -325,7 +325,7 @@ def main(argv=None) -> int:
                 dest = keywords.get("dest", flag[2:].replace("-", "_"))
                 setattr(args, dest, read(getattr(args, dest), args.degrees))
         handler(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"chshlab: error: {exc}", file=sys.stderr)
         return 1
     return 0

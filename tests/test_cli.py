@@ -754,6 +754,19 @@ class TestErrorHandling:
         assert capsys.readouterr() == ("", f"chshlab: error: {message}\n")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_allocation_failure_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        # numpy's message for a 1e10-cell surface; raised here so that no test allocates a large array.
+        message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"
+
+        def refuse(*_):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "s_parameter", refuse)
+        argv = ("surface", "--theta-grid", "0:3:100000", "--xi-grid", "0:3:100000", "--out", tmp_path / "x.csv")
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == ("", f"chshlab: error: {message}\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_grid_syntax(self, tmp_path, capsys):
         rc = run_cli("surface", "--theta-grid", "0::5", "--out", tmp_path / "x.csv")
         assert rc == 1

@@ -7,6 +7,7 @@ python tests/test_golden.py``, which prints each case whose digest moved as
 ``name: old -> new``, and says so in CHANGES.md.
 """
 
+import ast
 import hashlib
 import json
 import tempfile
@@ -18,6 +19,7 @@ from chshlab.cli import main
 
 PI_4 = "0.7853981633974483"
 DIGEST_FILE = Path(__file__).parent / "golden" / "sha256.json"
+BENCH_WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads.py"
 
 CASES = {
     "surface": ("surface",),
@@ -73,6 +75,19 @@ def output_digest(argv, directory) -> str:
 def test_output_digest(name, tmp_path):
     expected = json.loads(DIGEST_FILE.read_text())
     assert output_digest(CASES[name], tmp_path) == expected[name]
+
+
+def test_benchmark_pins_the_golden_digests():
+    # Parsed, not imported, so that nothing is written under bench/.  A golden rewritten without the benchmark's
+    # pin fails here rather than in the benchmark's output check.
+    tree = ast.parse(BENCH_WORKLOADS.read_text())
+    (pinned,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["GRID_SHA256"]
+    ]
+    expected = json.loads(DIGEST_FILE.read_text())
+    assert pinned and {name: expected.get(name) for name in pinned} == pinned
 
 
 if __name__ == "__main__":
