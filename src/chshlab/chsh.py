@@ -23,7 +23,7 @@ SQRT1_2 = 1.0 / math.sqrt(2.0)
 CLASSICAL_LIMIT = 2.0
 CIRELSON_LIMIT = 2.0 * math.sqrt(2.0)
 
-_HAAR_CHUNK = 2**14  # states per block of words (three per state) in haar_blocks
+_HAAR_CHUNK = 2**14  # states per haar_block call (three words each) in haar_blocks and the sample command
 
 
 def _scalar_or_array(values):
@@ -229,32 +229,36 @@ def _whole(value, name: str, low: int, high: int | None = None) -> int:
     return count
 
 
-def haar_blocks(lam, n: int, seed: int):
-    """Bell-operator expectations of n Haar-random pure two-qubit states, block by block.
+def haar_block(lam, seed: int, start: int, count: int) -> np.ndarray:
+    """Bell-operator expectations of the Haar-random pure two-qubit states start..start+count-1.
 
     ``lam`` is B's ascending spectrum (bell_spectrum).  In B's eigenbasis the
     squared moduli of a Haar-random ket are uniform on the simplex (Zyczkowski
     & Sommers 2001), so <psi|B|psi> = sum_k lambda_k w_k, with w the spacings
     of three sorted uniforms.  State i reads words 3i+1..3i+3 of the stream
     rng.words(seed, ...), and its sum is written out in a fixed order with IEEE +
-    and * alone, so its bytes do not depend on numpy's SIMD dispatch.  Returns
-    an iterator of (start, values): states start.. of at most _HAAR_CHUNK at a
-    time, so memory is flat in n and sample i depends on neither n nor the
-    block size.  n is checked before this returns, before any state is drawn.
+    and * alone, so its bytes do not depend on numpy's SIMD dispatch, and
+    state i depends only on (seed, i), not on the block that holds it.
+    """
+    u = _unit(words(seed, 3 * start, 3 * count)).reshape(-1, 3)
+    # Three compare-exchanges order each triple as np.sort does: uniforms are never NaN or -0.
+    lo, hi = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
+    mid, top = np.minimum(hi, u[:, 2]), np.maximum(hi, u[:, 2])
+    low, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+    w = (low, mid - low, top - mid, 1.0 - top)
+    return ((lam[0] * w[0] + lam[1] * w[1]) + lam[2] * w[2]) + lam[3] * w[3]
+
+
+def haar_blocks(lam, n: int, seed: int):
+    """The n values of haar_block at spectrum ``lam``, block by block.
+
+    Returns an iterator of (start, values): states start.. of at most
+    _HAAR_CHUNK at a time, so memory is flat in n.  n is checked before this
+    returns, before any state is drawn.
     """
     count = _whole(n, "n", 1)
-
-    def blocks():
-        for start in range(0, count, _HAAR_CHUNK):
-            u = _unit(words(seed, 3 * start, 3 * min(_HAAR_CHUNK, count - start))).reshape(-1, 3)
-            # Three compare-exchanges order each triple as np.sort does: uniforms are never NaN or -0.
-            lo, hi = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
-            mid, top = np.minimum(hi, u[:, 2]), np.maximum(hi, u[:, 2])
-            low, mid = np.minimum(lo, mid), np.maximum(lo, mid)
-            w = (low, mid - low, top - mid, 1.0 - top)
-            yield start, ((lam[0] * w[0] + lam[1] * w[1]) + lam[2] * w[2]) + lam[3] * w[3]
-
-    return blocks()
+    starts = range(0, count, _HAAR_CHUNK)
+    return ((start, haar_block(lam, seed, start, min(_HAAR_CHUNK, count - start))) for start in starts)
 
 
 def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:

@@ -8,16 +8,19 @@ so reruns produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
 import shutil
+import signal
 import sys
 
 import numpy as np
 
+from . import chsh
 from .chsh import (
-    CIRELSON_LIMIT, CLASSICAL_LIMIT, _whole, bell_spectrum, haar_blocks, quantum_bounds, s_parameter,
+    CIRELSON_LIMIT, CLASSICAL_LIMIT, _whole, bell_spectrum, haar_block, quantum_bounds, s_parameter,
 )
 from .expsim import NoiseModel, estimate_s
 from .rng import derive_seed
@@ -112,6 +115,64 @@ def _write_rows(path: str, header: tuple[str, ...], lines) -> None:
                 os.unlink(tmp)
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
+
+
+def _render_share(render, tasks, conn) -> None:
+    """A worker of _ordered: send render(task) for each task in order, or the first exception, then return."""
+    # An interrupt reaches the whole process group; the main process handles it and ends this worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        for task in tasks:
+            conn.send(render(task))
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _ordered(render, tasks: range):
+    """Yield ``render(task)`` for each task of the range ``tasks``, in order.
+
+    On w = min(CPUs in os.sched_getaffinity(0), len(tasks)) forked workers,
+    worker k renders tasks[k::w] and sends each result over its own one-way
+    pipe, where it waits until the main thread reads it: result i comes from
+    worker i % w, and a worker holds about one result in flight.  A worker's
+    exception is sent in place of its result and raised here.  Being forked,
+    the workers see ``render`` and this process's state without pickling, but
+    no other thread of it.  On one CPU, for one task, or where
+    os.sched_getaffinity does not exist, this process renders every task.
+    However the generator ends, every worker is ended and joined first.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    w = min(len(getaffinity(0)), len(tasks)) if getaffinity is not None else 1
+    if w < 2:
+        yield from map(render, tasks)
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    conns, workers = [], []
+    try:
+        for k in range(w):
+            receiver, sender = context.Pipe(duplex=False)
+            conns.append(receiver)
+            workers.append(context.Process(target=_render_share, args=(render, tasks[k::w], sender)))
+            workers[-1].start()
+            # Only the worker keeps the sending end, so its exit shows here as end of file.
+            sender.close()
+        for i in range(len(tasks)):
+            try:
+                result = conns[i % w].recv()
+            except EOFError:
+                raise ChildProcessError(f"worker {i % w} exited before sending result {i}") from None
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+    finally:
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join()
+        for conn in conns:
+            conn.close()
 
 
 def parse_grid(text: str | None, degrees: bool = False) -> np.ndarray:
@@ -223,17 +284,26 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
-    lam = bell_spectrum(args.theta)
-    blocks = haar_blocks(lam, args.n, args.seed)
+    lam, count, chunk = bell_spectrum(args.theta), _whole(args.n, "n", 1), chsh._HAAR_CHUNK
+
+    def block(start):
+        """The CSV text of the states of haar_block at start, and their min and max."""
+        values = haar_block(lam, args.seed, start, min(chunk, count - start))
+        text = "".join(_lines(np.arange(start, start + values.size), values, "", "", "", ""))
+        return text, values.min(), values.max()
+
+    blocks = _ordered(block, range(0, count, chunk))
 
     def rows():
         lo, hi = math.inf, -math.inf
-        for start, values in blocks:
-            lo, hi = min(lo, values.min()), max(hi, values.max())
-            yield from _lines(np.arange(start, start + values.size), values, "", "", "", "")
+        for text, block_lo, block_hi in blocks:
+            lo, hi = min(lo, block_lo), max(hi, block_hi)
+            yield text
         yield from _lines("summary", "", lo, hi, lam[0], lam[-1])
 
-    _write_rows(args.out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows())
+    # Closing the blocks ends their workers on every path, before the error or interrupt goes on.
+    with contextlib.closing(blocks):
+        _write_rows(args.out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows())
 
 
 def _radians(value: float | None, degrees: bool) -> float | None:

@@ -1,6 +1,8 @@
 import argparse
 import csv
+import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from chshlab import chsh, cli, expsim
-from chshlab.chsh import haar_blocks, haar_sample_s, quantum_bounds, s_parameter
+from chshlab.chsh import bell_spectrum, haar_blocks, haar_sample_s, quantum_bounds, s_parameter
 from chshlab.cli import (
     _lines,
     _write_rows,
@@ -56,6 +58,25 @@ def joined_rows(*columns):
 RSS_PROBE = """import resource, subprocess, sys
 subprocess.run([sys.executable, "-m", "chshlab", *sys.argv[1:]], check=True)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"""
+
+
+def report_cpus(monkeypatch, count):
+    """Make os.sched_getaffinity report ``count`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The forked processes started during the test, in start order."""
+    processes = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def record(process):
+        processes.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", record)
+    return processes
 
 
 def cli_peak_mib(*argv):
@@ -717,6 +738,107 @@ class TestSample:
         assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
 
+class TestSampleWorkers:
+    # 4321 states in blocks of 1000: five blocks, the last one short.
+    ARGV = ("sample", "--theta", "0.785", "--n", "4321", "--seed", "3")
+    HEADER = "index,s_sample,sample_min,sample_max,s_qmin,s_qmax\n"
+
+    def expected(self):
+        s, lam = haar_sample_s(0.785, 4321, 3), bell_spectrum(0.785)
+        rows = _lines(np.arange(s.size), s, "", "", "", "")
+        summary = _lines("summary", "", s.min(), s.max(), lam[0], lam[-1])
+        return (self.HEADER + "".join(rows) + "".join(summary)).encode()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, None])
+    def test_bytes_do_not_depend_on_cpu_count(self, cpus, tmp_path, monkeypatch, started):
+        monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1000)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            report_cpus(monkeypatch, cpus)
+        out = tmp_path / "sample.csv"
+        assert run_cli(*self.ARGV, "--out", out) == 0
+        assert out.read_bytes() == self.expected()
+        assert len(started) == (cpus if cpus and cpus > 1 else 0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failing_block_is_one_error_line(self, cpus, tmp_path, monkeypatch, capfd):
+        # The forked workers inherit the patch; with 2 or 3 CPUs, block 2 fails on a worker.
+        monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1000)
+        report_cpus(monkeypatch, cpus)
+        draw = cli.haar_block
+
+        def fail_on_block_two(lam, seed, start, count):
+            if start == 2000:
+                raise ValueError("block 2 cannot be drawn")
+            return draw(lam, seed, start, count)
+
+        monkeypatch.setattr(cli, "haar_block", fail_on_block_two)
+        out = tmp_path / "sample.csv"
+        out.write_bytes(b"old,bytes\n")
+        assert run_cli(*self.ARGV, "--out", out) == 1
+        # capfd also sees what the workers write to the inherited stderr.
+        assert capfd.readouterr() == ("", "chshlab: error: block 2 cannot be drawn\n")
+        assert out.read_bytes() == b"old,bytes\n"
+        assert list(tmp_path.iterdir()) == [out]
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_write_ends_every_worker(self, tmp_path, monkeypatch, started):
+        monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1000)
+        report_cpus(monkeypatch, 3)
+        write_rows = cli._write_rows
+
+        def interrupted(path, header, lines):
+            def two_blocks_then_interrupt():
+                yield from itertools.islice(lines, 2)
+                raise KeyboardInterrupt
+
+            write_rows(path, header, two_blocks_then_interrupt())
+
+        monkeypatch.setattr(cli, "_write_rows", interrupted)
+        out = tmp_path / "sample.csv"
+        # The traceback holds every frame of the run, and with them the block generator, until the test ends.
+        with pytest.raises(KeyboardInterrupt) as interrupt:
+            run_cli(*self.ARGV, "--out", out)
+        assert len(started) == 3 and all(p.exitcode is not None for p in started)
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+        assert interrupt.traceback
+
+    def test_closing_joins_every_worker_of_an_endless_range(self, monkeypatch, started):
+        # A list of 10**12 tasks cannot be built; the workers take lazy slices of the range.
+        report_cpus(monkeypatch, 3)
+        results = cli._ordered(lambda task: (task, os.getpid()), range(10**12))
+        (first, first_pid), (second, second_pid) = next(results), next(results)
+        results.close()
+        assert (first, second) == (0, 1)
+        assert first_pid == started[0].pid and second_pid == started[1].pid
+        assert len(started) == 3 and all(p.exitcode is not None for p in started)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch, started):
+        # The last worker started dies: its pipe must still show end of file.
+        report_cpus(monkeypatch, 2)
+
+        def render(task):
+            if task == 3:
+                os._exit(3)  # only ever on a forked worker: two CPUs and five tasks
+            return task
+
+        results = cli._ordered(render, range(5))
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ChildProcessError, match="worker 1 exited before sending result 3"):
+            next(results)
+        assert len(started) == 2 and started[0].exitcode is not None and started[1].exitcode == 3
+        assert multiprocessing.active_children() == []
+
+    def test_one_task_renders_in_process(self, monkeypatch, started):
+        report_cpus(monkeypatch, 3)
+        assert list(cli._ordered(lambda task: (task, os.getpid()), range(1))) == [(0, os.getpid())]
+        assert started == []
+
+
 class TestErrorHandling:
     @pytest.mark.parametrize(
         "command",
@@ -939,15 +1061,21 @@ class TestBlockSizes:
 
     @pytest.mark.parametrize("block", ["one", "divisor"])
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_bytes_do_not_depend_on_block_size(self, name, block, tmp_path, monkeypatch):
+    def test_bytes_do_not_depend_on_block_size(self, name, block, tmp_path, monkeypatch, started):
         argv, rows, divisor = self.CASES[name]
         assert rows % divisor == 0 and rows > divisor
         assert run_cli(*argv, "--out", tmp_path / "default.csv") == 0
         default = (tmp_path / "default.csv").read_bytes()
         assert default.count(b"\n") == 1 + rows + (name == "sample")
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 1 if block == "one" else divisor)
-        assert run_cli(*argv, "--out", tmp_path / "blocked.csv") == 0
-        assert (tmp_path / "blocked.csv").read_bytes() == default
+        monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1 if block == "one" else divisor)
+        for cpus in (1, 2, 3):
+            report_cpus(monkeypatch, cpus)
+            started.clear()
+            assert run_cli(*argv, "--out", tmp_path / "blocked.csv") == 0
+            assert (tmp_path / "blocked.csv").read_bytes() == default
+            # Only sample forks, one worker per CPU when there is more than one.
+            assert len(started) == (cpus if name == "sample" and cpus > 1 else 0)
 
 
 class TestSampleMemory:
