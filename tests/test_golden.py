@@ -1,7 +1,7 @@
 """Golden outputs: the sha256 of CLI outputs at fixed flags and seeds.
 
 Any change to an output byte fails here, and CI runs every case of CASES through
-both installed entry points, so a new case is added here alone.  A deliberate
+the three installed entry points, so a new case is added here alone.  A deliberate
 change, such as a new RNG stream, rewrites the digests with ``PYTHONPATH=src
 python tests/test_golden.py``, which prints each case whose digest moved as
 ``name: old -> new``, and says so in CHANGES.md.
@@ -54,6 +54,8 @@ CASES = {
         "simulate", "--theta-list", f"0,{PI_4}", "--xi-list", "1.5707,1.5707963267948966,0.3927",
         "--pairs", "1000000000", "--seed", "11", "--visibility", "1", "--accidentals", "0",
     ),
+    # 2,000 replications draw 20 times from each of the default lists' table rows.
+    "simulate-many-reps": ("simulate", "--pairs", "10000", "--replications", "2000", "--seed", "5"),
     "sample": ("sample", "--theta", PI_4, "--n", "1000", "--seed", "3"),
     # Quarter-degree steps put many last-digit-sensitive gap rows near 45 and 135 degrees.
     "bounds-degrees-721": ("bounds", "--theta-grid", "0:180:721", "--degrees"),
