@@ -2,12 +2,13 @@
 
 The source emits the singlet; a half-wave plate on arm b rotates photon b by
 xi - pi/2, which prepares the mixing-angle state of chsh.state_phi (the tests
-check that equivalence), so the outcome probabilities come from the chsh
-kernel.  Imperfections are modeled as a depolarizing (Werner) admixture, fixed
-analyzer offsets, and a uniform accidental-coincidence floor; the admixture
-and the floor are affine in the pure-state probabilities, and the offsets
-shift the analyzer angles.  The simulator computes one probability per
-setting, p_pp + p_mm, draws the same-outcome count as one binomial of it, and
+check that equivalence).  That state is maximally entangled, so the
+same-outcome probability p_pp + p_mm is cos(phi)**2 with phi = (alpha -
+beta)/2 + xi.  Imperfections are modeled as a depolarizing (Werner) admixture,
+fixed analyzer offsets, and a uniform accidental-coincidence floor; the
+admixture and the floor are affine in the pure-state probabilities, and the
+offsets shift the analyzer angles.  The simulator computes one probability
+per setting, draws the same-outcome count as one binomial of it, and
 estimates S from the counts' correlations with binomial error bars.
 """
 
@@ -18,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import (
-    _analyzers, _combine, _probabilities, _scalar_or_array, _settings, _whole, analyzer_angle, xi_param,
-)
+from .chsh import _analyzers, _combine, _scalar_or_array, _settings, _whole, analyzer_angle, xi_param
 from .rng import _unit, binomial, derive_seed, words
 
 # Pairs per setting above this are refused.  The cap bounds time and float exactness, not memory,
@@ -79,18 +78,17 @@ class SEstimate:
 def setting_probabilities(alpha, beta, xi, noise: NoiseModel) -> np.ndarray:
     """The noisy same-outcome probability p_pp + p_mm, one per analyzer pair.
 
-    The pure-state probabilities come from the chsh kernel at the offset
-    analyzer angles; the Werner admixture and the accidental floor are affine
-    in them, so p = (1 - f) * (v * (p_pp + p_mm) + (1 - v) / 2) + f / 2, capped
-    at 1.  Broadcasts over arrays of alpha, beta and xi.
+    The pure state gives cos(phi)**2 at phi = (a - b)/2 + xi, from the reduced
+    offset analyzer angles a and b and the reduced xi, so settings with equal
+    phi get equal values.  The Werner admixture and the accidental floor are
+    affine in it: p = (1 - f) * (v * cos(phi)**2 + (1 - v) / 2) + f / 2, which
+    no rounding takes above 1.  Broadcasts over arrays of alpha, beta and xi.
     """
-    p_pp, _, _, p_mm = _probabilities(
-        analyzer_angle(alpha + noise.analyzer_offset_a), analyzer_angle(beta + noise.analyzer_offset_b), xi_param(xi)
-    )
+    a, b = analyzer_angle(alpha + noise.analyzer_offset_a), analyzer_angle(beta + noise.analyzer_offset_b)
+    same = np.cos(0.5 * (a - b) + xi_param(xi)) ** 2
     v = noise.visibility
     f = noise.accidental_fraction
-    # p_pp + p_mm rounds one ulp above 1 on some aligned analyzers, e.g. equal offsets at theta = 0, xi = 0.
-    return np.minimum((1.0 - f) * (v * (p_pp + p_mm) + (1.0 - v) * 0.5) + 0.5 * f, 1.0)
+    return (1.0 - f) * (v * same + (1.0 - v) * 0.5) + 0.5 * f
 
 
 def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:

@@ -102,7 +102,7 @@ def binomial_window(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.clip(lo, 0, n).astype(np.int64), np.clip(hi, 0, n).astype(np.int64)
 
 
-def _cdf_block(top, bottom, logit, anchor, start, stop, step=0.0, cdf=0.0):
+def _cdf_block(buffers, top, bottom, logit, anchor, start, stop, step=0.0, cdf=0.0):
     """Columns start..stop-1 of the CDF table of rows (top, bottom, logit, anchor), and their step sums.
 
     Each row argument is a column of shape (rows, 1), with top = n - lo and bottom = lo + 1 as floats.
@@ -110,15 +110,18 @@ def _cdf_block(top, bottom, logit, anchor, start, stop, step=0.0, cdf=0.0):
     the anchor, log pmf(lo).  Columns past a row's width hold unspecified values (NaN past n, or the
     mass above the window), so callers read a row only inside its width and silence the divide and
     invalid errors there.  ``step`` and ``cdf`` are the sums at column start - 1: a row built block by
-    block repeats the sequential cumsums of the whole row bit for bit.
+    block repeats the sequential cumsums of the whole row bit for bit.  Both results are views into the
+    two rows of ``buffers``, each at least rows * (stop - start) entries long, valid until the next call.
     """
     km = np.arange(start - 1, stop - 1, dtype=np.float64)  # k - lo; exact, as are k + 1 and n - k, for n <= 2**53
-    t = np.log((top - km) / (bottom + km))
+    t, steps = (b[: len(top) * len(km)].reshape(len(top), len(km)) for b in buffers)
+    np.divide(np.subtract(top, km, out=t), np.add(bottom, km, out=steps), out=t)
+    np.log(t, out=t)
     t += logit
     if start == 0:  # column 0 takes no step
         t[:, 0] = 0.0
     t[:, 0] += step
-    steps = np.cumsum(t, axis=1)
+    np.cumsum(t, axis=1, out=steps)
     np.add(steps, anchor, out=t)
     np.exp(t, out=t)
     t[:, 0] += cdf
@@ -131,12 +134,14 @@ def binomial(n, p, u) -> int | np.ndarray:
     The mass function is tabulated on binomial_window(n, p).  Scaling the uniform by the table's total
     mass cancels the rounding of its math.lgamma anchor: the draw is the exact inverse CDF except within
     the table's CDF error of a CDF value: against scipy.stats.binom.cdf, at most 1.2e-12 at n = 1e9 and
-    3.7e-11 at n = 1e12, expsim.MAX_PAIRS.  Equal (n, p) share one table row, and narrow rows are built
-    in chunks as wide as their widest row; a binary search finds u * total in each draw's row, reading
-    only the columns inside that row's width.  A row wider than _BUDGET is built in blocks of _BUDGET
-    columns, which keep only the step and CDF sums at every mark of _BUDGET // 16 columns; then the marks
-    that hold a draw are built again from their sums and searched.  The draws are those of the whole row,
-    bit for bit.  n may be at most 2**53.  u = 1 draws the row's top; u outside [0, 1] raises.
+    3.7e-11 at n = 1e12, expsim.MAX_PAIRS.  The table rows come from the broadcast of n and p alone, so
+    the axes that only u has add draws, not rows: the windows and the row dedup run on the (n, p)
+    entries, and equal entries share one row.  Narrow rows are built in chunks as wide as their widest
+    row; a binary search finds u * total in each draw's row, reading only the columns inside that row's
+    width.  A row wider than _BUDGET is built in blocks of _BUDGET columns, which keep only the step and
+    CDF sums at every mark of _BUDGET // 16 columns; then the marks that hold a draw are built again from
+    their sums and searched.  The draws are those of the whole row, bit for bit.  n may be at most 2**53.
+    u = 1 draws the row's top; u outside [0, 1] raises.
     """
     try:
         whole = np.asarray(n, np.int64)
@@ -144,33 +149,39 @@ def binomial(n, p, u) -> int | np.ndarray:
         raise ValueError(f"binomial needs n <= 2**53, got {n!r}") from None
     if np.any(whole != n):
         raise ValueError(f"binomial needs whole-number n, got {n!r}")
-    n, p, u = np.broadcast_arrays(whole, np.asarray(p, np.float64), np.asarray(u, np.float64))
+    n, p = np.broadcast_arrays(whole, np.asarray(p, np.float64))
+    u = np.asarray(u, np.float64)
+    shape = np.broadcast_shapes(n.shape, u.shape)  # the draws' shape; axes that only u has add draws, not rows
     if np.any(n < 0) or not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
         raise ValueError("binomial needs n >= 0 and p in [0, 1]")
     if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
         raise ValueError("binomial needs uniforms u in [0, 1]")
     if np.any(n > _MAX_N):
         raise ValueError(f"binomial needs n <= 2**53, got {n.max()}")
-    out, live = np.where(p == 1.0, n, 0), (n > 0) & (p > 0.0) & (p < 1.0)
+    out, live = np.broadcast_to(np.where(p == 1.0, n, 0), shape).flatten(), (n > 0) & (p > 0.0) & (p < 1.0)
     lo, hi = binomial_window(n[live], p[live])
-    # Distinct (n, p) rows, widest first, so that a chunk's first row sets its width.  The entries are
-    # sorted by row (the first column most significant), so each chunk's draws are a slice.
+    # Distinct (n, p) rows, widest first, so that a chunk's first row sets its width.
     cols = np.c_[lo - hi, lo, n[live], p[live].view("i8")]
     order = np.lexsort(cols.T[::-1])
     cols, first = cols[order], np.ones(len(cols), bool)
     first[1:] = (cols[1:] != cols[:-1]).any(axis=1)
-    keys, row, start = cols[first], np.cumsum(first) - 1, 0
+    keys, key = cols[first], np.full(n.shape, -1)
+    key.flat[np.flatnonzero(live)[order]] = np.cumsum(first) - 1
+    # Each draw takes the row of the (n, p) entry it broadcasts from, or -1 off the table.  The live draws,
+    # stably sorted by row, put each chunk's draws in a slice.
+    key = np.broadcast_to(key, shape).ravel()
+    at = np.argsort(key, kind="stable")[np.count_nonzero(key < 0) :]
+    row, u, start = key[at], np.broadcast_to(u, shape).ravel()[at], 0
     width, lo, rn, rp = 1 - keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3].view(np.float64)
     logit = np.log(rp) - np.log1p(-rp)
     anchor = _lgamma(rn + 1.0) - _lgamma(lo + 1.0) - _lgamma(rn - lo + 1.0) + rn * np.log1p(-rp) + lo * logit
-    u, at = u[live][order], np.flatnonzero(live)[order]
-    top, bottom = (rn - lo).astype(np.float64), (lo + 1).astype(np.float64)
+    top, bottom, buffers = (rn - lo).astype(np.float64), (lo + 1).astype(np.float64), np.empty((2, _BUDGET))
     with np.errstate(divide="ignore", invalid="ignore"):  # column 0 at lo = 0, and columns past a row's width
         while start < len(keys):
             w = int(width[start])
             c = slice(start, start + max(1, _BUDGET // w))
             sel = slice(np.searchsorted(row, start), np.searchsorted(row, c.stop))
-            args = top[c, None], bottom[c, None], logit[c, None], anchor[c, None]
+            args = buffers, top[c, None], bottom[c, None], logit[c, None], anchor[c, None]
             if w > _BUDGET:  # one row: pass 1 keeps the sums at every mark, pass 2 rebuilds the marks that hold a draw
                 mark = max(1, _BUDGET // 16)
                 edges, per = np.append(np.arange(0, w, mark), w), _BUDGET // mark
@@ -194,7 +205,7 @@ def binomial(n, p, u) -> int | np.ndarray:
                 for bit in reversed(range(w.bit_length())):  # binary search for the entries below target in the row
                     found += np.where(flat[np.minimum(found + ((1 << bit) - 1), tail)] < target, 1 << bit, 0)
                 count = found - head
-            out.flat[at[sel]] = lo[row[sel]] + count
+            out[at[sel]] = lo[row[sel]] + count
             start = c.stop
-    return int(out) if out.ndim == 0 else out
+    return int(out[0]) if not shape else out.reshape(shape)
 

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from chshlab import chsh, expsim
+from chshlab import rng as rng_module
 from chshlab.chsh import s_parameter, state_phi
+from chshlab.cli import DEFAULT_ANGLE_LIST
 from chshlab.expsim import NoiseModel, SEstimate, estimate_s, setting_probabilities
 from chshlab.linalg import PAULI_Z
 from chshlab.rng import _unit, binomial, derive_seed, words
@@ -200,6 +203,83 @@ class TestSettingProbabilities:
             for p, a, b in zip(got, alpha, beta):
                 assert abs(p - reference_same(a, b, xi, noise)) <= 1e-12
 
+    def test_closed_form_never_exceeds_one(self):
+        # p = (1 - f) * (v * cos(phi)**2 + (1 - v) / 2) + f / 2 at phi = (a - b)/2 + xi, with no cap at 1: each step
+        # rounds monotonically, so cos(phi)**2 <= 1 keeps p <= 1.  Edge models put v next to 1 and f at 0, at the
+        # smallest subnormal and at 2**-53; phi = 0 comes from equal offsets at theta = 0, xi = 0.
+        rng = np.random.default_rng(48)
+        alpha, beta = rng.uniform(0, 2 * math.pi, (2, 20_000))
+        xi = rng.uniform(-4, 4, 20_000)
+        alpha[:100], beta[:100], xi[:100] = beta[:100], beta[:100], 0.0  # phi = 0
+        offset = 4.614859254854469  # the kernel's p_pp + p_mm rounded above 1 at these equal offsets
+        for v in (1.0, 1.0 - 2.0**-53):
+            for f in (0.0, 5e-324, 2.0**-53):
+                for da, db in ((0.0, 0.0), (offset, offset), (0.3, -0.2)):
+                    noise = NoiseModel(visibility=v, analyzer_offset_a=da, analyzer_offset_b=db, accidental_fraction=f)
+                    p = setting_probabilities(alpha, beta, xi, noise)
+                    a, b = chsh.analyzer_angle(alpha + da), chsh.analyzer_angle(beta + db)
+                    same = np.cos(0.5 * (a - b) + chsh.xi_param(xi)) ** 2
+                    np.testing.assert_array_equal(p, (1.0 - f) * (v * same + (1.0 - v) * 0.5) + 0.5 * f)
+                    assert p.max() <= 1.0
+                    if da == db:
+                        assert setting_probabilities(0.0, 0.0, 0.0, noise) <= 1.0
+        aligned = NoiseModel(
+            visibility=1.0, analyzer_offset_a=offset, analyzer_offset_b=offset, accidental_fraction=0.0
+        )
+        assert setting_probabilities(0.0, 0.0, 0.0, aligned) == 1.0
+
+
+class TestDefaultLists:
+    """simulate's default 5x5 lists: 100 (theta, xi, setting) cells, one binomial table row per distinct p."""
+
+    LISTS = np.array(DEFAULT_ANGLE_LIST)
+
+    def estimate(self, monkeypatch, replications, spied):
+        """estimate_s as simulate calls it on the default lists, and the arguments of each spied call."""
+        calls = {name: [] for _, name in spied}
+        for module, name in spied:
+            inner = getattr(module, name)
+
+            def spy(*args, _inner=inner, _name=name):
+                calls[_name].append(args)
+                return _inner(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        i, j, rep = np.ix_(range(5), range(5), range(replications))
+        seeds = derive_seed(5, i, j, rep)
+        return estimate_s(self.LISTS[i], self.LISTS[j], 10_000, NoiseModel(), seeds), calls
+
+    def test_one_probability_per_phi(self, monkeypatch):
+        # Settings with the same phi = (a - b)/2 + xi share one value: 13 distinct probabilities among the 100
+        # cells, where the four-amplitude kernel rounded them to 30.
+        _, calls = self.estimate(monkeypatch, 1, [(expsim, "setting_probabilities")])
+        (args,) = calls["setting_probabilities"]
+        p = setting_probabilities(*args)
+        assert p.shape == (5, 5, 1, 4)
+        assert np.unique(p).size == 13
+
+    def test_windows_are_built_per_row_not_per_draw(self, monkeypatch):
+        # 2,000 draws in one estimate_s call; binomial computes the windows of its 100 (n, p) rows only.
+        est, calls = self.estimate(monkeypatch, 20, [(rng_module, "binomial_window")])
+        assert est.counts.shape == (5, 5, 20, 4, 2)
+        assert calls["binomial_window"]
+        assert max(np.size(n) for n, _ in calls["binomial_window"]) <= 100
+
+    def test_binomial_memory_at_2000_replications(self, monkeypatch):
+        # 2e5 draws from the 100 rows peaked at 21.6 MiB when the windows and the row dedup ran on every draw.
+        # The threshold was fixed before the first run.
+        _, calls = self.estimate(monkeypatch, 2000, [(expsim, "binomial")])
+        ((n, p, u),) = calls["binomial"]
+        assert np.size(u) == 200_000
+        binomial(n, p, u)
+        tracemalloc.start()
+        try:
+            binomial(n, p, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
+
 
 class TestRunSetting:
     """The per-setting same-outcome draws inside estimate_s."""
@@ -211,7 +291,7 @@ class TestRunSetting:
         aligned = NoiseModel(visibility=1.0, analyzer_offset_a=offset, analyzer_offset_b=offset, accidental_fraction=0.0)
         p_pp, _, _, p_mm = chsh._probabilities(chsh.analyzer_angle(offset), chsh.analyzer_angle(offset), 0.0)
         assert p_pp + p_mm > 1.0
-        # setting_probabilities caps it at 1.
+        # setting_probabilities gives cos(0)**2 = 1 exactly.
         assert setting_probabilities(0.0, 0.0, 0.0, aligned) == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -393,13 +473,13 @@ class TestEstimateS:
 
     def test_one_kernel_call_per_estimate(self, monkeypatch):
         calls = []
-        kernel = expsim._probabilities
+        kernel = expsim.setting_probabilities
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(expsim, "_probabilities", counted)
+        monkeypatch.setattr(expsim, "setting_probabilities", counted)
         estimate_s(0.9, 0.1, 2000, NoiseModel(), seed=11)
         assert len(calls) == 1
         assert all(np.shape(arg) == (4,) for arg in calls[0][:2])

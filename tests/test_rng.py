@@ -198,6 +198,18 @@ class TestBinomial:
         with pytest.raises(ValueError):
             binomial(-1, 0.5, u)
 
+    def test_uniforms_carry_their_own_axes(self):
+        # The table rows come from n and p alone; u adds draw axes of its own.  p = 0 and 1, n = 0 and u = 1
+        # included, each entry draws as a scalar call would.
+        n, p = np.array([[0], [40], [10**6]]), np.array([[0.0, 0.3, 1.0, 0.999]])
+        seeds = derive_seed(35, np.arange(5)[:, None, None], np.arange(3)[:, None], np.arange(4))
+        u = _unit(words(seeds, 0, 1))[..., 0]
+        u[0, :, 1], u[1, 1] = 1.0, 1.0
+        draws = binomial(n, p, u)
+        assert draws.shape == (5, 3, 4)
+        for (i, j, k), draw in np.ndenumerate(draws):
+            assert draw == binomial(int(n[j, 0]), float(p[0, k]), float(u[i, j, k]))
+
     def test_rejects_uniforms_outside_zero_to_one(self):
         # u = 1.5 drew 15 of 10 trials, or past the window's edge; NaN drew the lower edge; on a wide row both
         # raised IndexError.  u = 1 is the top of a CDF and draws inside the window.
