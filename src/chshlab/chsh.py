@@ -23,7 +23,7 @@ SQRT1_2 = 1.0 / math.sqrt(2.0)
 CLASSICAL_LIMIT = 2.0
 CIRELSON_LIMIT = 2.0 * math.sqrt(2.0)
 
-_HAAR_CHUNK = 2**14  # states per haar_block call (three words each) in haar_blocks and the sample command
+_HAAR_CHUNK = 2**14  # states per haar_block call (three words each) in haar_sample_s and the sample command
 
 
 def _scalar_or_array(values):
@@ -249,22 +249,14 @@ def haar_block(lam, seed: int, start: int, count: int) -> np.ndarray:
     return ((lam[0] * w[0] + lam[1] * w[1]) + lam[2] * w[2]) + lam[3] * w[3]
 
 
-def haar_blocks(lam, n: int, seed: int):
-    """The n values of haar_block at spectrum ``lam``, block by block.
+def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:
+    """The n values of haar_block at B(theta)'s spectrum, in one array: 8 bytes per state plus a constant.
 
-    Returns an iterator of (start, values): states start.. of at most
-    _HAAR_CHUNK at a time, so memory is flat in n.  n is checked before this
-    returns, before any state is drawn.
+    n is checked before the spectrum is computed or any state is drawn; the
+    states are drawn _HAAR_CHUNK at a time, the blocks the sample command reads.
     """
     count = _whole(n, "n", 1)
-    starts = range(0, count, _HAAR_CHUNK)
-    return ((start, haar_block(lam, seed, start, min(_HAAR_CHUNK, count - start))) for start in starts)
-
-
-def haar_sample_s(theta: float, n: int, seed: int) -> np.ndarray:
-    """The n values of haar_blocks at B(theta)'s spectrum, in one array: 8 bytes per state plus a constant."""
-    count = _whole(n, "n", 1)
-    out = np.empty(count)
-    for start, values in haar_blocks(bell_spectrum(theta), count, seed):
-        out[start : start + values.size] = values
+    lam, out = bell_spectrum(theta), np.empty(count)
+    for start in range(0, count, _HAAR_CHUNK):
+        out[start : start + _HAAR_CHUNK] = haar_block(lam, seed, start, min(_HAAR_CHUNK, count - start))
     return out

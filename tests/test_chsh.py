@@ -13,7 +13,7 @@ from chshlab.chsh import (
     classical_s_values,
     correlation,
     family_extremum,
-    haar_blocks,
+    haar_block,
     haar_sample_s,
     observable,
     quantum_bounds,
@@ -476,6 +476,12 @@ class TestHaarSampling:
             with pytest.raises(ValueError, match="whole number"):
                 haar_sample_s(0.3, n, 1)
 
+    def test_checks_n_once(self, monkeypatch):
+        calls, whole = [], chsh._whole
+        monkeypatch.setattr(chsh, "_whole", lambda *args: calls.append(args) or whole(*args))
+        haar_sample_s(0.3, 2 * chsh._HAAR_CHUNK + 5, 1)
+        assert calls == [(2 * chsh._HAAR_CHUNK + 5, "n", 1)]
+
     def test_prefix_stable_across_chunk_boundaries(self):
         # Sample i reads words 3i+1..3i+3 of the seed's stream, whatever n is.
         full = haar_sample_s(0.3, 2 * chsh._HAAR_CHUNK + 5000, 9)
@@ -501,8 +507,7 @@ class TestHaarSampling:
         u = np.sort(triples, axis=1)
         expected = (u[:, 0], u[:, 1] - u[:, 0], u[:, 2] - u[:, 1], 1.0 - u[:, 2])
         for k in range(4):
-            ((start, weights),) = haar_blocks(np.eye(4)[k], len(triples), 1)
-            assert start == 0 and np.array_equal(weights, expected[k])
+            assert np.array_equal(haar_block(np.eye(4)[k], 1, 0, len(triples)), expected[k])
 
     def test_bytes_do_not_depend_on_chunk_size(self, monkeypatch):
         expected = {theta: haar_sample_s(theta, 5000, 9) for theta in (0.3, math.pi / 4)}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from chshlab import chsh, cli, expsim
-from chshlab.chsh import bell_spectrum, haar_blocks, haar_sample_s, quantum_bounds, s_parameter
+from chshlab.chsh import bell_spectrum, haar_sample_s, quantum_bounds, s_parameter
 from chshlab.cli import (
     _lines,
     _write_rows,
@@ -556,6 +556,15 @@ class TestSimulate:
         assert capsys.readouterr().err == f"chshlab: error: {cfg}:3: duplicate key 'visibility'\n"
         assert not out.exists()
 
+    def test_config_not_utf8_names_its_path(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff = 1\n")
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--pairs", "500", "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"chshlab: error: cannot read config file {str(cfg)!r}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [
@@ -658,7 +667,7 @@ class TestCountChecks:
             (lambda out: haar_sample_s(0.3, 1.0, 1), None),
             (lambda out: haar_sample_s(0.3, 0, 1), "n must be at least 1, got 0"),
             (lambda out: haar_sample_s(0.3, 0.0, 1), "n must be at least 1, got 0"),
-            (lambda out: haar_blocks(np.zeros(4), -3, 1), "n must be at least 1, got -3"),
+            (lambda out: haar_sample_s(0.3, -3, 1), "n must be at least 1, got -3"),
             (lambda out: haar_sample_s(0.3, 2.5, 1), "n must be a whole number, got 2.5"),
             (lambda out: estimate_s(0.3, 0.1, 2, NoiseModel(), 0), None),
             (lambda out: estimate_s(0.3, 0.1, 1, NoiseModel(), 0), "pairs must be at least 2, got 1"),
