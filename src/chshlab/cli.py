@@ -355,36 +355,40 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The chshlab parser; with a ``command``, only that subcommand gets its -h and its flags.
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the flags of command ``name`` added, _COMMON's last."""
+    for flag in _COMMANDS[name][1] + _COMMON:
+        parser.add_argument(flag, **_FLAGS[flag][0])
+    return parser
 
-    Every subcommand is registered with its name and help either way, so the
-    top-level help, the usage line and the top-level errors are the same.  The
-    default, None, builds every subcommand's flags.  argparse hands all the
-    tokens after the command to that one subparser, so a parse that names
-    ``command`` gives the same result, output and exit from either parser,
-    and main builds only the flags it can use.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full chshlab parser: every subcommand, with its help and its flags."""
     parser = argparse.ArgumentParser(
         prog="chshlab",
         description="CHSH parameter sweeps, correlation bounds, and coincidence-counting simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, flags, _) in _COMMANDS.items():
-        if command is None or name == command:
-            p = sub.add_parser(name, help=summary)
-            for flag in flags + _COMMON:
-                p.add_argument(flag, **_FLAGS[flag][0])
-        else:
-            sub.add_parser(name, help=summary, add_help=False)
+    for name, (summary, _, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=summary), name)
     return parser
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv); when argv[0] names a command, a lone parser of its flags parses the rest.
+
+    argparse hands every token after a command to its subparser, prog "chshlab <name>", through parse_known_args,
+    so the same namespace, output and exit result.  The full parser refuses left-over tokens with its own usage.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _add_flags(argparse.ArgumentParser(prog=f"chshlab {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return argparse.Namespace(command=argv[0], **vars(args))
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # argparse dispatches on the first positional token.  The top level has no option that takes a value, so
-    # that is the first token without a leading -, or an earlier one such as "-" that names no command.
-    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     _, flags, handler = _COMMANDS[args.command]
     try:
         # The one place --degrees is read: each angle-valued flag in the command's flag order, so that of two

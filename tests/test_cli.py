@@ -196,6 +196,11 @@ EQUIVALENCE_ARGVS = [
     ("--", "bounds", "--theta-grid", "0:1:3", "--out", OUT),
     # An abbreviated flag resolves only on a subparser that has its flags.
     ("simulate", "--rep", "2", "--pairs", "100", "--theta-list", "0.5", "--xi-list", "0", "--out", OUT),
+    # Tokens left after a command's flags: the top level refuses them with its own usage.
+    ("bounds", "--out", OUT, "stray"),
+    ("bounds", "--theta-grid", "0:1:3", "--out", OUT, "--bogus"),
+    ("bounds", "--out", OUT, "--", "x"),
+    ("simulate", "--pairs"),
     *((*argv, "--out", OUT) for argv in GOLDEN_CASES.values()),
 ]
 
@@ -215,27 +220,48 @@ def outcome(argv, out, capsys):
     return code, captured.out, captured.err, written
 
 
-class TestPerCommandParser:
-    """main builds the flags of the invoked subcommand only, and nothing it prints or writes changes."""
+def parsed(parse, argv, capsys):
+    """parse(argv)'s namespace as a list of items, or its SystemExit code, with its stdout and stderr."""
+    try:
+        result = list(vars(parse(list(argv))).items())
+    except SystemExit as exc:
+        result = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
 
-    def test_a_named_command_gets_the_full_actions_and_the_others_none(self):
-        full = build_parser()
-        for command in COMMAND_PIN:
-            parser = build_parser(command)
-            assert parser_actions(parser) == parser_actions(full)
-            sub, full_sub = subparsers(parser), subparsers(full)
-            assert [(c.dest, c.help) for c in sub._choices_actions] == [
-                (c.dest, c.help) for c in full_sub._choices_actions
-            ]
-            for name, p in sub.choices.items():
-                assert parser_actions(p) == (parser_actions(full_sub.choices[name]) if name == command else [])
+
+class TestPerCommandParser:
+    """main parses a call that names a command with its parser alone; nothing it prints or writes changes."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_the_lone_parser_main_builds_has_the_full_parsers_subcommand_actions(self, command, capsys, monkeypatch):
+        parsers = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        (parser,) = parsers
+        full = subparsers(build_parser()).choices[command]
+        assert (parser.prog, parser.description, parser.usage) == (full.prog, full.description, full.usage)
+        assert parser_actions(parser) == parser_actions(full)
 
     @pytest.mark.parametrize("argv", EQUIVALENCE_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
     def test_same_exit_output_and_bytes_as_the_full_parser(self, argv, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out.csv"
-        per_command = outcome(argv, out, capsys)
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-        assert outcome(argv, out, capsys) == per_command
+        argv = tuple(str(out) if a == OUT else a for a in argv)
+        assert parsed(cli.parse_args, argv, capsys) == parsed(lambda a: build_parser().parse_args(a), argv, capsys)
+        given = outcome(argv, out, capsys)
+        # The reference: main's dispatch on the full parser's parse.
+        calls = []
+        monkeypatch.setattr(cli, "parse_args", lambda a: calls.append(a) or build_parser().parse_args(a))
+        assert outcome(argv, out, capsys) == given
+        assert calls == [list(argv)]
 
     def test_only_the_invoked_commands_flags_are_registered(self, tmp_path, monkeypatch):
         registered = []
@@ -246,9 +272,18 @@ class TestPerCommandParser:
             return add_argument(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def count(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", count)
         assert main(["bounds", "--theta-grid", "0:1:3", "--out", str(tmp_path / "b.csv")]) == 0
-        help_flags = ("-h", "--help")  # the top level's, then bounds'
-        assert registered == [help_flags, help_flags, ("--theta-grid",), ("--out",), ("--seed",), ("--degrees",)]
+        assert built == ["chshlab bounds"]
+        help_flags = ("-h", "--help")  # bounds' own; no top-level parser is built
+        assert registered == [help_flags, ("--theta-grid",), ("--out",), ("--seed",), ("--degrees",)]
 
     @pytest.mark.parametrize("argv", [("bounds", "--theta-grid", "0:1:3", "--out", OUT), ("simulate", "-h")])
     def test_main_without_argv_reads_sys_argv(self, argv, tmp_path, capsys, monkeypatch):
@@ -654,7 +689,7 @@ class TestSimulate:
 
 def simulate_with_replications(replications, out):
     """cmd_simulate at one setting, with the namespace main would pass it but for replications."""
-    args = build_parser("simulate").parse_args(["simulate", "--out", out])
+    args = build_parser().parse_args(["simulate", "--out", out])
     args.theta_list, args.xi_list, args.replications = (0.5,), (0.1,), replications
     cmd_simulate(args)
 
