@@ -216,7 +216,7 @@ def load_noise_config(path: str) -> dict[str, float]:
     """Read `key = value` lines; keys limited to the noise-model fields, each given at most once."""
     out: dict[str, float] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise OSError(f"cannot read config file {path!r}: {exc}") from exc

@@ -135,8 +135,8 @@ def binomial(n, p, u) -> int | np.ndarray:
     mass cancels the rounding of its math.lgamma anchor: the draw is the exact inverse CDF except within
     the table's CDF error of a CDF value: against scipy.stats.binom.cdf, at most 1.2e-12 at n = 1e9 and
     3.7e-11 at n = 1e12, expsim.MAX_PAIRS.  The table rows come from the broadcast of n and p alone, so
-    the axes that only u has add draws, not rows: the windows and the row dedup run on the (n, p)
-    entries, and equal entries share one row.  Narrow rows are built in chunks as wide as their widest
+    the axes that only u has add draws, not rows: one np.unique finds the distinct (n, p) entries, and
+    each gets one row and one window.  Narrow rows are built in chunks as wide as their widest
     row; a binary search finds u * total in each draw's row, reading only the columns inside that row's
     width.  A row wider than _BUDGET is built in blocks of _BUDGET columns, which keep only the step and
     CDF sums at every mark of _BUDGET // 16 columns; then the marks that hold a draw are built again from
@@ -159,25 +159,23 @@ def binomial(n, p, u) -> int | np.ndarray:
     if np.any(n > _MAX_N):
         raise ValueError(f"binomial needs n <= 2**53, got {n.max()}")
     out, live = np.broadcast_to(np.where(p == 1.0, n, 0), shape).flatten(), (n > 0) & (p > 0.0) & (p < 1.0)
-    lo, hi = binomial_window(n[live], p[live])
-    # Distinct (n, p) rows, widest first, so that a chunk's first row sets its width.
-    cols = np.c_[lo - hi, lo, n[live], p[live].view("i8")]
-    order = np.lexsort(cols.T[::-1])
-    cols, first = cols[order], np.ones(len(cols), bool)
-    first[1:] = (cols[1:] != cols[:-1]).any(axis=1)
-    keys, key = cols[first], np.full(n.shape, -1)
-    key.flat[np.flatnonzero(live)[order]] = np.cumsum(first) - 1
+    # Distinct (n, p) rows: complex keys sort by n, then by p, and every n <= 2**53 is an exact float.
+    rows, inverse = np.unique(n[live] + 1j * p[live], return_inverse=True)
+    lo, hi = binomial_window(rows.real, rows.imag)
+    order = np.argsort(lo - hi, kind="stable")  # widest first, so that a chunk's first row sets its width
+    key = np.full(n.shape, -1)
+    key[live] = np.argsort(order)[inverse]
     # Each draw takes the row of the (n, p) entry it broadcasts from, or -1 off the table.  The live draws,
     # stably sorted by row, put each chunk's draws in a slice.
     key = np.broadcast_to(key, shape).ravel()
     at = np.argsort(key, kind="stable")[np.count_nonzero(key < 0) :]
     row, u, start = key[at], np.broadcast_to(u, shape).ravel()[at], 0
-    width, lo, rn, rp = 1 - keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3].view(np.float64)
+    width, lo, rn, rp = (hi - lo + 1)[order], lo[order], rows.real[order], rows.imag[order]
     logit = np.log(rp) - np.log1p(-rp)
     anchor = _lgamma(rn + 1.0) - _lgamma(lo + 1.0) - _lgamma(rn - lo + 1.0) + rn * np.log1p(-rp) + lo * logit
-    top, bottom, buffers = (rn - lo).astype(np.float64), (lo + 1).astype(np.float64), np.empty((2, _BUDGET))
+    top, bottom, buffers = rn - lo, lo + 1.0, np.empty((2, _BUDGET))
     with np.errstate(divide="ignore", invalid="ignore"):  # column 0 at lo = 0, and columns past a row's width
-        while start < len(keys):
+        while start < len(rows):
             w = int(width[start])
             c = slice(start, start + max(1, _BUDGET // w))
             sel = slice(np.searchsorted(row, start), np.searchsorted(row, c.stop))

@@ -591,6 +591,16 @@ class TestSimulate:
         assert capsys.readouterr().err == f"chshlab: error: {cfg}:3: duplicate key 'visibility'\n"
         assert not out.exists()
 
+    def test_config_with_byte_order_mark(self, tmp_path):
+        # Editors that save UTF-8 with a byte-order mark put U+FEFF before the first key.
+        cfg, plain = tmp_path / "bom.cfg", tmp_path / "plain.cfg"
+        text = "visibility = 0.5\naccidental_fraction = 0.01\n"
+        cfg.write_bytes(text.encode("utf-8-sig"))
+        plain.write_text(text)
+        assert load_noise_config(str(cfg)) == load_noise_config(str(plain)) == {
+            "visibility": 0.5, "accidental_fraction": 0.01,
+        }
+
     def test_config_not_utf8_names_its_path(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"\xff = 1\n")

@@ -259,7 +259,7 @@ class TestDefaultLists:
         assert np.unique(p).size == 13
 
     def test_windows_are_built_per_row_not_per_draw(self, monkeypatch):
-        # 2,000 draws in one estimate_s call; binomial computes the windows of its 100 (n, p) rows only.
+        # 2,000 draws from 100 (n, p) entries in one estimate_s call; binomial sizes windows per row, not per draw.
         est, calls = self.estimate(monkeypatch, 20, [(rng_module, "binomial_window")])
         assert est.counts.shape == (5, 5, 20, 4, 2)
         assert calls["binomial_window"]

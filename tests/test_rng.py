@@ -327,8 +327,14 @@ class TestBinomial:
         rng = np.random.default_rng(31)
         p = np.r_[0.25, 1 / 3, 0.5, 1e-8, 0.3, 1 - 3e-8, 1 - 1.1e-4, 1 - 2e-5, 1e-12, 0.0, 1.0, 0.97, rng.random(4)]
         n, p = (a.ravel() for a in np.meshgrid([10**9, 10**9 - 2, 999_999, 1000, 2, 1, 0], p))
+        # Pairs of rows that tie on width: the first two pairs differ in n and their lower edges sort opposite to
+        # their n, so rows ordered by (width, n, p) and by (width, lo, n, p) take them in opposite orders; the
+        # last two pairs differ in p only.
+        tie_n, tie_p = [40, 41, 999_999, 10**6, 1000, 1000, 10**9, 10**9], [0.9, 0.1, 0.9, 0.1, 0.2, 0.8, 0.25, 0.75]
+        tie_lo, tie_hi = binomial_window(np.array(tie_n), np.array(tie_p))
+        assert ((tie_hi - tie_lo)[::2] == (tie_hi - tie_lo)[1::2]).all() and (tie_lo[:4:2] > tie_lo[1:4:2]).all()
         # n = 2**53 is accepted; on its tables n - k, or k, reaches 2**53.
-        n, p = np.r_[np.repeat(n, 3), 2**53, 2**53], np.r_[np.repeat(p, 3), 1e-15, 1 - 1e-15]
+        n, p = np.r_[np.repeat(n, 3), tie_n, 2**53, 2**53], np.r_[np.repeat(p, 3), tie_p, 1e-15, 1 - 1e-15]
         u = _unit(words(derive_seed(33, np.arange(len(n))), 0, 1))[:, 0]
         live = (n > 0) & (p > 0.0) & (p < 1.0)
         lo, hi = binomial_window(n[live], p[live])
@@ -336,6 +342,23 @@ class TestBinomial:
         draws = binomial(n, p, u)
         assert draws.tolist() == [binomial(int(k), float(q), float(v)) for k, q, v in zip(n, p, u)]
         assert draws[-2] < 100 and draws[-1] > 2**53 - 100
+
+    def test_windows_are_sized_once_per_distinct_row(self, monkeypatch):
+        # Repeated (n, p) entries, and entries off the table (n = 0, p = 0 or p = 1), add no window.
+        n = np.array([40, 40, 10**6, 0, 40, 10**6, 40, 7, 7, 10**9, 40])
+        p = np.array([0.3, 0.5, 0.25, 0.5, 0.3, 0.25, 0.0, 1.0, 0.5, 0.25, 0.5])
+        u = _unit(words(derive_seed(34, np.arange(len(n))), 0, 2))
+        expected = binomial(n[:, None], p[:, None], u)
+        calls = []
+
+        def spy(n, p):
+            calls.append(list(zip(n.tolist(), p.tolist())))
+            return binomial_window(n, p)
+
+        monkeypatch.setattr(rng_module, "binomial_window", spy)
+        assert binomial(n[:, None], p[:, None], u).tolist() == expected.tolist()
+        (rows,) = calls
+        assert sorted(rows) == [(7, 0.5), (40, 0.3), (40, 0.5), (10**6, 0.25), (10**9, 0.25)]
 
     def test_padding_raises_no_warning(self):
         # Rows of very different widths share a padded table; p = 0 and p = 1 rows, subnormal p and the
