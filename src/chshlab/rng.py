@@ -136,11 +136,11 @@ def binomial(n, p, u) -> int | np.ndarray:
     the table's CDF error of a CDF value: against scipy.stats.binom.cdf, at most 1.2e-12 at n = 1e9 and
     3.7e-11 at n = 1e12, expsim.MAX_PAIRS.  The table rows come from the broadcast of n and p alone, so
     the axes that only u has add draws, not rows: one np.unique finds the distinct (n, p) entries, and
-    each gets one row and one window.  Narrow rows are built in chunks as wide as their widest
-    row; a binary search finds u * total in each draw's row, reading only the columns inside that row's
-    width.  A row wider than _BUDGET is built in blocks of _BUDGET columns, which keep only the step and
-    CDF sums at every mark of _BUDGET // 16 columns; then the marks that hold a draw are built again from
-    their sums and searched.  The draws are those of the whole row, bit for bit.  n may be at most 2**53.
+    each gets one row and one window.  Narrow rows are built in chunks as wide as their widest row, and
+    np.searchsorted counts the entries below u * total among the columns inside each draw's row.  A row
+    wider than _BUDGET is built in blocks of _BUDGET columns, which keep only the step and CDF sums at
+    every mark of _BUDGET // 16 columns; then the marks that hold a draw are built again from their sums
+    and searched the same way.  The draws are those of the whole row, bit for bit.  n may be at most 2**53.
     u = 1 draws the row's top; u outside [0, 1] raises.
     """
     try:
@@ -169,7 +169,8 @@ def binomial(n, p, u) -> int | np.ndarray:
     # stably sorted by row, put each chunk's draws in a slice.
     key = np.broadcast_to(key, shape).ravel()
     at = np.argsort(key, kind="stable")[np.count_nonzero(key < 0) :]
-    row, u, start = key[at], np.broadcast_to(u, shape).ravel()[at], 0
+    row, u, start, count = key[at], np.broadcast_to(u, shape).ravel()[at], 0, np.empty_like(at)
+    bounds = np.searchsorted(row, np.arange(len(rows) + 1)).tolist()  # row r's draws are bounds[r]:bounds[r + 1]
     width, lo, rn, rp = (hi - lo + 1)[order], lo[order], rows.real[order], rows.imag[order]
     logit = np.log(rp) - np.log1p(-rp)
     anchor = _lgamma(rn + 1.0) - _lgamma(lo + 1.0) - _lgamma(rn - lo + 1.0) + rn * np.log1p(-rp) + lo * logit
@@ -177,8 +178,8 @@ def binomial(n, p, u) -> int | np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # column 0 at lo = 0, and columns past a row's width
         while start < len(rows):
             w = int(width[start])
-            c = slice(start, start + max(1, _BUDGET // w))
-            sel = slice(np.searchsorted(row, start), np.searchsorted(row, c.stop))
+            c = slice(start, min(start + max(1, _BUDGET // w), len(rows)))
+            sel = slice(bounds[start], bounds[c.stop])  # the chunk's draws
             args = buffers, top[c, None], bottom[c, None], logit[c, None], anchor[c, None]
             if w > _BUDGET:  # one row: pass 1 keeps the sums at every mark, pass 2 rebuilds the marks that hold a draw
                 mark = max(1, _BUDGET // 16)
@@ -191,19 +192,16 @@ def binomial(n, p, u) -> int | np.ndarray:
                     step_at[i + 1 : i + len(e)], cdf_at[i + 1 : i + len(e)] = steps[0, last], cdf[0, last]
                 target = u[sel] * cdf_at[-1]
                 unit = np.searchsorted(cdf_at[1:], target)  # the count of marks that end below each target
-                count = edges[unit]
+                count[sel] = edges[unit]  # count[sel] is a view, so the += below adds in place
                 for i in np.unique(unit):
                     cdf, _ = _cdf_block(*args, edges[i], edges[i + 1], step_at[i], cdf_at[i])
-                    count[unit == i] += np.searchsorted(cdf[0], target[unit == i])
-            else:
-                flat = _cdf_block(*args, 0, w)[0].ravel()
-                head = (row[sel] - start) * w  # the flat index of each draw's row, and of the row's last entry
-                tail = head + width[row[sel]] - 1
-                target, found = u[sel] * flat[tail], head.copy()
-                for bit in reversed(range(w.bit_length())):  # binary search for the entries below target in the row
-                    found += np.where(flat[np.minimum(found + ((1 << bit) - 1), tail)] < target, 1 << bit, 0)
-                count = found - head
-            out[at[sel]] = lo[row[sel]] + count
+                    count[sel][unit == i] += np.searchsorted(cdf[0], target[unit == i])
+            else:  # each draw counts the entries below u * total among its own row's columns
+                cdf = _cdf_block(*args, 0, w)[0]
+                u[sel] *= cdf[row[sel] - start, width[row[sel]] - 1]  # u * total, each draw's target
+                for r, row_cdf in enumerate(cdf, start):
+                    count[bounds[r] : bounds[r + 1]] = np.searchsorted(row_cdf[: width[r]], u[bounds[r] : bounds[r + 1]])
             start = c.stop
+    out[at] = lo[row] + count
     return int(out[0]) if not shape else out.reshape(shape)
 

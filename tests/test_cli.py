@@ -583,12 +583,21 @@ class TestSimulate:
         assert rc == 1
         assert "darkrate" in capsys.readouterr().err
 
-    def test_config_rejects_duplicate_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("visibility = 0.9\n# later\nvisibility = 0.5\n", "3: duplicate key 'visibility'"),
+            ("visibility = 0.9\n\nvisibility 0.5  # x\n", "3: expected `key = value`, got 'visibility 0.5  # x'"),
+            ("# comment\naccidental_fraction = 1e-2x\n", "2: non-numeric value for 'accidental_fraction'"),
+        ],
+        ids=["duplicate-key", "no-equals-sign", "non-numeric-value"],
+    )
+    def test_config_rejects_bad_line(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "noise.cfg"
-        cfg.write_text("visibility = 0.9\n# later\nvisibility = 0.5\n")
+        cfg.write_text(text)
         out = tmp_path / "x.csv"
         assert run_cli("simulate", "--pairs", "500", "--config", cfg, "--out", out) == 1
-        assert capsys.readouterr().err == f"chshlab: error: {cfg}:3: duplicate key 'visibility'\n"
+        assert capsys.readouterr().err == f"chshlab: error: {cfg}:{message}\n"
         assert not out.exists()
 
     def test_config_with_byte_order_mark(self, tmp_path):

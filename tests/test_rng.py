@@ -63,8 +63,9 @@ def whole_rows_cdf(lo, n, p, width):
 
 
 def binomial_whole_rows(n, p, u):
-    # binomial's whole-row chunk loop: distinct rows in chunks of about 2**14 entries, a wider row a
-    # chunk of its own, and a binary search per draw.  n, p and u are 1-d, with n > 0 and 0 < p < 1.
+    # An independent reference for binomial: whole rows from whole_rows_cdf, distinct rows in chunks of
+    # about 2**14 entries, a wider row a chunk of its own, and a vectorised bit search over every draw of
+    # a chunk at once.  n, p and u are 1-d, with n > 0 and 0 < p < 1.
     lo, hi = binomial_window(n, p)
     cols = np.c_[lo - hi, lo, n, p.view("i8")]
     order = np.lexsort(cols.T[::-1])
@@ -460,17 +461,18 @@ class TestNarrowRows:
         assert width[0] == width.max() and len(width) <= 2**14 // width[0]  # one chunk at the default budget
         assert (lo == 0).any() and (hi == self.N).any() and (lo > 0).any() and (hi < self.N).any()
         assert ((lo > 0) & (hi == self.N)).any()
-        # Each row draws at 0, at 1 - 2**-53, at the top of its CDF at two columns and at random.
+        # Each row draws at 0, at 1 - 2**-53, at 1, at the top of its CDF at two columns and at random.  u = 1
+        # targets the row's total, so its draw reads the last column of the row's own slice of a shared chunk.
         cdf = whole_rows_cdf(lo, self.N, self.P, width)
         rng = np.random.default_rng(27)
-        u = [np.r_[0.0, 1.0 - 2.0**-53, c[[0, (w - 1) // 2]] / c[w - 1], rng.random(4)] for c, w in zip(cdf, width)]
-        n, p, u = np.repeat(self.N, 8), np.repeat(self.P, 8), np.concatenate(u)
+        u = [np.r_[0.0, 1.0 - 2.0**-53, 1.0, c[[0, (w - 1) // 2]] / c[w - 1], rng.random(4)] for c, w in zip(cdf, width)]
+        n, p, u = np.repeat(self.N, 9), np.repeat(self.P, 9), np.concatenate(u)
         monkeypatch.setattr(rng_module, "_BUDGET", budget)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             draws = binomial(n, p, u)
         assert draws.tolist() == binomial_whole_rows(n, p, u).tolist()
-        assert ((np.repeat(lo, 8) <= draws) & (draws <= np.repeat(hi, 8))).all()
+        assert ((np.repeat(lo, 9) <= draws) & (draws <= np.repeat(hi, 9))).all()
 
 
 class TestDeriveSeed:
