@@ -191,8 +191,7 @@ def parse_grid(text: str | None, degrees: bool = False) -> np.ndarray:
     # Also refuses finite endpoints whose difference overflows, which linspace would turn into NaN points.
     if not math.isfinite(stop - start):
         raise ValueError(f"grid {text!r} must span a finite interval")
-    if count < 2:
-        raise ValueError(f"grid count must be at least 2, got {count}")
+    count = _whole(count, "grid count", 2)
     if not start < stop:
         raise ValueError(f"grid start {start!r} must be below stop {stop!r}")
     return np.linspace(start, stop, count)

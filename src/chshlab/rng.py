@@ -163,10 +163,10 @@ def binomial(n, p, u) -> int | np.ndarray:
     rows, inverse = np.unique(n[live] + 1j * p[live], return_inverse=True)
     lo, hi = binomial_window(rows.real, rows.imag)
     order = np.argsort(lo - hi, kind="stable")  # widest first, so that a chunk's first row sets its width
-    key = np.full(n.shape, -1)
+    key = np.full(n.shape, -1, np.min_scalar_type(-1 - len(rows)))
     key[live] = np.argsort(order)[inverse]
-    # Each draw takes the row of the (n, p) entry it broadcasts from, or -1 off the table.  The live draws,
-    # stably sorted by row, put each chunk's draws in a slice.
+    # Each draw's key is the row of its (n, p) entry, or -1 off the table, in the narrowest type to hold -1 - len(rows),
+    # which numpy radix-sorts below 2**15 rows.  The live draws, stably sorted by row, put each chunk's draws in a slice.
     key = np.broadcast_to(key, shape).ravel()
     at = np.argsort(key, kind="stable")[np.count_nonzero(key < 0) :]
     row, u, start, count = key[at], np.broadcast_to(u, shape).ravel()[at], 0, np.empty_like(at)

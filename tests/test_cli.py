@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib.metadata
 import itertools
 import math
 import multiprocessing
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +293,38 @@ class TestPerCommandParser:
         given = outcome(argv, out, capsys)
         monkeypatch.setattr(sys, "argv", ["chshlab", *(str(out) if a == OUT else a for a in argv)])
         assert outcome(None, out, capsys) == given
+
+
+class TestEntryPoints:
+    """Each way of starting chshlab reaches main with its argv: python -m, and the script pyproject.toml declares."""
+
+    # A written CSV, a help, an error line and a usage error.
+    ARGVS = [
+        ("bounds", "--out", OUT),
+        ("--help",),
+        ("sweep-xi", "--theta-list", "0,,1", "--out", OUT),
+        ("bounds", "--out", OUT, "stray"),
+    ]
+
+    # A subprocess, not runpy: in this process chshlab.cli is already imported, and runpy warns about that.
+    @pytest.mark.parametrize("module", ["chshlab", "chshlab.cli"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_python_m_gives_what_main_gives(self, module, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it, here and in the child
+        out = tmp_path / "out.csv"
+        code, *given = outcome(argv, out, capsys)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONWARNINGS": "error::RuntimeWarning"}
+        args = [str(out) if a == OUT else a for a in argv]
+        run = subprocess.run([sys.executable, "-m", module, *args], env=env, capture_output=True, text=True)
+        written = out.read_bytes() if out.exists() else None
+        code = code[1] if isinstance(code, tuple) else code  # ("SystemExit", code) when main exits
+        assert (run.returncode, run.stdout, run.stderr, written) == (code, *given)
+
+    def test_the_script_runs_the_main_the_tests_call(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        target = pyproject["project"]["scripts"]["chshlab"]
+        assert importlib.metadata.EntryPoint("chshlab", target, "console_scripts").load() is main
 
 
 class TestParsing:
@@ -1162,7 +1196,9 @@ class TestSweepSpecValidation:
     def test_grid_spec_invariants(self):
         with pytest.raises(ValueError, match="must be below stop"):
             parse_grid("1:0:5")
-        with pytest.raises(ValueError, match="at least 2"):
-            parse_grid("0:1:1")
+        # The count is checked before the order of the endpoints.
+        for bad in ("0:1:1", "1:0:-3"):
+            with pytest.raises(ValueError, match=f"^grid count must be at least 2, got {bad.split(':')[2]}$"):
+                parse_grid(bad)
         with pytest.raises(ValueError, match="finite"):
             parse_grid("0:nan:5", degrees=True)

@@ -1,7 +1,8 @@
 """Golden outputs: the sha256 of CLI outputs at fixed flags and seeds.
 
-Any change to an output byte fails here, and CI runs every case of CASES through
-the three installed entry points, so a new case is added here alone.  A deliberate
+Any change to an output byte fails here.  Tier-1 runs every case of CASES through
+main(argv) (here and in tests/test_cli.py), and TestEntryPoints there checks that each
+entry point reaches that main, so a new case is added here alone.  A deliberate
 change, such as a new RNG stream, rewrites the digests with ``PYTHONPATH=src
 python tests/test_golden.py``, which prints each case whose digest moved as
 ``name: old -> new``, and says so in CHANGES.md.

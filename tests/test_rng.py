@@ -344,6 +344,21 @@ class TestBinomial:
         assert draws.tolist() == [binomial(int(k), float(q), float(v)) for k, q, v in zip(n, p, u)]
         assert draws[-2] < 100 and draws[-1] > 2**53 - 100
 
+    @pytest.mark.parametrize("rows", [127, 128, 129, 2**15 - 1, 2**15, 2**15 + 1])
+    def test_row_keys_at_the_edges_of_their_type(self, rows):
+        # A draw's row key is held in the narrowest signed type that holds -1 - rows: int8 up to 127 rows, int16
+        # up to 2**15 - 1 rows and int32 beyond; 129 and 2**15 + 1 rows are the first that a type one step
+        # narrower would wrap.  Among rows distinct (n, p) entries and three off the table, each entry draws as
+        # it does in calls of at most 127 rows, two draws apiece.
+        k = np.random.default_rng(35).permutation(rows)
+        n, p = np.r_[1 + k % 7, 0, 5, 5], np.r_[(k + 0.5) / rows, 0.5, 0.0, 1.0]
+        assert len(np.unique(n[:rows] + 1j * p[:rows])) == rows
+        u = _unit(words(derive_seed(35, np.arange(len(n))), 0, 2))
+        parts = [binomial(n[i : i + 127, None], p[i : i + 127, None], u[i : i + 127]) for i in range(0, len(n), 127)]
+        draws = binomial(n[:, None], p[:, None], u)
+        assert draws.tolist() == np.concatenate(parts).tolist()
+        assert draws[-3:].tolist() == [[0, 0], [0, 0], [5, 5]]
+
     def test_windows_are_sized_once_per_distinct_row(self, monkeypatch):
         # Repeated (n, p) entries, and entries off the table (n = 0, p = 0 or p = 1), add no window.
         n = np.array([40, 40, 10**6, 0, 40, 10**6, 40, 7, 7, 10**9, 40])
