@@ -28,7 +28,7 @@ from .rng import derive_seed
 DEFAULT_GRID_COUNT = 181
 DEFAULT_ANGLE_LIST = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 
-_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(NoiseModel))
+_NOISE_FIELDS = tuple(field.name for field in dataclasses.fields(NoiseModel))
 
 
 _CELL = "%.12g"
@@ -211,41 +211,9 @@ def parse_angle_list(text: str | None, degrees: bool = False) -> tuple[float, ..
     return values
 
 
-def load_noise_config(path: str) -> dict[str, float]:
-    """Read `key = value` lines; keys limited to the noise-model fields, each given at most once."""
-    out: dict[str, float] = {}
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise OSError(f"cannot read config file {path!r}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in out:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            out[key] = float(value.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric value for {key!r}") from exc
-    return out
-
-
 def resolve_noise(args: argparse.Namespace) -> NoiseModel:
-    """Noise model from defaults, then config file, then explicit flags, whose angles main has put in radians."""
-    fields = load_noise_config(args.config) if args.config is not None else {}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            fields[key] = value
-    return NoiseModel(**fields)
+    """The noise model with each field from its flag when given, else its default; main has put angles in radians."""
+    return NoiseModel(**{key: getattr(args, key) for key in _NOISE_FIELDS if getattr(args, key) is not None})
 
 
 def cmd_surface(args: argparse.Namespace) -> None:
@@ -322,7 +290,6 @@ _FLAGS = {
     "--xi-list": (dict(help="comma-separated xi values" + _NEGATIVE_NOTE), parse_angle_list),
     "--pairs": (dict(type=int, default=10000, help="photon pairs per setting"), None),
     "--replications": (dict(type=int, default=1, help="replications per (theta, xi)"), None),
-    "--config": (dict(help="noise profile file with key = value lines"), None),
     "--visibility": (dict(type=float, help="Werner visibility in [0, 1]"), None),
     "--offset-a": (dict(dest="analyzer_offset_a", type=float, help="analyzer a offset angle"), _radians),
     "--offset-b": (dict(dest="analyzer_offset_b", type=float, help="analyzer b offset angle"), _radians),
@@ -336,7 +303,7 @@ _FLAGS = {
     "--seed": (dict(type=int, default=0, help="64-bit seed (default 0)"), None),
     "--degrees": (dict(action="store_true", help="interpret command-line angles as degrees"), None),
 }
-_NOISE = ("--config", "--visibility", "--offset-a", "--offset-b", "--accidentals")
+_NOISE = ("--visibility", "--offset-a", "--offset-b", "--accidentals")
 _COMMON = ("--out", "--seed", "--degrees")
 
 # Each command's help, the flags it has before _COMMON's, and its handler, which main calls with the parsed

@@ -21,7 +21,6 @@ from chshlab.cli import (
     _write_rows,
     build_parser,
     cmd_simulate,
-    load_noise_config,
     main,
     parse_angle_list,
     parse_grid,
@@ -109,7 +108,6 @@ OPTION_PIN = {
     "--xi-list": store("--xi-list", "xi_list", None, None, False, "comma-separated xi values" + NEGATIVE_NOTE),
     "--pairs": store("--pairs", "pairs", 10000, "int", False, "photon pairs per setting"),
     "--replications": store("--replications", "replications", 1, "int", False, "replications per (theta, xi)"),
-    "--config": store("--config", "config", None, None, False, "noise profile file with key = value lines"),
     "--visibility": store("--visibility", "visibility", None, "float", False, "Werner visibility in [0, 1]"),
     "--offset-a": store("--offset-a", "analyzer_offset_a", None, "float", False, "analyzer a offset angle"),
     "--offset-b": store("--offset-b", "analyzer_offset_b", None, "float", False, "analyzer b offset angle"),
@@ -125,7 +123,7 @@ OPTION_PIN = {
     ),
 }
 COMMON = ("--out", "--seed", "--degrees")
-NOISE = ("--config", "--visibility", "--offset-a", "--offset-b", "--accidentals")
+NOISE = ("--visibility", "--offset-a", "--offset-b", "--accidentals")
 COMMAND_PIN = {
     "surface": ("S over a full (theta, xi) grid", ("--theta-grid", "--xi-grid", *COMMON)),
     "sweep-xi": ("S versus xi for chosen theta values", ("--theta-list", "--xi-grid", *COMMON)),
@@ -203,6 +201,8 @@ EQUIVALENCE_ARGVS = [
     ("bounds", "--theta-grid", "0:1:3", "--out", OUT, "--bogus"),
     ("bounds", "--out", OUT, "--", "x"),
     ("simulate", "--pairs"),
+    # The noise model comes from flags alone; a profile file is refused like any unknown option.
+    ("simulate", "--config", "noise.cfg", "--out", OUT),
     *((*argv, "--out", OUT) for argv in GOLDEN_CASES.values()),
 ]
 
@@ -581,78 +581,6 @@ class TestSimulate:
             s_hat, std_err, s_ideal = float(r[2]), float(r[3]), float(r[4])
             assert abs(s_hat - 0.96 * s_ideal) < 5 * std_err
 
-    def test_config_file_matches_flags(self, tmp_path):
-        cfg = tmp_path / "noise.cfg"
-        cfg.write_text(
-            "# bench profile\nvisibility = 0.5\naccidental_fraction = 0.01\n"
-            "analyzer_offset_a = 0.02\nanalyzer_offset_b = -0.01\n"
-        )
-        out_cfg, out_flags = tmp_path / "a.csv", tmp_path / "b.csv"
-        common = ["simulate", "--theta-list", "0.6", "--xi-list", "0.2", "--pairs", "5000", "--seed", "9"]
-        assert run_cli(*common, "--config", cfg, "--out", out_cfg) == 0
-        assert run_cli(
-            *common,
-            "--visibility", "0.5", "--accidentals", "0.01",
-            "--offset-a", "0.02", "--offset-b", "-0.01",
-            "--out", out_flags,
-        ) == 0
-        assert out_cfg.read_bytes() == out_flags.read_bytes()
-
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "noise.cfg"
-        cfg.write_text("visibility = 0.5\n")
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        common = ["simulate", "--theta-list", "0.6", "--xi-list", "0.2", "--pairs", "5000", "--seed", "9"]
-        run_cli(*common, "--config", cfg, "--visibility", "0.9", "--out", out_a)
-        run_cli(*common, "--visibility", "0.9", "--out", out_b)
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_config_rejects_unknown_key(self, tmp_path, capsys):
-        cfg = tmp_path / "noise.cfg"
-        cfg.write_text("darkrate = 3\n")
-        rc = run_cli(
-            "simulate", "--theta-list", "0.6", "--xi-list", "0.2",
-            "--config", cfg, "--out", tmp_path / "x.csv",
-        )
-        assert rc == 1
-        assert "darkrate" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("visibility = 0.9\n# later\nvisibility = 0.5\n", "3: duplicate key 'visibility'"),
-            ("visibility = 0.9\n\nvisibility 0.5  # x\n", "3: expected `key = value`, got 'visibility 0.5  # x'"),
-            ("# comment\naccidental_fraction = 1e-2x\n", "2: non-numeric value for 'accidental_fraction'"),
-        ],
-        ids=["duplicate-key", "no-equals-sign", "non-numeric-value"],
-    )
-    def test_config_rejects_bad_line(self, text, message, tmp_path, capsys):
-        cfg = tmp_path / "noise.cfg"
-        cfg.write_text(text)
-        out = tmp_path / "x.csv"
-        assert run_cli("simulate", "--pairs", "500", "--config", cfg, "--out", out) == 1
-        assert capsys.readouterr().err == f"chshlab: error: {cfg}:{message}\n"
-        assert not out.exists()
-
-    def test_config_with_byte_order_mark(self, tmp_path):
-        # Editors that save UTF-8 with a byte-order mark put U+FEFF before the first key.
-        cfg, plain = tmp_path / "bom.cfg", tmp_path / "plain.cfg"
-        text = "visibility = 0.5\naccidental_fraction = 0.01\n"
-        cfg.write_bytes(text.encode("utf-8-sig"))
-        plain.write_text(text)
-        assert load_noise_config(str(cfg)) == load_noise_config(str(plain)) == {
-            "visibility": 0.5, "accidental_fraction": 0.01,
-        }
-
-    def test_config_not_utf8_names_its_path(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"\xff = 1\n")
-        out = tmp_path / "x.csv"
-        assert run_cli("simulate", "--pairs", "500", "--config", cfg, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"chshlab: error: cannot read config file {str(cfg)!r}: ") and err.count("\n") == 1
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "command, flag, value",
         [
@@ -941,13 +869,11 @@ class TestErrorHandling:
         "command",
         [("surface",), ("sweep-xi",), ("sweep-theta",), ("bounds",), ("sample", "--theta", "0.5")],
     )
-    def test_config_only_on_simulate(self, command, tmp_path, capsys):
-        cfg = tmp_path / "noise.cfg"
-        cfg.write_text("visibility = 0.5\n")
+    def test_noise_flags_only_on_simulate(self, command, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli(*command, "--config", cfg, "--out", tmp_path / "x.csv")
+            run_cli(*command, "--visibility", "0.5", "--out", tmp_path / "x.csv")
         assert exc.value.code == 2
-        assert "--config" in capsys.readouterr().err
+        assert "--visibility" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_path(self, tmp_path, capsys):
@@ -1192,7 +1118,7 @@ class TestSampleMemory:
         assert max(peaks) < 42 and abs(peaks[1] - peaks[0]) < 1, f"ru_maxrss {peaks} MiB"
 
 
-class TestSweepSpecValidation:
+class TestGridValidation:
     def test_grid_spec_invariants(self):
         with pytest.raises(ValueError, match="must be below stop"):
             parse_grid("1:0:5")

@@ -109,7 +109,7 @@ class TestPrepareViaHwp:
             assert abs(overlap - 1.0) <= 1e-12
 
 
-class TestNoisyState:
+class TestWernerState:
     """The reference Werner state."""
 
     def test_full_visibility(self):
@@ -281,7 +281,7 @@ class TestDefaultLists:
         assert peak < 19 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
 
 
-class TestRunSetting:
+class TestSettingDraws:
     """The per-setting same-outcome draws inside estimate_s."""
 
     def test_degenerate_distribution(self):
