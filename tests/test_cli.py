@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import importlib.metadata
 import itertools
 import math
@@ -666,6 +667,49 @@ class TestSimulate:
         argv = ("simulate", "--theta-list", PI / 4, "--xi-list", 0, "--pairs", 10**12, "--seed", 5)
         peak = cli_peak_mib(*argv, "--out", tmp_path / "deep.csv")
         assert peak < 60, f"ru_maxrss {peak:.1f} MiB"
+
+
+class TestNoiseFlags:
+    # Each noise flag, the NoiseModel field it sets, and an in-range value that is not the field's default.
+    FLAGS = [
+        ("--visibility", "visibility", 0.5),
+        ("--offset-a", "analyzer_offset_a", 0.02),
+        ("--offset-b", "analyzer_offset_b", -0.01),
+        ("--accidentals", "accidental_fraction", 0.01),
+    ]
+
+    def test_no_flag_gives_the_defaults(self):
+        assert cli.resolve_noise(build_parser().parse_args(["simulate", "--out", "x.csv"])) == NoiseModel()
+
+    @pytest.mark.parametrize("flag, field, value", FLAGS, ids=[f[0] for f in FLAGS])
+    def test_each_flag_sets_its_field_alone(self, flag, field, value):
+        args = build_parser().parse_args(["simulate", flag, repr(value), "--out", "x.csv"])
+        assert cli.resolve_noise(args) == dataclasses.replace(NoiseModel(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--visibility", "1.5", "visibility 1.5 outside [0, 1]"),
+            ("--offset-a", "nan", "analyzer_offset_a must be finite"),
+            ("--offset-b", "inf", "analyzer_offset_b must be finite"),
+            ("--accidentals", "1", "accidental_fraction 1.0 outside [0, 1)"),
+        ],
+        ids=["--visibility", "--offset-a", "--offset-b", "--accidentals"],
+    )
+    def test_out_of_range_value_fails(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--pairs", "500", flag, value, "--out", out) == 1
+        assert capsys.readouterr().err == f"chshlab: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [f[0] for f in FLAGS])
+    def test_non_numeric_value_exits_2(self, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--pairs", "500", flag, "1e-2x", "--out", out)
+        assert exc.value.code == 2
+        assert f"{flag}: invalid float value: '1e-2x'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def simulate_with_replications(replications, out):
