@@ -3,8 +3,9 @@
 Everything random flows through the counter-based SplitMix64 stream of
 ``words``, a pure function of seed and word index, so a 64-bit seed pins every
 output bit-for-bit and whole arrays of seeds are drawn from at once.  Counts
-are drawn by inverse CDF on Bernstein-bounded windows; every draw consumes a
-fixed number of words whatever its outcome, so derived streams never slip.
+of one number of trials are drawn by inverse CDF on Bernstein-bounded windows,
+one table row per distinct probability; every draw consumes a fixed number of
+words whatever its outcome, so derived streams never slip.
 """
 
 from __future__ import annotations
@@ -128,53 +129,45 @@ def _cdf_block(buffers, top, bottom, logit, anchor, start, stop, step=0.0, cdf=0
     return np.cumsum(t, axis=1, out=t), steps
 
 
-def binomial(n, p, u) -> int | np.ndarray:
-    """Binomial(n, p) draws at uniforms ``u`` in [0, 1) by inverse CDF; the arguments broadcast.
+def binomial(n: int, p, u) -> int | np.ndarray:
+    """Binomial(n, p) draws at uniforms ``u`` in [0, 1) by inverse CDF, for one whole n; p and u broadcast.
 
     The mass function is tabulated on binomial_window(n, p).  Scaling the uniform by the table's total
     mass cancels the rounding of its math.lgamma anchor: the draw is the exact inverse CDF except within
     the table's CDF error of a CDF value: against scipy.stats.binom.cdf, at most 1.2e-12 at n = 1e9 and
-    3.7e-11 at n = 1e12, expsim.MAX_PAIRS.  The table rows come from the broadcast of n and p alone, so
-    the axes that only u has add draws, not rows: one np.unique finds the distinct (n, p) entries, and
-    each gets one row and one window.  Narrow rows are built in chunks as wide as their widest row, and
-    np.searchsorted counts the entries below u * total among the columns inside each draw's row.  A row
-    wider than _BUDGET is built in blocks of _BUDGET columns, which keep only the step and CDF sums at
-    every mark of _BUDGET // 16 columns; then the marks that hold a draw are built again from their sums
-    and searched the same way.  The draws are those of the whole row, bit for bit.  n may be at most 2**53.
-    u = 1 draws the row's top; u outside [0, 1] raises.
+    3.7e-11 at n = 1e12, expsim.MAX_PAIRS.  The table rows come from p alone, so the axes that only u
+    has add draws, not rows: one np.unique of the live p finds the distinct rows, and each gets one
+    window.  Narrow rows are built in chunks as wide as their widest row, and np.searchsorted counts
+    the entries below u * total among the columns inside each draw's row.  A row wider than _BUDGET is
+    built in blocks of _BUDGET columns, which keep only the step and CDF sums at every mark of
+    _BUDGET // 16 columns; then the marks that hold a draw are built again from their sums and searched
+    the same way.  The draws are those of the whole row, bit for bit.  n may be at most 2**53.  u = 1
+    draws the row's top; u outside [0, 1] raises.
     """
-    try:
-        whole = np.asarray(n, np.int64)
-    except OverflowError:
-        raise ValueError(f"binomial needs n <= 2**53, got {n!r}") from None
-    if np.any(whole != n):
-        raise ValueError(f"binomial needs whole-number n, got {n!r}")
-    n, p = np.broadcast_arrays(whole, np.asarray(p, np.float64))
-    u = np.asarray(u, np.float64)
-    shape = np.broadcast_shapes(n.shape, u.shape)  # the draws' shape; axes that only u has add draws, not rows
-    if np.any(n < 0) or not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
-        raise ValueError("binomial needs n >= 0 and p in [0, 1]")
+    if np.ndim(n) or not 0 <= n <= _MAX_N or n != int(n):  # NaN and infinities fail too
+        raise ValueError(f"binomial needs one whole number n with n >= 0 and n <= 2**53, got {n!r}")
+    n, p, u = int(n), np.asarray(p, np.float64), np.asarray(u, np.float64)
+    shape = np.broadcast_shapes(p.shape, u.shape)  # the draws' shape; axes that only u has add draws, not rows
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
+        raise ValueError("binomial needs p in [0, 1]")
     if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
         raise ValueError("binomial needs uniforms u in [0, 1]")
-    if np.any(n > _MAX_N):
-        raise ValueError(f"binomial needs n <= 2**53, got {n.max()}")
     out, live = np.broadcast_to(np.where(p == 1.0, n, 0), shape).flatten(), (n > 0) & (p > 0.0) & (p < 1.0)
-    # Distinct (n, p) rows: complex keys sort by n, then by p, and every n <= 2**53 is an exact float.
-    rows, inverse = np.unique(n[live] + 1j * p[live], return_inverse=True)
-    lo, hi = binomial_window(rows.real, rows.imag)
+    rows, inverse = np.unique(p[live], return_inverse=True)  # the distinct p, one table row each
+    lo, hi = binomial_window(n, rows)
     order = np.argsort(lo - hi, kind="stable")  # widest first, so that a chunk's first row sets its width
-    key = np.full(n.shape, -1, np.min_scalar_type(-1 - len(rows)))
+    key = np.full(p.shape, -1, np.min_scalar_type(-1 - len(rows)))
     key[live] = np.argsort(order)[inverse]
-    # Each draw's key is the row of its (n, p) entry, or -1 off the table, in the narrowest type to hold -1 - len(rows),
-    # which numpy radix-sorts below 2**15 rows.  The live draws, stably sorted by row, put each chunk's draws in a slice.
+    # Each draw's key is the row of its p, or -1 off the table, in the narrowest type to hold -1 - len(rows), which
+    # numpy radix-sorts below 2**15 rows.  The live draws, stably sorted by row, put each chunk's draws in a slice.
     key = np.broadcast_to(key, shape).ravel()
     at = np.argsort(key, kind="stable")[np.count_nonzero(key < 0) :]
     row, u, start, count = key[at], np.broadcast_to(u, shape).ravel()[at], 0, np.empty_like(at)
     bounds = np.searchsorted(row, np.arange(len(rows) + 1)).tolist()  # row r's draws are bounds[r]:bounds[r + 1]
-    width, lo, rn, rp = (hi - lo + 1)[order], lo[order], rows.real[order], rows.imag[order]
+    width, lo, rp = (hi - lo + 1)[order], lo[order], rows[order]
     logit = np.log(rp) - np.log1p(-rp)
-    anchor = _lgamma(rn + 1.0) - _lgamma(lo + 1.0) - _lgamma(rn - lo + 1.0) + rn * np.log1p(-rp) + lo * logit
-    top, bottom, buffers = rn - lo, lo + 1.0, np.empty((2, _BUDGET))
+    top, bottom, buffers = float(n) - lo, lo + 1.0, np.empty((2, _BUDGET))
+    anchor = math.lgamma(n + 1.0) - _lgamma(bottom) - _lgamma(top + 1.0) + n * np.log1p(-rp) + lo * logit
     with np.errstate(divide="ignore", invalid="ignore"):  # column 0 at lo = 0, and columns past a row's width
         while start < len(rows):
             w = int(width[start])

@@ -259,11 +259,11 @@ class TestDefaultLists:
         assert np.unique(p).size == 13
 
     def test_windows_are_built_per_row_not_per_draw(self, monkeypatch):
-        # 2,000 draws from 100 (n, p) entries in one estimate_s call; binomial sizes windows per row, not per draw.
+        # 2,000 draws from 100 p entries in one estimate_s call; binomial sizes windows per row, not per draw.
         est, calls = self.estimate(monkeypatch, 20, [(rng_module, "binomial_window")])
         assert est.counts.shape == (5, 5, 20, 4, 2)
-        assert calls["binomial_window"]
-        assert max(np.size(n) for n, _ in calls["binomial_window"]) <= 100
+        ((_, p),) = calls["binomial_window"]
+        assert np.size(p) == np.unique(p).size == 13
 
     def test_binomial_memory_at_2000_replications(self, monkeypatch):
         # 2e5 draws from the 100 rows peaked at 21.6 MiB when the windows and the row dedup ran on every draw.

@@ -169,24 +169,25 @@ class TestBinomial:
     @pytest.mark.parametrize(
         "n, p",
         [
-            ([0, 5, 7, 9], [0.3, 0.0, 1.0, 0.0]),  # no live entry
-            ([40], [0.3]),  # one row
-            ([40] * 6, [0.3] * 6),  # every row the same
-            # At n = 40 these p share the window [0, 40], so only the p column tells the rows apart.
-            ([40] * 6, [0.3, 0.5, 0.3, 0.2, 0.5, 0.3]),
+            (9, [0.0, 1.0, 0.0, 1.0]),  # no live entry: p = 0 or 1
+            (0, [0.3, 0.0, 1.0, 0.2]),  # no live entry: no trials
+            (40, [0.3]),  # one row
+            (40, [0.3] * 6),  # every row the same
+            # At n = 40 these p share the window [0, 40], so only p tells the rows apart.
+            (40, [0.3, 0.5, 0.3, 0.2, 0.5, 0.3]),
         ],
-        ids=["no-live", "one-row", "equal-rows", "rows-differ-in-p-only"],
+        ids=["no-live", "no-trials", "one-row", "equal-rows", "rows-differ-in-p-only"],
     )
     def test_shared_rows_draw_as_single_calls(self, n, p):
         # Entries that share a table row, or whose rows differ only in p, draw as they would alone.
-        n, p = np.array(n), np.array(p)
-        u = _unit(SplitMix64(17).next_uint64(len(n)))
+        p = np.array(p)
+        u = _unit(SplitMix64(17).next_uint64(len(p)))
         live = (n > 0) & (p > 0) & (p < 1)
-        lo, hi = binomial_window(n[live], p[live])
-        assert len(set(zip(lo.tolist(), hi.tolist(), n[live].tolist()))) == int(live.any())  # one window at most
-        expected = [binomial(int(k), float(q), float(v)) for k, q, v in zip(n, p, u)]
+        lo, hi = binomial_window(n, p[live])
+        assert len(set(zip(lo.tolist(), hi.tolist()))) == int(live.any())  # one window at most
+        expected = [binomial(n, float(q), float(v)) for q, v in zip(p, u)]
         assert binomial(n, p, u).tolist() == expected
-        assert expected == [binomial_cdf_inverse_exact(float(v), int(k), float(q)) for k, q, v in zip(n, p, u)]
+        assert expected == [binomial_cdf_inverse_exact(float(v), n, float(q)) for q, v in zip(p, u)]
 
     def test_edge_cases(self):
         u = float(_unit(SplitMix64(3).next_uint64(1))[0])
@@ -196,20 +197,22 @@ class TestBinomial:
         for p in (1.5, -1e-12, math.nan):
             with pytest.raises(ValueError):
                 binomial(10, p, u)
-        with pytest.raises(ValueError):
-            binomial(-1, 0.5, u)
+        for n in (-1, math.nan):
+            with pytest.raises(ValueError, match="n >= 0"):
+                binomial(n, 0.5, u)
 
     def test_uniforms_carry_their_own_axes(self):
-        # The table rows come from n and p alone; u adds draw axes of its own.  p = 0 and 1, n = 0 and u = 1
+        # The table rows come from p alone; u adds draw axes of its own.  p = 0 and 1, n = 0 and u = 1
         # included, each entry draws as a scalar call would.
-        n, p = np.array([[0], [40], [10**6]]), np.array([[0.0, 0.3, 1.0, 0.999]])
+        p = np.array([[0.0, 0.3, 1.0, 0.999]])
         seeds = derive_seed(35, np.arange(5)[:, None, None], np.arange(3)[:, None], np.arange(4))
         u = _unit(words(seeds, 0, 1))[..., 0]
         u[0, :, 1], u[1, 1] = 1.0, 1.0
-        draws = binomial(n, p, u)
-        assert draws.shape == (5, 3, 4)
-        for (i, j, k), draw in np.ndenumerate(draws):
-            assert draw == binomial(int(n[j, 0]), float(p[0, k]), float(u[i, j, k]))
+        for n in (0, 40, 10**6):
+            draws = binomial(n, p, u)
+            assert draws.shape == (5, 3, 4)
+            for (i, j, k), draw in np.ndenumerate(draws):
+                assert draw == binomial(n, float(p[0, k]), float(u[i, j, k]))
 
     def test_rejects_uniforms_outside_zero_to_one(self):
         # u = 1.5 drew 15 of 10 trials, or past the window's edge; NaN drew the lower edge; on a wide row both
@@ -221,18 +224,19 @@ class TestBinomial:
             assert binomial(n, 0.5, 1.0) <= binomial_window(np.array(n), np.array(0.5))[1]
 
     def test_rejects_fractional_n(self):
-        # 2.9 trials used to be drawn as 2.
+        # 2.9 trials used to be drawn as 2.  A call draws for one number of trials: a list of them is refused.
         assert binomial(3.0, 0.999, 0.99) == binomial(3, 0.999, 0.99)
-        for n in (2.9, [10, 2.5], np.float64(1e9 + 0.5)):
-            with pytest.raises(ValueError, match="whole"):
+        for n in (2.9, np.float64(1e9 + 0.5), [10, 20], np.array([3])):
+            with pytest.raises(ValueError, match="one whole number n"):
                 binomial(n, 0.999, 0.99)
 
     def test_consumes_one_word_regardless_of_outcome(self):
         # Each entry of a batched call draws at its own uniform, also next to entries decided without one.
         for seed in range(20):
             u = _unit(words(seed, 0, 4))
-            counts = binomial([1000, 1000, 0, 1000], [0.0, 0.3, 0.2, 1.0], u)
-            assert counts.tolist() == [0, binomial(1000, 0.3, u[1]), 0, 1000]
+            counts = binomial(1000, [0.0, 0.3, 1.0, 0.2], u)
+            assert counts.tolist() == [0, binomial(1000, 0.3, u[1]), 1000, binomial(1000, 0.2, u[3])]
+            assert binomial(0, [0.0, 0.3, 0.2, 1.0], u).tolist() == [0, 0, 0, 0]
 
     def test_matches_exact_rational_cdf_mid_range(self):
         # Exact integer-arithmetic oracle at n = 500, p = 1/4: the CDF terms
@@ -317,86 +321,88 @@ class TestBinomial:
     def test_rejects_n_above_two_to_the_53(self):
         # Above 2**53 the counts are no longer exact floats.  The check runs before any table is built:
         # 2**60 trials at p = 1/2 would need a row of about 1e10 entries.
-        for n, p in ((2**60, 0.5), (2**53 + 1, 1e-12), ([10, 2**62], 0.5), (2**64, 0.5)):
+        for n, p in ((2**60, 0.5), (2**53 + 1, 1e-12), (math.inf, 0.5), (2**64, 0.5), (np.uint64(2**63), 0.5)):
             with pytest.raises(ValueError, match=r"2\*\*53"):
                 binomial(n, p, 0.3)
 
 
     def test_mixed_width_batch_matches_scalar_calls(self):
-        # One call batches tables of width 2 to about 3e5 and rows at p = 0 or 1: narrow rows share padded
-        # chunks and wide ones fill chunks of their own, yet every entry draws as it would alone.
+        # At n = 1e9 one call batches tables of width 30 to about 3e5 and rows at p = 0 or 1: narrow rows share
+        # padded chunks and wide ones fill chunks of their own, yet every entry draws as it would alone.
         rng = np.random.default_rng(31)
         p = np.r_[0.25, 1 / 3, 0.5, 1e-8, 0.3, 1 - 3e-8, 1 - 1.1e-4, 1 - 2e-5, 1e-12, 0.0, 1.0, 0.97, rng.random(4)]
-        n, p = (a.ravel() for a in np.meshgrid([10**9, 10**9 - 2, 999_999, 1000, 2, 1, 0], p))
-        # Pairs of rows that tie on width: the first two pairs differ in n and their lower edges sort opposite to
-        # their n, so rows ordered by (width, n, p) and by (width, lo, n, p) take them in opposite orders; the
-        # last two pairs differ in p only.
-        tie_n, tie_p = [40, 41, 999_999, 10**6, 1000, 1000, 10**9, 10**9], [0.9, 0.1, 0.9, 0.1, 0.2, 0.8, 0.25, 0.75]
-        tie_lo, tie_hi = binomial_window(np.array(tie_n), np.array(tie_p))
-        assert ((tie_hi - tie_lo)[::2] == (tie_hi - tie_lo)[1::2]).all() and (tie_lo[:4:2] > tie_lo[1:4:2]).all()
+        # Pairs of rows that tie on width and differ in p only, which the stable sort by width keeps in p order.
+        ties = {1000: [0.2, 0.8], 10**9: [0.25, 0.75]}
         # n = 2**53 is accepted; on its tables n - k, or k, reaches 2**53.
-        n, p = np.r_[np.repeat(n, 3), tie_n, 2**53, 2**53], np.r_[np.repeat(p, 3), tie_p, 1e-15, 1 - 1e-15]
-        u = _unit(words(derive_seed(33, np.arange(len(n))), 0, 1))[:, 0]
-        live = (n > 0) & (p > 0.0) & (p < 1.0)
-        lo, hi = binomial_window(n[live], p[live])
-        assert (hi - lo + 1).min() == 2 and 2e5 < (hi - lo + 1).max() < 4e5
-        draws = binomial(n, p, u)
-        assert draws.tolist() == [binomial(int(k), float(q), float(v)) for k, q, v in zip(n, p, u)]
-        assert draws[-2] < 100 and draws[-1] > 2**53 - 100
+        for n in (10**9, 10**9 - 2, 999_999, 1000, 2, 1, 0, 2**53):
+            q = np.r_[0.0, 1e-15, 1 - 1e-15, 1.0] if n == 2**53 else np.r_[np.repeat(p, 3), ties.get(n, [])]
+            u = _unit(words(derive_seed(33, n, np.arange(len(q))), 0, 1))[:, 0]
+            live = (n > 0) & (q > 0.0) & (q < 1.0)
+            lo, hi = binomial_window(n, q[live])
+            if n == 10**9:
+                assert (hi - lo + 1).min() < 100 and 2e5 < (hi - lo + 1).max() < 4e5
+            if n in ties:
+                tie_lo, tie_hi = binomial_window(n, np.array(ties[n]))
+                assert tie_hi[0] - tie_lo[0] == tie_hi[1] - tie_lo[1]
+            draws = binomial(n, q, u)
+            assert draws.tolist() == [binomial(n, float(x), float(v)) for x, v in zip(q, u)]
+        assert draws[1] < 100 and draws[2] > 2**53 - 100  # the last call's, at n = 2**53
 
     @pytest.mark.parametrize("rows", [127, 128, 129, 2**15 - 1, 2**15, 2**15 + 1])
     def test_row_keys_at_the_edges_of_their_type(self, rows):
         # A draw's row key is held in the narrowest signed type that holds -1 - rows: int8 up to 127 rows, int16
         # up to 2**15 - 1 rows and int32 beyond; 129 and 2**15 + 1 rows are the first that a type one step
-        # narrower would wrap.  Among rows distinct (n, p) entries and three off the table, each entry draws as
-        # it does in calls of at most 127 rows, two draws apiece.
+        # narrower would wrap.  Among rows distinct p and three entries off the table, each entry draws as it
+        # does in calls of at most 127 rows, two draws apiece.
         k = np.random.default_rng(35).permutation(rows)
-        n, p = np.r_[1 + k % 7, 0, 5, 5], np.r_[(k + 0.5) / rows, 0.5, 0.0, 1.0]
-        assert len(np.unique(n[:rows] + 1j * p[:rows])) == rows
-        u = _unit(words(derive_seed(35, np.arange(len(n))), 0, 2))
-        parts = [binomial(n[i : i + 127, None], p[i : i + 127, None], u[i : i + 127]) for i in range(0, len(n), 127)]
-        draws = binomial(n[:, None], p[:, None], u)
+        p = np.r_[(k + 0.5) / rows, 0.0, 1.0, 0.0]
+        assert len(np.unique(p[:rows])) == rows
+        u = _unit(words(derive_seed(35, np.arange(len(p))), 0, 2))
+        parts = [binomial(7, p[i : i + 127, None], u[i : i + 127]) for i in range(0, len(p), 127)]
+        draws = binomial(7, p[:, None], u)
         assert draws.tolist() == np.concatenate(parts).tolist()
-        assert draws[-3:].tolist() == [[0, 0], [0, 0], [5, 5]]
+        assert draws[-3:].tolist() == [[0, 0], [7, 7], [0, 0]]
 
     def test_windows_are_sized_once_per_distinct_row(self, monkeypatch):
-        # Repeated (n, p) entries, and entries off the table (n = 0, p = 0 or p = 1), add no window.
-        n = np.array([40, 40, 10**6, 0, 40, 10**6, 40, 7, 7, 10**9, 40])
-        p = np.array([0.3, 0.5, 0.25, 0.5, 0.3, 0.25, 0.0, 1.0, 0.5, 0.25, 0.5])
-        u = _unit(words(derive_seed(34, np.arange(len(n))), 0, 2))
-        expected = binomial(n[:, None], p[:, None], u)
+        # Repeated p, and entries off the table (n = 0, p = 0 or p = 1), add no window.
+        p = np.array([0.3, 0.5, 0.25, 0.5, 0.3, 0.25, 0.0, 1.0, 0.7, 0.25, 0.5])
+        u = _unit(words(derive_seed(34, np.arange(len(p))), 0, 2))
+        expected = {n: binomial(n, p[:, None], u) for n in (0, 40, 10**9)}
         calls = []
 
         def spy(n, p):
-            calls.append(list(zip(n.tolist(), p.tolist())))
+            calls.append((n, sorted(p.tolist())))
             return binomial_window(n, p)
 
         monkeypatch.setattr(rng_module, "binomial_window", spy)
-        assert binomial(n[:, None], p[:, None], u).tolist() == expected.tolist()
-        (rows,) = calls
-        assert sorted(rows) == [(7, 0.5), (40, 0.3), (40, 0.5), (10**6, 0.25), (10**9, 0.25)]
+        for n, draws in expected.items():
+            assert binomial(n, p[:, None], u).tolist() == draws.tolist()
+        rows = [0.25, 0.3, 0.5, 0.7]
+        assert calls == [(0, []), (40, rows), (10**9, rows)]
 
     def test_padding_raises_no_warning(self):
         # Rows of very different widths share a padded table; p = 0 and p = 1 rows, subnormal p and the
         # lanes past a row's end must stay clean.
-        p = [0.0, 1.0, 0.5, 1e-8, 0.5 - 1e-8, 1e-300, 5e-324, 1 - 2**-53, 0.25, 1 / 3]
-        n, p = (a.ravel() for a in np.meshgrid([0, 1, 2, 1000, 10**9], p))
-        u = _unit(words(derive_seed(4, np.arange(len(n))), 0, 1))[:, 0]
+        p = np.array([0.0, 1.0, 0.5, 1e-8, 0.5 - 1e-8, 1e-300, 5e-324, 1 - 2**-53, 0.25, 1 / 3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draws = binomial(n, p, u)
-            assert draws.tolist() == [binomial(int(k), float(q), float(v)) for k, q, v in zip(n, p, u)]
-            binomial([1, 2, 10**9, 10**9], [5e-324, 1 - 2**-53, 5e-324, 1 - 2**-53], [0.0, 0.5, 0.999, 0.0])
+            for n in (0, 1, 2, 1000, 10**9):
+                u = _unit(words(derive_seed(4, n, np.arange(len(p))), 0, 1))[:, 0]
+                draws = binomial(n, p, u)
+                assert draws.tolist() == [binomial(n, float(q), float(v)) for q, v in zip(p, u)]
+            binomial(1, 5e-324, 0.0)
+            binomial(2, 1 - 2**-53, 0.5)
+            binomial(10**9, [5e-324, 1 - 2**-53], [0.999, 0.0])
 
     def test_batch_memory_stays_bounded(self):
         # A table is built in blocks of about 2**14 entries, a wide row's too, so 60 distinct 1e9-trial rows
         # peak at about 0.8 MB; built whole, one row at a time, they peaked at 9.1 MB.
-        n = 10**9 - 1000 * np.arange(20)[:, None]
+        p = np.array([0.25, 1 / 3, 0.5]) - 1e-6 * np.arange(20)[:, None]
         u = _unit(words(derive_seed(1, np.arange(20)), 0, 3))
-        binomial(n, [0.25, 1 / 3, 0.5], u)
+        binomial(10**9, p, u)
         tracemalloc.start()
         try:
-            binomial(n, [0.25, 1 / 3, 0.5], u)
+            binomial(10**9, p, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -407,13 +413,13 @@ class TestBinomial:
         # scipy's at n = 1e12.  The tolerance was fixed before the first run.
         binom = pytest.importorskip("scipy.stats").binom
         tol = 1e-10
-        n, p = (a.ravel() for a in np.meshgrid(10 ** np.arange(4, 13), [0.5, 0.8535533905932737, 1e-3]))
-        n, p = np.repeat(n, 100), np.repeat(p, 100)
-        u = _unit(words(28, 0, len(n)))
-        u[::50], u[1::50] = 0.0, 1.0 - 2.0**-53
-        assert n.max() == MAX_PAIRS
-        k = binomial(n, p, u)
-        assert (binom.cdf(k - 1, n, p) - tol <= u).all() and (u <= binom.cdf(k, n, p) + tol).all()
+        ns, p = [10**e for e in range(4, 13)], np.repeat([0.5, 0.8535533905932737, 1e-3], 100)
+        u = _unit(words(28, 0, 2700)).reshape(3, len(ns), 100)  # 100 uniforms for each (p, n)
+        u[..., ::50], u[..., 1::50] = 0.0, 1.0 - 2.0**-53
+        assert ns[-1] == MAX_PAIRS
+        for n, u_n in zip(ns, u.transpose(1, 0, 2).reshape(len(ns), -1)):
+            k = binomial(n, p, u_n)
+            assert (binom.cdf(k - 1, n, p) - tol <= u_n).all() and (u_n <= binom.cdf(k, n, p) + tol).all()
 
 
 class TestWideRows:
@@ -428,7 +434,9 @@ class TestWideRows:
         u = rng.random(len(n))
         u[::7], u[3::7] = 0.0, 1.0 - 2.0**-53
         assert (n.min(), n.max()) == (10**6, 10**12)
-        assert binomial(n, p, u).tolist() == binomial_whole_rows(n, p, u).tolist()
+        expected = binomial_whole_rows(n, p, u)
+        for k in np.unique(n):
+            assert binomial(int(k), p[n == k], u[n == k]).tolist() == expected[n == k].tolist()
 
     def test_draws_at_the_edges_of_blocks_and_marks(self):
         # Each uniform is the top of the CDF at column c, so it draws lo + c: the first and last entries of
@@ -438,17 +446,19 @@ class TestWideRows:
         cdf = whole_rows_cdf(lo, n, p, hi - lo + 1)[0]
         cols = np.array([0, 1, 1023, 1024, 2**14 - 1, 2**14, 2**14 + 1, 5 * 2**14 - 1, 5 * 2**14, 8 * 2**14 + 1024])
         u = cdf[cols] / cdf[-1]
+        assert (binomial(10**9, 0.25, u) - lo).tolist() == cols.tolist()
         n, p = np.repeat(n, len(cols)), np.repeat(p, len(cols))
-        assert (binomial(n, p, u) - lo).tolist() == cols.tolist()
-        assert binomial(n, p, u).tolist() == binomial_whole_rows(n, p, u).tolist()
+        assert binomial(10**9, 0.25, u).tolist() == binomial_whole_rows(n, p, u).tolist()
 
     @pytest.mark.parametrize("budget", [7, 1000, 2**14])
     def test_draws_do_not_depend_on_the_block_size(self, budget, monkeypatch):
         n = np.repeat([40, 10**4, 10**6, 10**7], 2)
         p = np.array([0.3, 0.5, 0.25, 1e-3, 0.5, 0.999, 0.3, 0.5])
         u = _unit(SplitMix64(25).next_uint64(len(n)))
+        expected = binomial_whole_rows(n, p, u)
         monkeypatch.setattr(rng_module, "_BUDGET", budget)
-        assert binomial(n, p, u).tolist() == binomial_whole_rows(n, p, u).tolist()
+        for k in np.unique(n):
+            assert binomial(int(k), p[n == k], u[n == k]).tolist() == expected[n == k].tolist()
 
     def test_memory_is_flat_in_the_row_width(self):
         # A whole row of Binomial(1e11, 1/2) has about 3e6 entries; built whole, it peaked at 116 MB.
@@ -466,8 +476,8 @@ class TestWideRows:
 class TestNarrowRows:
     # Narrow rows share a chunk as wide as its widest row.  Columns past a row's width hold NaN or
     # extra mass, so each draw's search must stay inside its own row.
-    N = np.array([1000, 10**4, 2000, 40, 5, 1, 3, 200, 10**4, 50, 300, 7])
-    P = np.array([0.5, 0.01, 0.02, 0.3, 0.5, 0.7, 0.999, 0.99, 1 - 1e-6, 1e-3, 0.5, 0.9])
+    N = 1000
+    P = np.array([0.5, 0.01, 0.02, 0.3, 0.005, 0.7, 0.999, 0.99, 1 - 1e-6, 1e-3, 0.45, 0.9])
 
     @pytest.mark.parametrize("budget", [2**14, 997])
     def test_matches_whole_row_reference(self, budget, monkeypatch):
@@ -478,14 +488,14 @@ class TestNarrowRows:
         assert ((lo > 0) & (hi == self.N)).any()
         # Each row draws at 0, at 1 - 2**-53, at 1, at the top of its CDF at two columns and at random.  u = 1
         # targets the row's total, so its draw reads the last column of the row's own slice of a shared chunk.
-        cdf = whole_rows_cdf(lo, self.N, self.P, width)
+        cdf = whole_rows_cdf(lo, np.full(len(self.P), self.N), self.P, width)
         rng = np.random.default_rng(27)
         u = [np.r_[0.0, 1.0 - 2.0**-53, 1.0, c[[0, (w - 1) // 2]] / c[w - 1], rng.random(4)] for c, w in zip(cdf, width)]
-        n, p, u = np.repeat(self.N, 9), np.repeat(self.P, 9), np.concatenate(u)
+        n, p, u = np.full(9 * len(self.P), self.N), np.repeat(self.P, 9), np.concatenate(u)
         monkeypatch.setattr(rng_module, "_BUDGET", budget)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draws = binomial(n, p, u)
+            draws = binomial(self.N, p, u)
         assert draws.tolist() == binomial_whole_rows(n, p, u).tolist()
         assert ((np.repeat(lo, 9) <= draws) & (draws <= np.repeat(hi, 9))).all()
 
