@@ -35,33 +35,24 @@ _CELL = "%.12g"
 _BLOCK_ROWS = 1024
 
 
-def _cell(a: np.ndarray) -> str:
-    """%d for an integer column that _CELL would write in full (fewer than 13 digits), else _CELL."""
-    if a.dtype.kind in "iu" and a.size and -(10**12) < a.min() and a.max() < 10**12:
-        return "%d"
-    return _CELL
-
-
 def _lines(*columns):
     """CSV text of the broadcast columns, yielded _BLOCK_ROWS whole lines at a time.
 
     A string column is a literal cell, the same on every row; a % in it is
     escaped as %% in the row template.  Every other column is numeric,
     broadcasts against the rest and is formatted with _CELL: 12 significant
-    digits, as ``format(value, ".12g")`` gives them.  An integer column whose
-    values all lie strictly between -10**12 and 10**12 is written with %d,
-    which gives the same bytes faster; its range comes from min and max, so
-    no copy of the column is made.  Rows run in C order of the broadcast
-    shape, so the first axis runs slowest.  A block of k rows is one %
-    operation: the row template repeated k times, applied to the block's
-    cells interleaved row by row into one flat list.
+    digits, as ``format(value, ".12g")`` gives them, which writes every
+    integer of fewer than 13 digits as %d would.  Rows run in C order of the
+    broadcast shape, so the first axis runs slowest.  A block of k rows is
+    one % operation: the row template repeated k times, applied to the
+    block's cells interleaved row by row into one flat list.
 
     No value is formatted twice.  A column with fewer values than there are
     rows, and at most _BLOCK_ROWS of them, such as a constant, is formatted
-    once per value, with the spec its own values choose, and its texts fill
-    %s cells; so memory stays at about one block of cells per column.  Every
-    other column is formatted block by block.  Each value gets the same spec
-    on every path, so the bytes do not depend on the path.
+    once per value and its texts fill %s cells; so memory stays at about one
+    block of cells per column.  Every other column is formatted block by
+    block.  Each value gets _CELL on every path, so the bytes do not depend
+    on the path.
     """
     columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, str)))
@@ -71,9 +62,9 @@ def _lines(*columns):
         if isinstance(c, str):
             specs.append(c.replace("%", "%%"))
             continue
-        spec = _cell(c)
+        spec = _CELL
         if c.size < size and c.size <= _BLOCK_ROWS:
-            spec, c = "%s", np.array([spec % v for v in c.ravel().tolist()], dtype=object).reshape(c.shape)
+            spec, c = "%s", np.array([_CELL % v for v in c.ravel().tolist()], dtype=object).reshape(c.shape)
         specs.append(spec)
         flats.append(np.broadcast_to(c, shape).flat)
     template, width = ",".join(specs) + "\n", len(flats)
@@ -83,6 +74,72 @@ def _lines(*columns):
         for c, f in enumerate(flats):
             cells[c::width] = f[start : start + k].tolist()
         yield (template * k) % tuple(cells)
+
+
+def _digit_words() -> np.ndarray:
+    """The 4 ASCII digits of each k < 10**4 as one uint32, in three tables laid end to end: from 0 with trailing
+    zeros as NUL (k = 0 all NUL), from _LEAD with leading zeros but the last as NUL, and from _PLAIN as they are."""
+    # int16 and uint8 keep the temporaries small: every command builds these tables at import.
+    k, place = np.arange(10**4, dtype=np.int16)[:, None], 10 ** np.arange(3, -1, -1, dtype=np.int16)
+    plain = (k // place % 10 + ord("0")).astype(np.uint8)
+    trail = np.where(k % (10 * place) != 0, plain, 0)
+    lead = np.where((k >= place) | (place == 1), plain, 0)
+    return np.concatenate([trail, lead, plain]).view(np.uint32).ravel()
+
+
+_WORDS, _LEAD, _PLAIN = _digit_words(), 10**4, 2 * 10**4
+_COMMA, _COMMA_MINUS, _POINT, _CELLS, _NEWLINE = np.frombuffer(b",\0\0\0,-\0\0.\0\0\0,,,,\n\0\0\0", np.uint32)
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
+
+
+def _int_words(i: np.ndarray, out: np.ndarray) -> None:
+    """Write each 0 <= i < 10**12 into out[0:3] as three words of 4 digits, with NUL before its first digit."""
+    # A group above the first digit's is 0, all NUL at table 0; the first digit's group takes _LEAD's table.
+    above4, above8 = (i >= 10**4) * _LEAD, (i >= 10**8) * _LEAD
+    top, upper = i // 10**8, i // 10**4
+    groups = top + above8, upper - top * 10**4 + above4 + above8, i - upper * 10**4 + _LEAD + above4
+    for row, words in zip(out, groups):
+        np.take(_WORDS, words, out=row)
+
+
+def _sample_rows(start: int, values: np.ndarray) -> bytes:
+    """``_lines(np.arange(start, start + values.size), values, "", "", "", "")`` as bytes, indices below 10**12.
+
+    A value x with 1e-4 <= |x| < 1e11 is written in fixed notation from its 12 significant digits rint(|x| *
+    10**(11 - e)), e its decade: 10**(11 - e) is an exact double and the product is rounded by at most 2**-13, so
+    the digits are exact unless the product lies within 2**-11 of a rounding tie.  log10 only guesses e; a
+    product outside [1e11, 1e12) shows a wrong guess.  A value with a wrong guess or near a tie, and every value
+    outside that range, gets its row from %.  Each other row is laid out in 14 words, digits from _WORDS and
+    punctuation, with NUL where no byte goes, and the NULs are dropped at the end.
+    """
+    n, x = values.size, np.abs(values)
+    fast = (x >= 1e-4) & (x < 1e11)
+    x = np.where(fast, x, 1.0)
+    e = np.floor(np.log10(x)).astype(np.intp)
+    y = x * _POW10[11 - e]
+    fast &= (y >= 1e11) & (y < 1e12) & (abs(y - np.floor(y) - 0.5) >= 2.0**-11)
+    # The digits may round up to 10**12: whole and fraction are still those of the rounded value.
+    digits = np.rint(y).astype(np.int64)
+    whole = digits // _POW10[11 - e]
+    rest = (digits - whole * _POW10[11 - e]) * _POW10[5 + e]  # the fraction's first 16 digits
+    words = np.empty((14, n), np.uint32)
+    _int_words(start + np.arange(n), words[0:3])
+    words[3] = np.where(values < 0, _COMMA_MINUS, _COMMA)
+    _int_words(whole, words[4:7])
+    words[7] = np.where(rest != 0, _POINT, 0)
+    for row, place in zip(words[8:12], (10**12, 10**8, 10**4, 1)):
+        group = rest // place
+        rest = rest - group * place
+        # A group is written in full when a later one is nonzero, else with its trailing zeros dropped.
+        np.take(_WORDS, group + (rest != 0) * _PLAIN, out=row)
+    words[12], words[13] = _CELLS, _NEWLINE
+    pieces, done = [], 0
+    for r in np.flatnonzero(~fast).tolist() + [n]:
+        pieces.append(words.T[done:r].tobytes().translate(None, b"\0"))
+        if r < n:
+            pieces.append(b"%d,%.12g,,,,\n" % (start + r, values[r]))
+        done = r + 1
+    return b"".join(pieces)
 
 
 def _write_rows(path: str, header: tuple[str, ...], lines) -> None:
@@ -251,13 +308,12 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
-    lam, count, chunk = bell_spectrum(args.theta), _whole(args.n, "n", 1), chsh._HAAR_CHUNK
+    lam, count, chunk = bell_spectrum(args.theta), _whole(args.n, "n", 1, 10**12), chsh._HAAR_CHUNK
 
     def block(start):
         """The CSV text of the states of haar_block at start, and their min and max."""
         values = haar_block(lam, args.seed, start, min(chunk, count - start))
-        text = "".join(_lines(np.arange(start, start + values.size), values, "", "", "", ""))
-        return text, values.min(), values.max()
+        return _sample_rows(start, values).decode("ascii"), values.min(), values.max()
 
     blocks = _ordered(block, range(0, count, chunk))
 

@@ -19,6 +19,7 @@ from chshlab import chsh, cli, expsim
 from chshlab.chsh import bell_spectrum, haar_sample_s, quantum_bounds, s_parameter
 from chshlab.cli import (
     _lines,
+    _sample_rows,
     _write_rows,
     build_parser,
     cmd_simulate,
@@ -780,7 +781,15 @@ class TestSample:
         assert rc == 1
         assert capsys.readouterr().err == "chshlab: error: n must be at least 1, got 0\n"
 
-    @pytest.mark.parametrize("flags", [("--n", "0"), ("--n", "-3"), ("--n", "10", "--theta", "4")])
+    def test_n_above_cap_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("sample", "--theta", "0.5", "--n", 10**12 + 1, "--out", out) == 1
+        assert capsys.readouterr().err == "chshlab: error: n must be at most 1000000000000, got 1000000000001\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [("--n", "0"), ("--n", "-3"), ("--n", "10", "--theta", "4"), ("--n", "1000000000001")]
+    )
     def test_bad_flags_write_no_byte(self, flags, tmp_path, capsys):
         # n and theta are checked before the output is opened: no file appears at
         # a path, and a FIFO reader sees end of file with no header before it.
@@ -805,6 +814,73 @@ class TestSample:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
         assert run_cli(*argv, tmp_path / "small.csv") == 0
         assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def first_difference(got, expected):
+    """The first line where two CSV texts differ, as (line number, got, expected), or None."""
+    pairs = itertools.zip_longest(got.split(b"\n"), expected.split(b"\n"))
+    return next(((k, a, b) for k, (a, b) in enumerate(pairs) if a != b), None)
+
+
+class TestSampleRows:
+    """_sample_rows against % cell by cell and against _lines row by row; thresholds fixed before the first run."""
+
+    @staticmethod
+    def cell_values():
+        """About 1.1e6 values: rounding ties and their neighbours, both sides of each power of ten, edges, and
+        uniform and log-uniform draws."""
+        rng = np.random.default_rng(36)
+        # A value of 13 significant digits, the last a 5, is a tie at 12 digits.  Those that are doubles are
+        # (2k+1)/2**j with (2k+1)*5**j of 13 digits.
+        ties = [rng.integers(-(-(10**12) // 5**j) // 2, 10**13 // 5**j // 2, 5000) * 2 + 1 for j in range(19)]
+        ties = [m / 2.0**j for j, m in enumerate(ties)]
+        # And odd numerators of every size over every power of two up to 2**59.
+        ties.append((rng.integers(0, 2**52, 40_000) * 2 + 1) / 2.0 ** rng.integers(1, 60, 40_000))
+        ties = np.concatenate(ties) * rng.choice([-1.0, 1.0], sum(map(len, ties)))
+        decades = (10.0 ** np.arange(-5, 13)[:, None] * (1 + np.arange(-20, 21) * 2.0**-52)).ravel()
+        edges = [9.99999999999e-05, 99999999999.5, 2.0, 100.0, 1200.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        return np.concatenate([
+            ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), decades, -decades, edges,
+            rng.uniform(-3.0, 3.0, 400_000),
+            10.0 ** rng.uniform(-6.0, 13.0, 400_000) * rng.choice([-1.0, 1.0], 400_000),
+        ])
+
+    def test_cells_match_percent_formatting(self):
+        values, block = self.cell_values(), 2**16
+        assert values.size >= 10**6
+        for start in range(0, values.size, block):
+            chunk = values[start : start + block]
+            cells = [None] * (2 * chunk.size)
+            cells[0::2], cells[1::2] = range(start, start + chunk.size), chunk.tolist()
+            expected = (b"%d,%.12g,,,,\n" * chunk.size) % tuple(cells)
+            got = _sample_rows(start, chunk)
+            assert got == expected, first_difference(got, expected)
+
+    # Each fallback case (near a tie, below 1e-4, from 1e11, not finite, zero, subnormal) between values the
+    # kernel writes, among them whole parts of 1 to 12 digits; the first five rows hold three fallbacks.
+    MIXED = [
+        np.nan, 2.0, 1 + 2.0**-12, -0.5, -1e11, 100.0, 1200.0, -0.0, 0.0, 9.99999999999e-05, 1e-4, np.inf, -np.inf,
+        5e-324, -2.5e-300, 99999999999.5, np.nextafter(1e11, 0), -9999.99999999995, 12345678.9, 1e300, 2.0 * SQRT2,
+        0.1, -1 / 3, 1e10, 123456789012.5, 4.4408920985e-16, 100000000.25, 0.000123456789012,
+    ]
+
+    @pytest.mark.parametrize("start", [0, 9, 9_990, 99_990, 99_999_990, 10**12 - 5])
+    def test_rows_match_lines(self, start):
+        values = np.array(self.MIXED[: 10**12 - start])
+        expected = "".join(_lines(np.arange(start, start + values.size), values, "", "", "", ""))
+        assert _sample_rows(start, values).decode("ascii") == expected
+
+    @pytest.mark.parametrize("shift", [-0.5, -1e-12, 1e-12, 0.5])
+    def test_bytes_do_not_depend_on_the_decade_guess(self, shift, monkeypatch):
+        # log10 only guesses each value's decade; a guess a decade off, or off in its last bits as on another
+        # SIMD dispatch, changes no byte.
+        decades = (10.0 ** np.arange(-5, 13)[:, None] * (1 + np.arange(-3, 4) * 2.0**-52)).ravel()
+        values = np.concatenate([self.MIXED, decades, -decades, np.random.default_rng(7).uniform(-3.0, 3.0, 1000)])
+        expected = _sample_rows(0, values)
+        assert expected.decode("ascii") == "".join(_lines(np.arange(values.size), values, "", "", "", ""))
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        assert _sample_rows(0, values) == expected
 
 
 class TestSampleWorkers:
@@ -1029,7 +1105,7 @@ class TestFormatting:
         assert text == "".join(f"{format(int(i), '.12g')},0.5\n" for i in ints)
 
     def test_int_cells_at_the_digit_limit(self):
-        # %d strictly inside +-10**12, %.12g (1e+12) from there on: format(i, ".12g") either way.
+        # In full strictly inside +-10**12, 1e+12 from there on: format(i, ".12g") either way.
         edges = [10**12 - 1, 1 - 10**12, 10**12, -(10**12), 10**15]
         columns = [np.array([v]) for v in edges] + [np.array(edges)]
         columns += [np.array(edges[:1], dtype=np.uint64), np.array([10**12 - 1, 10**12], dtype=np.uint64)]
@@ -1061,7 +1137,7 @@ class TestFormatting:
         n = cli._BLOCK_ROWS
         values = np.random.default_rng(5).normal(size=(5, 5, 3)) * 10.0 ** np.arange(-6, 9, 1).reshape(5, 1, 3)
         angles = np.array(self.EDGES[:5])
-        # Integer columns that %d writes (strictly inside +-10**12) and that %.12g writes, as int64 and uint64.
+        # Integer columns written in full (strictly inside +-10**12) and not, as int64 and uint64.
         ints_in, ints_out = np.array([10**12 - 1, 1 - 10**12, 0]), np.array([10**12, -5, -(10**12)])
         uints_in, uints_out = np.array([10**12 - 1, 0], np.uint64), np.array([10**12, 2**64 - 1], np.uint64)
         cases = [
