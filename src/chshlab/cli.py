@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import math
 import os
 import shutil
@@ -76,63 +78,65 @@ def _lines(*columns):
         yield (template * k) % tuple(cells)
 
 
-def _digit_words() -> np.ndarray:
-    """The 4 ASCII digits of each k < 10**4 as one uint32, in three tables laid end to end: from 0 with trailing
-    zeros as NUL (k = 0 all NUL), from _LEAD with leading zeros but the last as NUL, and from _PLAIN as they are."""
-    # int16 and uint8 keep the temporaries small: every command builds these tables at import.
+@functools.cache
+def _tables() -> np.ndarray:
+    """_sample_rows' words, built once on first use.  The 4 ASCII digits of each k < 10**4 as one uint32, in three
+    tables laid end to end: from 0 with trailing zeros as NUL (k = 0 all NUL), from _LEAD with leading zeros but the
+    last as NUL, and from _PLAIN as they are; then from _HEAD, at 20 * sign + 2 * digit + point, the 40 words of a
+    comma, "-" or NUL, a digit, and "." or NUL."""
     k, place = np.arange(10**4, dtype=np.int16)[:, None], 10 ** np.arange(3, -1, -1, dtype=np.int16)
     plain = (k // place % 10 + ord("0")).astype(np.uint8)
     trail = np.where(k % (10 * place) != 0, plain, 0)
     lead = np.where((k >= place) | (place == 1), plain, 0)
-    return np.concatenate([trail, lead, plain]).view(np.uint32).ravel()
+    head = b"".join(bytes([ord(","), s, d, p]) for s in b"\0-" for d in b"0123456789" for p in b"\0.")
+    return np.concatenate([trail, lead, plain, np.frombuffer(head, np.uint8).reshape(40, 4)]).view(np.uint32).ravel()
 
 
-_WORDS, _LEAD, _PLAIN = _digit_words(), 10**4, 2 * 10**4
-_COMMA, _COMMA_MINUS, _POINT, _CELLS, _NEWLINE = np.frombuffer(b",\0\0\0,-\0\0.\0\0\0,,,,\n\0\0\0", np.uint32)
+_LEAD, _PLAIN, _HEAD = 10**4, 2 * 10**4, 3 * 10**4
+_CELLS, _NEWLINE = np.frombuffer(b",,,,\n\0\0\0", np.uint32)
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
-
-
-def _int_words(i: np.ndarray, out: np.ndarray) -> None:
-    """Write each 0 <= i < 10**12 into out[0:3] as three words of 4 digits, with NUL before its first digit."""
-    # A group above the first digit's is 0, all NUL at table 0; the first digit's group takes _LEAD's table.
-    above4, above8 = (i >= 10**4) * _LEAD, (i >= 10**8) * _LEAD
-    top, upper = i // 10**8, i // 10**4
-    groups = top + above8, upper - top * 10**4 + above4 + above8, i - upper * 10**4 + _LEAD + above4
-    for row, words in zip(out, groups):
-        np.take(_WORDS, words, out=row)
 
 
 def _sample_rows(start: int, values: np.ndarray) -> bytes:
     """``_lines(np.arange(start, start + values.size), values, "", "", "", "")`` as bytes, indices below 10**12.
 
-    A value x with 1e-4 <= |x| < 1e11 is written in fixed notation from its 12 significant digits rint(|x| *
-    10**(11 - e)), e its decade: 10**(11 - e) is an exact double and the product is rounded by at most 2**-13, so
-    the digits are exact unless the product lies within 2**-11 of a rounding tie.  log10 only guesses e; a
-    product outside [1e11, 1e12) shows a wrong guess.  A value with a wrong guess or near a tie, and every value
-    outside that range, gets its row from %.  Each other row is laid out in 14 words, digits from _WORDS and
-    punctuation, with NUL where no byte goes, and the NULs are dropped at the end.
+    A value x with 1e-4 <= |x| < 10, which holds for every Bell-operator expectation (|x| <= 2 sqrt 2), is written
+    in fixed notation from its 12 significant digits rint(|x| * 10**(11 - e)), e its decade: 10**(11 - e) is an
+    exact double and the product is rounded by at most 2**-13, so the digits are exact unless the product lies
+    within 2**-11 of a rounding tie.  log10 only guesses e; a product outside [1e11, 1e12) shows a wrong guess.  A
+    value with a wrong guess, near a tie or rounding to 10, and every value outside that range, gets its row from
+    %.  Each other row is laid out in as few uint32 words as the block needs: its index in as many 4-digit groups
+    as the block's last index has, NUL before its first digit; one _HEAD word of comma, sign, whole digit and
+    point; 4 words of fraction and 2 of trailer.  The NULs are dropped at the end.
     """
-    n, x = values.size, np.abs(values)
-    fast = (x >= 1e-4) & (x < 1e11)
+    table, n, x = _tables(), values.size, np.abs(values)
+    fast = (x >= 1e-4) & (x < 10)
     x = np.where(fast, x, 1.0)
     e = np.floor(np.log10(x)).astype(np.intp)
-    y = x * _POW10[11 - e]
+    scale = _POW10[11 - e]
+    y = x * scale
     fast &= (y >= 1e11) & (y < 1e12) & (abs(y - np.floor(y) - 0.5) >= 2.0**-11)
-    # The digits may round up to 10**12: whole and fraction are still those of the rounded value.
-    digits = np.rint(y).astype(np.int64)
-    whole = digits // _POW10[11 - e]
-    rest = (digits - whole * _POW10[11 - e]) * _POW10[5 + e]  # the fraction's first 16 digits
-    words = np.empty((14, n), np.uint32)
-    _int_words(start + np.arange(n), words[0:3])
-    words[3] = np.where(values < 0, _COMMA_MINUS, _COMMA)
-    _int_words(whole, words[4:7])
-    words[7] = np.where(rest != 0, _POINT, 0)
-    for row, place in zip(words[8:12], (10**12, 10**8, 10**4, 1)):
+    # Exact in doubles: the digits (which may round up to 10**12), scale, whole * scale and floor(digits / scale).
+    digits = np.rint(y)
+    whole = np.floor(digits / scale).astype(np.intp)
+    rest = (digits - whole * scale).astype(np.int64) * _POW10[5 + e]  # the fraction's first 16 digits
+    fast &= whole < 10
+    i, groups = start + np.arange(n), 1 + (start + n > 10**4) + (start + n > 10**8)
+    words = np.empty((groups + 7, n), np.uint32)
+    # Each index's group count; every index has the block's count unless the block starts below 10**(4 * groups - 4).
+    count = groups if start >= 10 ** (4 * groups - 4) else 1 + (i >= 10**4) + (i >= 10**8)
+    for g, row in enumerate(words[groups - 1 :: -1]):
+        # Group g from the last is from _PLAIN below the index's first digit, from _LEAD at it, and 0 (all NUL) above.
+        i, low = i // 10**4, i
+        np.take(table, low - i * 10**4 + np.clip(count - g, 0, 2) * _LEAD, out=row)
+    # A fallback row's whole part may be out of the table; clipping keeps its (unused) word in it.
+    np.take(table, _HEAD + 20 * (values < 0) + 2 * whole + (rest != 0), out=words[groups], mode="clip")
+    for row, place in zip(words[groups + 1 : groups + 5], (10**12, 10**8, 10**4, 1)):
         group = rest // place
         rest = rest - group * place
         # A group is written in full when a later one is nonzero, else with its trailing zeros dropped.
-        np.take(_WORDS, group + (rest != 0) * _PLAIN, out=row)
-    words[12], words[13] = _CELLS, _NEWLINE
+        np.take(table, group + (rest != 0) * _PLAIN, out=row)
+    words[-2], words[-1] = _CELLS, _NEWLINE
     pieces, done = [], 0
     for r in np.flatnonzero(~fast).tolist() + [n]:
         pieces.append(words.T[done:r].tobytes().translate(None, b"\0"))
@@ -175,9 +179,18 @@ def _write_rows(path: str, header: tuple[str, ...], lines) -> None:
 
 
 def _render_share(render, tasks, conn) -> None:
-    """A worker of _ordered: send render(task) for each task in order, or the first exception, then return."""
+    """A worker of _ordered: send render(task) for each task in order, or the first exception, then return.
+
+    It first keeps its heap, which glibc would trim after each task and fault in again: the trim and mmap thresholds
+    go to 32 MiB, glibc's own 64-bit cap for them and well above a sample block's 3 MiB, unless mallopt is missing.
+    """
     # An interrupt reaches the whole process group; the main process handles it and ends this worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with contextlib.suppress(OSError, AttributeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = ctypes.c_int, ctypes.c_int
+        for param in (-1, -3):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+            mallopt(param, 32 << 20)
     try:
         for task in tasks:
             conn.send(render(task))
@@ -315,6 +328,7 @@ def cmd_sample(args: argparse.Namespace) -> None:
         values = haar_block(lam, args.seed, start, min(chunk, count - start))
         return _sample_rows(start, values).decode("ascii"), values.min(), values.max()
 
+    _tables()  # built before the fork, so the workers share them
     blocks = _ordered(block, range(0, count, chunk))
 
     def rows():

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import ctypes
 import dataclasses
 import importlib.metadata
 import itertools
@@ -11,6 +12,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -86,6 +88,23 @@ def cli_peak_mib(*argv):
     """Peak RSS in MiB of a CLI run, ``python -m chshlab *argv``, on the sys.path of the tests."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     return int(subprocess.check_output([sys.executable, "-c", RSS_PROBE, *map(str, argv)], env=env)) / 1024
+
+
+# Prints the minor page faults and the peak RSS, in KiB on Linux, of the forked workers of one CLI run.  This small
+# process runs main itself, so the only children it waits for are the workers.
+WORKER_PROBE = """import resource, sys
+from chshlab.cli import main
+if main(sys.argv[1:]) != 0:
+    sys.exit("the run failed")
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(usage.ru_minflt, usage.ru_maxrss)"""
+
+
+def cli_worker_usage(*argv):
+    """Minor page faults and peak RSS in MiB of the workers of a CLI run, ``main(argv)`` in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    faults, peak = subprocess.check_output([sys.executable, "-c", WORKER_PROBE, *map(str, argv)], env=env).split()
+    return int(faults), int(peak) / 1024
 
 
 # Every action of build_parser() and of its subparsers, as
@@ -839,15 +858,19 @@ class TestSampleRows:
         ties = np.concatenate(ties) * rng.choice([-1.0, 1.0], sum(map(len, ties)))
         decades = (10.0 ** np.arange(-5, 13)[:, None] * (1 + np.arange(-20, 21) * 2.0**-52)).ravel()
         edges = [9.99999999999e-05, 99999999999.5, 2.0, 100.0, 1200.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        edges += [np.nextafter(10, 0), 9.9999999999995, -9.99999999999951]  # their 12 digits round to 10
         return np.concatenate([
             ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), decades, -decades, edges,
             rng.uniform(-3.0, 3.0, 400_000),
             10.0 ** rng.uniform(-6.0, 13.0, 400_000) * rng.choice([-1.0, 1.0], 400_000),
         ])
 
-    def test_cells_match_percent_formatting(self):
+    def test_cells_match_percent_formatting(self, monkeypatch):
         values, block = self.cell_values(), 2**16
         assert values.size >= 10**6
+        # _sample_rows finds the rows it leaves to % with one np.flatnonzero call.
+        fallbacks, flatnonzero = [], np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: fallbacks.append(flatnonzero(a)) or fallbacks[-1])
         for start in range(0, values.size, block):
             chunk = values[start : start + block]
             cells = [None] * (2 * chunk.size)
@@ -855,16 +878,21 @@ class TestSampleRows:
             expected = (b"%d,%.12g,,,,\n" * chunk.size) % tuple(cells)
             got = _sample_rows(start, chunk)
             assert got == expected, first_difference(got, expected)
+        assert values.size - sum(map(len, fallbacks)) >= 5 * 10**5, "rows written by the kernel"
 
-    # Each fallback case (near a tie, below 1e-4, from 1e11, not finite, zero, subnormal) between values the
-    # kernel writes, among them whole parts of 1 to 12 digits; the first five rows hold three fallbacks.
+    # Each fallback case (near a tie, below 1e-4, from 10, rounding to 10, not finite, zero, subnormal) between
+    # values the kernel writes, whole parts 0 to 9 with and without a fraction in both signs among them; the first
+    # five rows hold three fallbacks.
     MIXED = [
         np.nan, 2.0, 1 + 2.0**-12, -0.5, -1e11, 100.0, 1200.0, -0.0, 0.0, 9.99999999999e-05, 1e-4, np.inf, -np.inf,
         5e-324, -2.5e-300, 99999999999.5, np.nextafter(1e11, 0), -9999.99999999995, 12345678.9, 1e300, 2.0 * SQRT2,
         0.1, -1 / 3, 1e10, 123456789012.5, 4.4408920985e-16, 100000000.25, 0.000123456789012,
+        np.nextafter(10, 0), 9.9999999999995, -9.99999999999951, 10.0, 9.99999999999, -np.nextafter(10, 0),
+        *(sign * (whole + fraction) for sign in (1, -1) for whole in range(10) for fraction in (0, 0.375)),
     ]
 
-    @pytest.mark.parametrize("start", [0, 9, 9_990, 99_990, 99_999_990, 10**12 - 5])
+    # 9_999 and 99_999_999 start a block with an index of one group fewer than the rest.
+    @pytest.mark.parametrize("start", [0, 9, 9_990, 9_999, 10**4, 99_990, 99_999_990, 99_999_999, 10**8, 10**12 - 5])
     def test_rows_match_lines(self, start):
         values = np.array(self.MIXED[: 10**12 - start])
         expected = "".join(_lines(np.arange(start, start + values.size), values, "", "", "", ""))
@@ -928,6 +956,31 @@ class TestSampleWorkers:
         assert out.read_bytes() == b"old,bytes\n"
         assert list(tmp_path.iterdir()) == [out]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("library", ["missing", "without mallopt", "with mallopt"])
+    def test_workers_run_whether_or_not_mallopt_can_be_set(self, library, tmp_path, monkeypatch, started):
+        # Each forked worker inherits the patch; the mallopt stand-in appends its arguments to a file.
+        calls = tmp_path / "mallopt.txt"
+
+        def mallopt(param, value):
+            with open(calls, "a") as fh:
+                fh.write(f"{param} {value}\n")
+
+        def cdll(name):
+            if library == "missing":
+                raise OSError(f"{name}: cannot open shared object file")
+            return SimpleNamespace(mallopt=mallopt) if library == "with mallopt" else SimpleNamespace()
+
+        monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1000)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        report_cpus(monkeypatch, 2)
+        out = tmp_path / "sample.csv"
+        assert run_cli(*self.ARGV, "--out", out) == 0
+        assert out.read_bytes() == self.expected()
+        assert len(started) == 2 and multiprocessing.active_children() == []
+        # M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3), both 32 MiB, once in each worker.
+        expected = "-1 33554432\n-3 33554432\n" * 2 if library == "with mallopt" else None
+        assert (calls.read_text() if calls.exists() else None) == expected
 
     def test_interrupted_write_ends_every_worker(self, tmp_path, monkeypatch, started):
         monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1000)
@@ -1236,6 +1289,20 @@ class TestSampleMemory:
             assert final_row.startswith(f"{n - 1},")
             assert summary.split(",")[:4] == ["summary", "", f"{samples.min():.12g}", f"{samples.max():.12g}"]
         assert max(peaks) < 42 and abs(peaks[1] - peaks[0]) < 1, f"ru_maxrss {peaks} MiB"
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="on one CPU sample forks no worker"
+    )
+    def test_workers_keep_their_heap(self, tmp_path):
+        # The workers keep their heap between blocks, so their page faults and peak do not grow with n: on two CPUs
+        # 3,251 and 3,597 faults, 28.0 and 28.5 MiB, where glibc's heap trim after each block took 16,489 and
+        # 148,752 faults.
+        usage = [
+            cli_worker_usage("sample", "--theta", 0.785, "--n", n, "--seed", 1, "--out", tmp_path / "sample.csv")
+            for n in (200_000, 2_000_000)
+        ]
+        (small_faults, small_peak), (large_faults, large_peak) = usage
+        assert large_faults - small_faults < 5000 and abs(large_peak - small_peak) < 1, f"(ru_minflt, MiB) {usage}"
 
 
 class TestGridValidation:
