@@ -33,14 +33,14 @@ DEFAULT_ANGLE_LIST = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 
 _NOISE_FIELDS = tuple(field.name for field in dataclasses.fields(NoiseModel))
 
 
-_CELL = "%.12g"
+_CELL = b"%.12g"
 _BLOCK_ROWS = 1024
 
 
 def _lines(*columns):
-    """CSV text of the broadcast columns, yielded _BLOCK_ROWS whole lines at a time.
+    """CSV bytes of the broadcast columns, yielded _BLOCK_ROWS whole lines at a time.
 
-    A string column is a literal cell, the same on every row; a % in it is
+    A bytes column is a literal cell, the same on every row; a % in it is
     escaped as %% in the row template.  Every other column is numeric,
     broadcasts against the rest and is formatted with _CELL: 12 significant
     digits, as ``format(value, ".12g")`` gives them, which writes every
@@ -51,25 +51,25 @@ def _lines(*columns):
 
     No value is formatted twice.  A column with fewer values than there are
     rows, and at most _BLOCK_ROWS of them, such as a constant, is formatted
-    once per value and its texts fill %s cells; so memory stays at about one
+    once per value and its bytes fill %s cells; so memory stays at about one
     block of cells per column.  Every other column is formatted block by
     block.  Each value gets _CELL on every path, so the bytes do not depend
     on the path.
     """
-    columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
-    shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, str)))
+    columns = [c if isinstance(c, bytes) else np.asarray(c) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, bytes)))
     size = math.prod(shape)
     specs, flats = [], []
     for c in columns:
-        if isinstance(c, str):
-            specs.append(c.replace("%", "%%"))
+        if isinstance(c, bytes):
+            specs.append(c.replace(b"%", b"%%"))
             continue
         spec = _CELL
         if c.size < size and c.size <= _BLOCK_ROWS:
-            spec, c = "%s", np.array([_CELL % v for v in c.ravel().tolist()], dtype=object).reshape(c.shape)
+            spec, c = b"%s", np.array([_CELL % v for v in c.ravel().tolist()], dtype=object).reshape(c.shape)
         specs.append(spec)
         flats.append(np.broadcast_to(c, shape).flat)
-    template, width = ",".join(specs) + "\n", len(flats)
+    template, width = b",".join(specs) + b"\n", len(flats)
     for start in range(0, size, _BLOCK_ROWS):
         k = min(_BLOCK_ROWS, size - start)
         cells = [None] * (k * width)
@@ -98,7 +98,7 @@ _POW10 = 10 ** np.arange(17, dtype=np.int64)
 
 
 def _sample_rows(start: int, values: np.ndarray) -> bytes:
-    """``_lines(np.arange(start, start + values.size), values, "", "", "", "")`` as bytes, indices below 10**12.
+    """``b"".join(_lines(np.arange(start, start + values.size), values, b"", b"", b"", b""))``, indices below 10**12.
 
     A value x with 1e-4 <= |x| < 10, which holds for every Bell-operator expectation (|x| <= 2 sqrt 2), is written
     in fixed notation from its 12 significant digits rint(|x| * 10**(11 - e)), e its decade: 10**(11 - e) is an
@@ -141,7 +141,7 @@ def _sample_rows(start: int, values: np.ndarray) -> bytes:
     for r in np.flatnonzero(~fast).tolist() + [n]:
         pieces.append(words.T[done:r].tobytes().translate(None, b"\0"))
         if r < n:
-            pieces.append(b"%d,%.12g,,,,\n" % (start + r, values[r]))
+            pieces.append((b"%d," + _CELL + b",,,,\n") % (start + r, values[r]))
         done = r + 1
     return b"".join(pieces)
 
@@ -149,7 +149,7 @@ def _sample_rows(start: int, values: np.ndarray) -> bytes:
 def _write_rows(path: str, header: tuple[str, ...], lines) -> None:
     """Write the header row and then ``lines`` to ``path``; a regular file is replaced atomically.
 
-    ``lines`` is an iterable of strings, each holding whole CSV lines such as
+    ``lines`` is an iterable of bytes, each holding whole CSV lines such as
     ``_lines`` yields; it is consumed as it is written, so memory stays flat.
     When ``path`` is absent or (through any symlinks) a regular file, the CSV
     is written under a temporary name beside the resolved file, which is then
@@ -164,8 +164,8 @@ def _write_rows(path: str, header: tuple[str, ...], lines) -> None:
     tmp = f"{target}.{os.getpid()}.tmp" if atomic else None
     try:
         try:
-            with open(tmp or target, "w", encoding="ascii", newline="") as fh:
-                fh.write(",".join(header) + "\n")
+            with open(tmp or target, "wb") as fh:
+                fh.write((",".join(header) + "\n").encode())
                 fh.writelines(lines)
             if atomic:
                 if exists:
@@ -324,19 +324,19 @@ def cmd_sample(args: argparse.Namespace) -> None:
     lam, count, chunk = bell_spectrum(args.theta), _whole(args.n, "n", 1, 10**12), chsh._HAAR_CHUNK
 
     def block(start):
-        """The CSV text of the states of haar_block at start, and their min and max."""
+        """The CSV bytes of the states of haar_block at start, and their min and max."""
         values = haar_block(lam, args.seed, start, min(chunk, count - start))
-        return _sample_rows(start, values).decode("ascii"), values.min(), values.max()
+        return _sample_rows(start, values), values.min(), values.max()
 
     _tables()  # built before the fork, so the workers share them
     blocks = _ordered(block, range(0, count, chunk))
 
     def rows():
         lo, hi = math.inf, -math.inf
-        for text, block_lo, block_hi in blocks:
+        for data, block_lo, block_hi in blocks:
             lo, hi = min(lo, block_lo), max(hi, block_hi)
-            yield text
-        yield from _lines("summary", "", lo, hi, lam[0], lam[-1])
+            yield data
+        yield from _lines(b"summary", b"", lo, hi, lam[0], lam[-1])
 
     # Closing the blocks ends their workers on every path, before the error or interrupt goes on.
     with contextlib.closing(blocks):

@@ -4,12 +4,10 @@ The source emits the singlet; a half-wave plate on arm b rotates photon b by
 xi - pi/2, which prepares the mixing-angle state of chsh.state_phi (the tests
 check that equivalence).  That state is maximally entangled, so the
 same-outcome probability p_pp + p_mm is cos(phi)**2 with phi = (alpha -
-beta)/2 + xi.  Imperfections are modeled as a depolarizing (Werner) admixture,
-fixed analyzer offsets, and a uniform accidental-coincidence floor; the
-admixture and the floor are affine in the pure-state probabilities, and the
-offsets shift the analyzer angles.  The simulator computes one probability
-per setting, draws the same-outcome count as one binomial of it, and
-estimates S from the counts' correlations with binomial error bars.
+beta)/2 + xi.  A NoiseModel's Werner admixture and accidental floor scale its
+contrast, and its analyzer offsets shift phi.  The simulator computes one
+probability per setting, draws the same-outcome count as one binomial of it,
+and estimates S from the counts' correlations with binomial error bars.
 """
 
 from __future__ import annotations
@@ -36,9 +34,10 @@ class NoiseModel:
     analyzer_offset_*:  systematic mis-set of each analyzer, radians.
     accidental_fraction: share of coincidences replaced by a uniform floor.
 
-    Defaults reproduce the slight compression of measured extrema relative to
-    the ideal bounds seen in real coincidence data; they are simulation
-    defaults, not calibrated constants.
+    Each field names a physical cause, but a run depends only on eta = (1 -
+    accidental_fraction) * visibility and xi_eff = xi + (analyzer_offset_a -
+    analyzer_offset_b)/2.  The defaults mimic the slightly compressed extrema
+    of real coincidence data; they are not calibrated constants.
     """
 
     visibility: float = 0.96
@@ -80,15 +79,14 @@ def setting_probabilities(alpha, beta, xi, noise: NoiseModel) -> np.ndarray:
 
     The pure state gives cos(phi)**2 at phi = (a - b)/2 + xi, from the reduced
     offset analyzer angles a and b and the reduced xi, so settings with equal
-    phi get equal values.  The Werner admixture and the accidental floor are
-    affine in it: p = (1 - f) * (v * cos(phi)**2 + (1 - v) / 2) + f / 2, which
-    no rounding takes above 1.  Broadcasts over arrays of alpha, beta and xi.
+    phi get equal values.  The Werner admixture and the accidental floor make
+    it (1 - f) * (v * cos(phi)**2 + (1 - v) / 2) + f / 2 = 1/2 + eta/2 * cos(2 phi)
+    with eta = (1 - f) * v; eta/2 * cos rounds to at most 1/2, so p <= 1.
+    Broadcasts over arrays of alpha, beta and xi.
     """
     a, b = analyzer_angle(alpha + noise.analyzer_offset_a), analyzer_angle(beta + noise.analyzer_offset_b)
-    same = np.cos(0.5 * (a - b) + xi_param(xi)) ** 2
-    v = noise.visibility
-    f = noise.accidental_fraction
-    return (1.0 - f) * (v * same + (1.0 - v) * 0.5) + 0.5 * f
+    eta = (1.0 - noise.accidental_fraction) * noise.visibility
+    return 0.5 + 0.5 * eta * np.cos((a - b) + 2 * xi_param(xi))
 
 
 def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:

@@ -50,12 +50,13 @@ def run_cli(*argv):
 
 def joined_rows(*columns):
     """The reference for _lines: each row's cells joined one by one, a number as format(value, ".12g")."""
-    arrays = np.broadcast_arrays(*(np.asarray(c) for c in columns if not isinstance(c, str)))
+    arrays = np.broadcast_arrays(*(np.asarray(c) for c in columns if not isinstance(c, bytes)))
     rows = []
     for index in np.ndindex(arrays[0].shape if arrays else ()):
         values = iter([a[index].item() for a in arrays])
-        rows.append(",".join(c if isinstance(c, str) else format(next(values), ".12g") for c in columns) + "\n")
-    return "".join(rows)
+        cells = (c if isinstance(c, bytes) else format(next(values), ".12g").encode() for c in columns)
+        rows.append(b",".join(cells) + b"\n")
+    return b"".join(rows)
 
 
 # Prints the peak RSS, in KiB on Linux, of python -m chshlab.  Linux hands a spawned child the high-water
@@ -895,8 +896,8 @@ class TestSampleRows:
     @pytest.mark.parametrize("start", [0, 9, 9_990, 9_999, 10**4, 99_990, 99_999_990, 99_999_999, 10**8, 10**12 - 5])
     def test_rows_match_lines(self, start):
         values = np.array(self.MIXED[: 10**12 - start])
-        expected = "".join(_lines(np.arange(start, start + values.size), values, "", "", "", ""))
-        assert _sample_rows(start, values).decode("ascii") == expected
+        expected = b"".join(_lines(np.arange(start, start + values.size), values, b"", b"", b"", b""))
+        assert _sample_rows(start, values) == expected
 
     @pytest.mark.parametrize("shift", [-0.5, -1e-12, 1e-12, 0.5])
     def test_bytes_do_not_depend_on_the_decade_guess(self, shift, monkeypatch):
@@ -905,7 +906,7 @@ class TestSampleRows:
         decades = (10.0 ** np.arange(-5, 13)[:, None] * (1 + np.arange(-3, 4) * 2.0**-52)).ravel()
         values = np.concatenate([self.MIXED, decades, -decades, np.random.default_rng(7).uniform(-3.0, 3.0, 1000)])
         expected = _sample_rows(0, values)
-        assert expected.decode("ascii") == "".join(_lines(np.arange(values.size), values, "", "", "", ""))
+        assert expected == b"".join(_lines(np.arange(values.size), values, b"", b"", b"", b""))
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
         assert _sample_rows(0, values) == expected
@@ -914,13 +915,13 @@ class TestSampleRows:
 class TestSampleWorkers:
     # 4321 states in blocks of 1000: five blocks, the last one short.
     ARGV = ("sample", "--theta", "0.785", "--n", "4321", "--seed", "3")
-    HEADER = "index,s_sample,sample_min,sample_max,s_qmin,s_qmax\n"
+    HEADER = b"index,s_sample,sample_min,sample_max,s_qmin,s_qmax\n"
 
     def expected(self):
         s, lam = haar_sample_s(0.785, 4321, 3), bell_spectrum(0.785)
-        rows = _lines(np.arange(s.size), s, "", "", "", "")
-        summary = _lines("summary", "", s.min(), s.max(), lam[0], lam[-1])
-        return (self.HEADER + "".join(rows) + "".join(summary)).encode()
+        rows = _lines(np.arange(s.size), s, b"", b"", b"", b"")
+        summary = _lines(b"summary", b"", s.min(), s.max(), lam[0], lam[-1])
+        return self.HEADER + b"".join(rows) + b"".join(summary)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, None])
     def test_bytes_do_not_depend_on_cpu_count(self, cpus, tmp_path, monkeypatch, started):
@@ -1093,7 +1094,7 @@ class TestErrorHandling:
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         def rows_then_failure():
             for i in range(10_000):
-                yield f"{i},0.5\n"
+                yield b"%d,0.5\n" % i
             raise OSError("disk full")
 
         target = tmp_path / "out.csv"
@@ -1149,13 +1150,13 @@ class TestFormatting:
     ]
 
     def test_cells_match_format_g12(self):
-        text = "".join(_lines(np.array(self.EDGES)))
-        assert text == "".join(format(v, ".12g") + "\n" for v in self.EDGES)
+        text = b"".join(_lines(np.array(self.EDGES)))
+        assert text == "".join(format(v, ".12g") + "\n" for v in self.EDGES).encode()
 
     def test_int_column(self):
         ints = np.array([0, 7, -3, 10**11, 999_999_999_999])
-        text = "".join(_lines(ints, 0.5))
-        assert text == "".join(f"{format(int(i), '.12g')},0.5\n" for i in ints)
+        text = b"".join(_lines(ints, 0.5))
+        assert text == "".join(f"{format(int(i), '.12g')},0.5\n" for i in ints).encode()
 
     def test_int_cells_at_the_digit_limit(self):
         # In full strictly inside +-10**12, 1e+12 from there on: format(i, ".12g") either way.
@@ -1163,25 +1164,31 @@ class TestFormatting:
         columns = [np.array([v]) for v in edges] + [np.array(edges)]
         columns += [np.array(edges[:1], dtype=np.uint64), np.array([10**12 - 1, 10**12], dtype=np.uint64)]
         for ints in columns:
-            assert "".join(_lines(ints)) == "".join(format(int(i), ".12g") + "\n" for i in ints)
+            assert b"".join(_lines(ints)) == "".join(format(int(i), ".12g") + "\n" for i in ints).encode()
 
     def test_broadcast_constants_and_literal_cells(self):
-        rows = "".join(_lines(np.array([[0.25], [1.5]]), np.array([1.0, -0.0, 3e-7]), "", 2.0, "x"))
+        rows = b"".join(_lines(np.array([[0.25], [1.5]]), np.array([1.0, -0.0, 3e-7]), b"", 2.0, b"x"))
         expected = [f"{o:.12g},{i:.12g},,2,x\n" for o in (0.25, 1.5) for i in (1.0, -0.0, 3e-7)]
-        assert rows == "".join(expected)
+        assert rows == "".join(expected).encode()
 
     def test_row_order_and_count_across_blocks(self):
         n = 3 * cli._BLOCK_ROWS + 5
         values = np.linspace(0.0, 1.0, n)
-        lines = "".join(_lines(np.arange(n), values)).splitlines()
-        assert lines == [f"{i},{v:.12g}" for i, v in enumerate(values.tolist())]
+        lines = b"".join(_lines(np.arange(n), values)).splitlines()
+        assert lines == [f"{i},{v:.12g}".encode() for i, v in enumerate(values.tolist())]
 
     def test_percent_in_literal_cells(self):
         # A literal % is a cell, not a conversion, also when the template repeats across a block.
-        assert "".join(_lines(np.array([1.0]), "50%")) == "1,50%\n"
+        assert b"".join(_lines(np.array([1.0]), b"50%")) == b"1,50%\n"
         n = cli._BLOCK_ROWS + 3
-        text = "".join(_lines(np.arange(n), "%d", "%%s"))
-        assert text == "".join(f"{i},%d,%%s\n" for i in range(n))
+        text = b"".join(_lines(np.arange(n), b"%d", b"%%s"))
+        assert text == "".join(f"{i},%d,%%s\n" for i in range(n)).encode()
+
+    def test_literal_cells_are_bytes(self):
+        # A str column is no literal: it is taken as a number, which it is not.
+        for literal in ("", "summary", "50%"):
+            with pytest.raises(TypeError):
+                list(_lines(np.arange(3), literal))
 
     @pytest.mark.parametrize("block", [None, 1, 5])
     def test_matches_per_row_reference(self, block, monkeypatch):
@@ -1194,20 +1201,20 @@ class TestFormatting:
         ints_in, ints_out = np.array([10**12 - 1, 1 - 10**12, 0]), np.array([10**12, -5, -(10**12)])
         uints_in, uints_out = np.array([10**12 - 1, 0], np.uint64), np.array([10**12, 2**64 - 1], np.uint64)
         cases = [
-            (np.array([[0.25], [1.5], [-0.0]]), np.array([1.0, 3e-7, math.pi, -1.0 / 3.0]), "50%"),
+            (np.array([[0.25], [1.5], [-0.0]]), np.array([1.0, 3e-7, math.pi, -1.0 / 3.0]), b"50%"),
             # The simulate layout: theta, xi, s_hat and std_err per replication, s_ideal per setting.
             (angles[:, None, None], angles[None, :, None], values, values**2, values[:, :, :1] - 1.0),
-            (np.array([2.5]), np.arange(3), ""),
+            (np.array([2.5]), np.arange(3), b""),
             *((np.linspace(-1.0, 1.0, m)[:, None], np.array([0.5, -2.0]), 2.0) for m in (1, n, n + 1)),
-            (ints_in[:, None], ints_out, ints_in, np.uint64(2**64 - 1), "%d"),
+            (ints_in[:, None], ints_out, ints_in, np.uint64(2**64 - 1), b"%d"),
             (uints_in[:, None], uints_out, np.int64(10**12 - 1), np.int64(-(10**12)), ints_out[:2, None]),
             # Calls of literal cells and constants only: one row, whose % cells are written as they are.
-            ("50%",),
-            ("a", 2.0),
-            *(("%", np.asarray(v), "50%") for v in (-0.0, math.nan, math.inf, 2.0 * SQRT2, 10**12)),
+            (b"50%",),
+            (b"a", 2.0),
+            *((b"%", np.asarray(v), b"50%") for v in (-0.0, math.nan, math.inf, 2.0 * SQRT2, 10**12)),
         ]
         for columns in cases:
-            assert "".join(_lines(*columns)) == joined_rows(*columns)
+            assert b"".join(_lines(*columns)) == joined_rows(*columns)
 
     def test_a_repeated_column_is_formatted_once_per_value(self):
         calls = []
@@ -1221,8 +1228,8 @@ class TestFormatting:
                 return self.value
 
         column = np.array([Number(0.5), Number(-1.25), Number(3.0)], dtype=object)[:, None]
-        text = "".join(_lines(column, np.arange(2000)))
-        assert text == "".join(f"{v:.12g},{i}\n" for v in (0.5, -1.25, 3.0) for i in range(2000))
+        text = b"".join(_lines(column, np.arange(2000)))
+        assert text == "".join(f"{v:.12g},{i}\n" for v in (0.5, -1.25, 3.0) for i in range(2000)).encode()
         assert calls == [0.5, -1.25, 3.0]
 
     def test_memory_stays_at_about_one_block(self):
@@ -1231,7 +1238,7 @@ class TestFormatting:
         column = np.linspace(0.0, 1.0, 20_000)[:, None]
         tracemalloc.start()
         try:
-            rows = sum(text.count("\n") for text in _lines(column, np.zeros(2)))
+            rows = sum(data.count(b"\n") for data in _lines(column, np.zeros(2)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1272,6 +1279,26 @@ class TestBlockSizes:
             assert (tmp_path / "blocked.csv").read_bytes() == default
             # Only sample forks, one worker per CPU when there is more than one.
             assert len(started) == (cpus if name == "sample" and cpus > 1 else 0)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rows_reach_the_file_as_bytes(self, name, tmp_path, monkeypatch, started):
+        # Every chunk _write_rows gets is bytes, written as it is; sample's come through two workers' pipes.
+        argv, rows, divisor = self.CASES[name]
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", divisor)
+        monkeypatch.setattr(chsh, "_HAAR_CHUNK", divisor)
+        report_cpus(monkeypatch, 2)
+        chunks, write_rows = [], cli._write_rows
+
+        def recorded(path, header, lines):
+            write_rows(path, header, (chunks.append(chunk) or chunk for chunk in lines))
+
+        monkeypatch.setattr(cli, "_write_rows", recorded)
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--out", out) == 0
+        assert len(chunks) == rows // divisor + (name == "sample")
+        assert all(type(chunk) is bytes for chunk in chunks), [type(chunk) for chunk in chunks]
+        assert out.read_bytes().split(b"\n", 1)[1] == b"".join(chunks)
+        assert len(started) == (2 if name == "sample" else 0)
 
 
 class TestSampleMemory:

@@ -204,9 +204,9 @@ class TestSettingProbabilities:
                 assert abs(p - reference_same(a, b, xi, noise)) <= 1e-12
 
     def test_closed_form_never_exceeds_one(self):
-        # p = (1 - f) * (v * cos(phi)**2 + (1 - v) / 2) + f / 2 at phi = (a - b)/2 + xi, with no cap at 1: each step
-        # rounds monotonically, so cos(phi)**2 <= 1 keeps p <= 1.  Edge models put v next to 1 and f at 0, at the
-        # smallest subnormal and at 2**-53; phi = 0 comes from equal offsets at theta = 0, xi = 0.
+        # p = 1/2 + eta/2 * cos(2 phi) with eta = (1 - f) * v at phi = (a - b)/2 + xi, with no cap at 1: each step
+        # rounds monotonically, so eta/2 * cos(2 phi) <= 1/2 keeps p <= 1.  Edge models put v next to 1 and f at 0,
+        # at the smallest subnormal and at 2**-53; phi = 0 comes from equal offsets at theta = 0, xi = 0.
         rng = np.random.default_rng(48)
         alpha, beta = rng.uniform(0, 2 * math.pi, (2, 20_000))
         xi = rng.uniform(-4, 4, 20_000)
@@ -218,8 +218,8 @@ class TestSettingProbabilities:
                     noise = NoiseModel(visibility=v, analyzer_offset_a=da, analyzer_offset_b=db, accidental_fraction=f)
                     p = setting_probabilities(alpha, beta, xi, noise)
                     a, b = chsh.analyzer_angle(alpha + da), chsh.analyzer_angle(beta + db)
-                    same = np.cos(0.5 * (a - b) + chsh.xi_param(xi)) ** 2
-                    np.testing.assert_array_equal(p, (1.0 - f) * (v * same + (1.0 - v) * 0.5) + 0.5 * f)
+                    eta = (1.0 - f) * v
+                    np.testing.assert_array_equal(p, 0.5 + 0.5 * eta * np.cos((a - b) + 2 * chsh.xi_param(xi)))
                     assert p.max() <= 1.0
                     if da == db:
                         assert setting_probabilities(0.0, 0.0, 0.0, noise) <= 1.0
@@ -227,6 +227,37 @@ class TestSettingProbabilities:
             visibility=1.0, analyzer_offset_a=offset, analyzer_offset_b=offset, accidental_fraction=0.0
         )
         assert setting_probabilities(0.0, 0.0, 0.0, aligned) == 1.0
+
+
+class TestTwoParameters:
+    """A run depends on the noise only through eta = (1 - f) * v and xi_eff = xi + (da - db)/2; thresholds fixed
+    before the first run."""
+
+    @staticmethod
+    def inputs(seed, count=20_000):
+        rng = np.random.default_rng(seed)
+        alpha, beta = rng.uniform(0, 2 * math.pi, (2, count))
+        return rng, alpha, beta, rng.uniform(-4, 4, count)
+
+    def test_visibility_and_accidentals_enter_only_through_eta(self):
+        rng, alpha, beta, xi = self.inputs(49)
+        models = [(0.96, 0.005), (1.0, 0.2), (0.5, 0.5), (1.0 - 2.0**-53, 5e-324)]
+        models += [tuple(pair) for pair in zip(rng.uniform(0, 1, 20), rng.uniform(0, 0.999, 20))]
+        for v, f in models:
+            p = setting_probabilities(alpha, beta, xi, NoiseModel(visibility=v, accidental_fraction=f))
+            folded = NoiseModel(visibility=(1.0 - f) * v, accidental_fraction=0.0)
+            np.testing.assert_array_equal(p, setting_probabilities(alpha, beta, xi, folded))
+
+    def test_offsets_enter_only_through_xi_eff(self):
+        # The two sides differ only in how the cosine's argument, in [-2 pi, 4 pi), is rounded, and p moves by at
+        # most eta/2 per unit of it: within 4 ulp of that argument.
+        rng, alpha, beta, xi = self.inputs(50)
+        for da, db in [(0.013, -0.02), (-0.3, 0.3), *rng.uniform(-0.3, 0.3, (20, 2))]:
+            for v, f in ((1.0, 0.0), (0.96, 0.005)):
+                shifted = setting_probabilities(alpha, beta, xi + 0.5 * (da - db), NoiseModel(v, 0.0, 0.0, f))
+                p = setting_probabilities(alpha, beta, xi, NoiseModel(v, da, db, f))
+                tolerance = 0.5 * (1.0 - f) * v * 4 * np.spacing(4 * math.pi)
+                assert np.abs(p - shifted).max() <= tolerance, (da, db, v, f)
 
 
 class TestDefaultLists:
@@ -291,7 +322,7 @@ class TestSettingDraws:
         aligned = NoiseModel(visibility=1.0, analyzer_offset_a=offset, analyzer_offset_b=offset, accidental_fraction=0.0)
         p_pp, _, _, p_mm = chsh._probabilities(chsh.analyzer_angle(offset), chsh.analyzer_angle(offset), 0.0)
         assert p_pp + p_mm > 1.0
-        # setting_probabilities gives cos(0)**2 = 1 exactly.
+        # setting_probabilities gives 1/2 + cos(0)/2 = 1 exactly.
         assert setting_probabilities(0.0, 0.0, 0.0, aligned) == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
