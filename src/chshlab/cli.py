@@ -1,8 +1,7 @@
 """Command-line front end: deterministic CSV sweeps, bound tables, and simulated runs.
 
-Angles are radians on input (a --degrees flag converts) and always radians in
-the output files.  Every subcommand is a pure function of its flags and seed,
-so reruns produce byte-identical CSVs.
+Angles are radians on input (a --degrees flag converts) and always radians in the output files.  Every subcommand
+is a pure function of its flags and seed, so reruns produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ import sys
 import numpy as np
 
 from . import chsh
-from .chsh import (
-    CIRELSON_LIMIT, CLASSICAL_LIMIT, _whole, bell_spectrum, haar_block, quantum_bounds, s_parameter,
-)
+from .chsh import CIRELSON_LIMIT, CLASSICAL_LIMIT, _whole, bell_spectrum, haar_block, quantum_bounds, s_parameter
 from .expsim import NoiseModel, estimate_s
 from .rng import derive_seed
 
@@ -40,21 +37,16 @@ _BLOCK_ROWS = 1024
 def _lines(*columns):
     """CSV bytes of the broadcast columns, yielded _BLOCK_ROWS whole lines at a time.
 
-    A bytes column is a literal cell, the same on every row; a % in it is
-    escaped as %% in the row template.  Every other column is numeric,
-    broadcasts against the rest and is formatted with _CELL: 12 significant
-    digits, as ``format(value, ".12g")`` gives them, which writes every
-    integer of fewer than 13 digits as %d would.  Rows run in C order of the
-    broadcast shape, so the first axis runs slowest.  A block of k rows is
-    one % operation: the row template repeated k times, applied to the
-    block's cells interleaved row by row into one flat list.
+    A bytes column is a literal cell, the same on every row; a % in it is escaped as %% in the row template.  Every
+    other column is numeric, broadcasts against the rest and is formatted with _CELL: 12 significant digits, as
+    ``format(value, ".12g")`` gives them, which writes every integer of fewer than 13 digits as %d would.  Rows run in C
+    order of the broadcast shape, so the first axis runs slowest.  A block of k rows is one % operation: the row
+    template repeated k times, applied to the block's cells interleaved row by row into one flat list.
 
-    No value is formatted twice.  A column with fewer values than there are
-    rows, and at most _BLOCK_ROWS of them, such as a constant, is formatted
-    once per value and its bytes fill %s cells; so memory stays at about one
-    block of cells per column.  Every other column is formatted block by
-    block.  Each value gets _CELL on every path, so the bytes do not depend
-    on the path.
+    No value is formatted twice.  A column with fewer values than there are rows, and at most _BLOCK_ROWS of them, such
+    as a constant, is formatted once per value and its bytes fill %s cells; so memory stays at about one block of cells
+    per column.  Every other column is formatted block by block.  Each value gets _CELL on every path, so the bytes do
+    not depend on the path.
     """
     columns = [c if isinstance(c, bytes) else np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, bytes)))
@@ -146,40 +138,49 @@ def _sample_rows(start: int, values: np.ndarray) -> bytes:
     return b"".join(pieces)
 
 
-def _write_rows(path: str, header: tuple[str, ...], lines) -> None:
-    """Write the header row and then ``lines`` to ``path``; a regular file is replaced atomically.
+@contextlib.contextmanager
+def _csv_file(path: str, header: tuple[str, ...]):
+    """The open binary file of ``path``, its header row written; a regular file is replaced atomically.
 
-    ``lines`` is an iterable of bytes, each holding whole CSV lines such as
-    ``_lines`` yields; it is consumed as it is written, so memory stays flat.
-    When ``path`` is absent or (through any symlinks) a regular file, the CSV
-    is written under a temporary name beside the resolved file, which is then
-    renamed into place with the old file's permission bits.  An error or
-    interrupt part-way leaves the old file as it was and removes the temporary
-    file, so a truncated CSV never appears under the final name.  Any other
-    target, such as a device, FIFO or pipe, is written directly.
+    When ``path`` is absent or (through any symlinks) a regular file, the CSV is written under a temporary name beside
+    the resolved file, then renamed into place with the old file's permission bits.  An error or interrupt part-way
+    leaves the old file as it was and removes the temporary file, so a truncated CSV never appears under the final
+    name.  Any other target, such as a device, FIFO or pipe, is written directly.  An OSError names the file.
     """
-    exists = os.path.exists(path)
-    atomic = not exists or os.path.isfile(path)
+    atomic = not os.path.exists(path) or os.path.isfile(path)
     target = os.path.realpath(path) if atomic else path
     tmp = f"{target}.{os.getpid()}.tmp" if atomic else None
     try:
-        try:
-            with open(tmp or target, "wb") as fh:
-                fh.write((",".join(header) + "\n").encode())
-                fh.writelines(lines)
-            if atomic:
-                if exists:
-                    shutil.copymode(target, tmp)
-                os.replace(tmp, target)
-        finally:
-            if atomic and os.path.exists(tmp):
-                os.unlink(tmp)
+        with open(tmp or target, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            yield fh
+        if atomic:
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+    except ChildProcessError:  # a worker's exit, not the file's error
+        raise
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
+    finally:
+        if atomic and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
-def _render_share(render, tasks, conn) -> None:
-    """A worker of _ordered: send render(task) for each task in order, or the first exception, then return.
+def _write_rows(path: str, header: tuple[str, ...], lines) -> None:
+    """Write the header row and then ``lines``, bytes of whole CSV lines as _lines yields, to ``path`` as consumed."""
+    with _csv_file(path, header) as fh:
+        fh.writelines(lines)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Write ``data`` to the file descriptor ``fd``, looping on short writes."""
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _render_share(render, tasks, conn, fd: int) -> None:
+    """A worker of _ordered: render each task, then on its turn write the bytes to fd and send the extra, or the error.
 
     It first keeps its heap, which glibc would trim after each task and fault in again: the trim and mmap thresholds
     go to 32 MiB, glibc's own 64-bit cap for them and well above a sample block's 3 MiB, unless mallopt is missing.
@@ -193,55 +194,62 @@ def _render_share(render, tasks, conn) -> None:
             mallopt(param, 32 << 20)
     try:
         for task in tasks:
-            conn.send(render(task))
+            data, extra = render(task)
+            conn.recv_bytes()
+            _write_all(fd, data)
+            conn.send(extra)
     except Exception as exc:
         conn.send(exc)
 
 
-def _ordered(render, tasks: range):
-    """Yield ``render(task)`` for each task of the range ``tasks``, in order.
+def _ordered(render, tasks: range, fd: int):
+    """Write ``data`` of ``data, extra = render(task)`` to ``fd`` for each task of ``tasks`` in order; yield ``extra``.
 
-    On w = min(CPUs in os.sched_getaffinity(0), len(tasks)) forked workers,
-    worker k renders tasks[k::w] and sends each result over its own one-way
-    pipe, where it waits until the main thread reads it: result i comes from
-    worker i % w, and a worker holds about one result in flight.  A worker's
-    exception is sent in place of its result and raised here.  Being forked,
-    the workers see ``render`` and this process's state without pickling, but
-    no other thread of it.  On one CPU, for one task, or where
-    os.sched_getaffinity does not exist, this process renders every task.
-    However the generator ends, every worker is ended and joined first.
+    With w = min(CPUs in os.sched_getaffinity(0), len(tasks)), this process renders tasks[0::w] and forks w - 1
+    workers, worker k rendering tasks[k::w]; on one CPU, for one task or without os.sched_getaffinity it renders all.
+    Whichever process rendered a block writes it to ``fd``, whose file offset forked processes share, so no block's
+    bytes cross a pipe.  Turns keep the blocks in order: for task i of worker k = i % w, this process sends k its turn
+    over their duplex pipe, and k writes its block and replies with the extra, or its exception, raised here.  Each
+    process renders its next block while others write.  Forked, the workers see ``render`` and this process's state
+    without pickling, but no other thread of it.  However the generator ends, every worker is ended and joined first.
     """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    w = min(len(getaffinity(0)), len(tasks)) if getaffinity is not None else 1
-    if w < 2:
-        yield from map(render, tasks)
-        return
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    conns, workers = [], []
+    w = min(len(os.sched_getaffinity(0)), len(tasks)) if hasattr(os, "sched_getaffinity") else 1
+    conns, workers, ahead = [None], [], None  # conns[k] is this process's end of worker k's pipe; k = 0 is this one
     try:
-        for k in range(w):
-            receiver, sender = context.Pipe(duplex=False)
-            conns.append(receiver)
-            workers.append(context.Process(target=_render_share, args=(render, tasks[k::w], sender)))
+        if w > 1:
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
+        for k in range(1, w):
+            conn, end = context.Pipe()
+            conns.append(conn)
+            workers.append(context.Process(target=_render_share, args=(render, tasks[k::w], end, fd)))
             workers[-1].start()
-            # Only the worker keeps the sending end, so its exit shows here as end of file.
-            sender.close()
-        for i in range(len(tasks)):
-            try:
-                result = conns[i % w].recv()
-            except EOFError:
-                raise ChildProcessError(f"worker {i % w} exited before sending result {i}") from None
-            if isinstance(result, BaseException):
-                raise result
-            yield result
+            # Only the worker keeps its end, so its exit shows here as end of file or a reset.
+            end.close()
+        for i, task in enumerate(tasks):
+            k = i % w
+            if k == 0:
+                data, extra = ahead or render(task)
+                _write_all(fd, data)
+            else:
+                # A worker that has exited refuses its turn; what it sent before, if anything, is still read.
+                with contextlib.suppress(BrokenPipeError):
+                    conns[k].send_bytes(b"")
+                # While the round's last worker writes, this process renders its own next block.
+                ahead = render(tasks[i + 1]) if k == w - 1 and i + 1 < len(tasks) else None
+                try:
+                    extra = conns[k].recv()
+                except (EOFError, ConnectionError):
+                    raise ChildProcessError(f"worker {k} exited before sending result {i}") from None
+                if isinstance(extra, BaseException):
+                    raise extra
+            yield extra
     finally:
         for worker in workers:
             worker.terminate()
-        for worker in workers:
+        for worker, conn in zip(workers, conns[1:]):
             worker.join()
-        for conn in conns:
             conn.close()
 
 
@@ -326,21 +334,15 @@ def cmd_sample(args: argparse.Namespace) -> None:
     def block(start):
         """The CSV bytes of the states of haar_block at start, and their min and max."""
         values = haar_block(lam, args.seed, start, min(chunk, count - start))
-        return _sample_rows(start, values), values.min(), values.max()
+        return _sample_rows(start, values), (values.min(), values.max())
 
     _tables()  # built before the fork, so the workers share them
-    blocks = _ordered(block, range(0, count, chunk))
-
-    def rows():
-        lo, hi = math.inf, -math.inf
-        for data, block_lo, block_hi in blocks:
-            lo, hi = min(lo, block_lo), max(hi, block_hi)
-            yield data
-        yield from _lines(b"summary", b"", lo, hi, lam[0], lam[-1])
-
-    # Closing the blocks ends their workers on every path, before the error or interrupt goes on.
-    with contextlib.closing(blocks):
-        _write_rows(args.out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax"), rows())
+    with _csv_file(args.out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax")) as fh:
+        fh.flush()  # the header, before the blocks go straight to the file descriptor
+        # Closing the blocks ends their workers on every path, before the temporary file is removed.
+        with contextlib.closing(_ordered(block, range(0, count, chunk), fh.fileno())) as extremes:
+            lo, hi = functools.reduce(lambda a, b: (min(a[0], b[0]), max(a[1], b[1])), extremes)
+        fh.writelines(_lines(b"summary", b"", lo, hi, lam[0], lam[-1]))
 
 
 def _radians(value: float | None, degrees: bool) -> float | None:

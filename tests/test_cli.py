@@ -6,7 +6,10 @@ import importlib.metadata
 import itertools
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -83,6 +86,26 @@ def started(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", record)
     return processes
+
+
+@pytest.fixture
+def alarm():
+    """Fails a test that hangs for a minute, where a lost turn would otherwise block it for good."""
+
+    def hung(signum, frame):
+        pytest.fail("the test hung for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# Copies a FIFO, the first argument, to a file, the second, until the last writer closes it.
+FIFO_COPY = """import shutil, sys
+with open(sys.argv[1], "rb") as fifo, open(sys.argv[2], "wb") as copy:
+    shutil.copyfileobj(fifo, copy)"""
 
 
 def cli_peak_mib(*argv):
@@ -933,7 +956,8 @@ class TestSampleWorkers:
         out = tmp_path / "sample.csv"
         assert run_cli(*self.ARGV, "--out", out) == 0
         assert out.read_bytes() == self.expected()
-        assert len(started) == (cpus if cpus and cpus > 1 else 0)
+        # This process renders a share of the blocks, so it forks one worker fewer than it uses CPUs.
+        assert len(started) == (cpus - 1 if cpus else 0)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -974,7 +998,7 @@ class TestSampleWorkers:
 
         monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1000)
         monkeypatch.setattr(ctypes, "CDLL", cdll)
-        report_cpus(monkeypatch, 2)
+        report_cpus(monkeypatch, 3)
         out = tmp_path / "sample.csv"
         assert run_cli(*self.ARGV, "--out", out) == 0
         assert out.read_bytes() == self.expected()
@@ -984,57 +1008,150 @@ class TestSampleWorkers:
         assert (calls.read_text() if calls.exists() else None) == expected
 
     def test_interrupted_write_ends_every_worker(self, tmp_path, monkeypatch, started):
+        # On 3 CPUs this process renders blocks 0 and 3 of five, and draws block 3 while worker 2 writes block 2; an
+        # interrupt then finds blocks 0 and 1 written and block 2 in part or whole.  Every worker has exited, so none
+        # writes any more, when the temporary file is removed.
         monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1000)
         report_cpus(monkeypatch, 3)
-        write_rows = cli._write_rows
+        draw, unlink, parent = cli.haar_block, os.unlink, os.getpid()
 
-        def interrupted(path, header, lines):
-            def two_blocks_then_interrupt():
-                yield from itertools.islice(lines, 2)
+        def interrupted_on_block_three(lam, seed, start, count):
+            if start == 3000 and os.getpid() == parent:
                 raise KeyboardInterrupt
+            return draw(lam, seed, start, count)
 
-            write_rows(path, header, two_blocks_then_interrupt())
+        removed = []
 
-        monkeypatch.setattr(cli, "_write_rows", interrupted)
+        def recorded(path):
+            # What the temporary file holds when it is removed, and whether every worker had exited by then.
+            removed.append((Path(path).read_bytes(), [p.exitcode is not None for p in started]))
+            unlink(path)
+
+        monkeypatch.setattr(cli, "haar_block", interrupted_on_block_three)
+        monkeypatch.setattr(os, "unlink", recorded)
         out = tmp_path / "sample.csv"
         # The traceback holds every frame of the run, and with them the block generator, until the test ends.
         with pytest.raises(KeyboardInterrupt) as interrupt:
             run_cli(*self.ARGV, "--out", out)
-        assert len(started) == 3 and all(p.exitcode is not None for p in started)
+        [(written, exited)] = removed
+        assert self.expected().startswith(written) and written.count(b"\n") >= 2001 and exited == [True, True]
+        assert len(started) == 2 and all(p.exitcode is not None for p in started)
         assert multiprocessing.active_children() == []
         assert list(tmp_path.iterdir()) == []
         assert interrupt.traceback
 
-    def test_closing_joins_every_worker_of_an_endless_range(self, monkeypatch, started):
-        # A list of 10**12 tasks cannot be built; the workers take lazy slices of the range.
-        report_cpus(monkeypatch, 3)
-        results = cli._ordered(lambda task: (task, os.getpid()), range(10**12))
-        (first, first_pid), (second, second_pid) = next(results), next(results)
-        results.close()
-        assert (first, second) == (0, 1)
-        assert first_pid == started[0].pid and second_pid == started[1].pid
-        assert len(started) == 3 and all(p.exitcode is not None for p in started)
+    @pytest.mark.parametrize("when", ["during its turn", "before its turn"])
+    def test_worker_killed_is_one_error_line(self, when, tmp_path, monkeypatch, capfd, started, alarm):
+        # On 2 CPUs worker 1 renders blocks 1 and 3.  It is killed as it writes block 3, while this process waits
+        # for its reply, or as soon as it has drawn block 3, while this process draws block 2 and waits for its death.
+        monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1000)
+        report_cpus(monkeypatch, 2)
+        draw, write_all = cli.haar_block, cli._write_all
+
+        def killed_after_drawing_block_three(lam, seed, start, count):
+            values = draw(lam, seed, start, count)
+            if start == 3000:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if start == 2000:  # on this process
+                multiprocessing.connection.wait([started[0].sentinel])
+            return values
+
+        def killed_writing_block_three(fd, data):
+            if data.startswith(b"3000,"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_all(fd, data)
+
+        if when == "before its turn":
+            monkeypatch.setattr(cli, "haar_block", killed_after_drawing_block_three)
+        else:
+            monkeypatch.setattr(cli, "_write_all", killed_writing_block_three)
+        out = tmp_path / "sample.csv"
+        out.write_bytes(b"old,bytes\n")
+        assert run_cli(*self.ARGV, "--out", out) == 1
+        assert capfd.readouterr() == ("", "chshlab: error: worker 1 exited before sending result 3\n")
+        assert out.read_bytes() == b"old,bytes\n"
+        assert list(tmp_path.iterdir()) == [out]
+        assert len(started) == 1 and started[0].exitcode == -signal.SIGKILL
         assert multiprocessing.active_children() == []
 
-    def test_worker_that_dies_is_an_error(self, monkeypatch, started):
+    def test_fifo_gets_the_bytes_of_a_file(self, tmp_path, monkeypatch, started, alarm):
+        # The workers write to the FIFO as this process does; a reader process copies what they write to a file.
+        monkeypatch.setattr(chsh, "_HAAR_CHUNK", 1000)
+        report_cpus(monkeypatch, 3)
+        fifo, copy = tmp_path / "out.fifo", tmp_path / "copy.csv"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen([sys.executable, "-c", FIFO_COPY, fifo, copy])
+        try:
+            assert run_cli(*self.ARGV, "--out", fifo) == 0
+        finally:
+            assert reader.wait(timeout=30) == 0
+        assert copy.read_bytes() == self.expected()
+        assert len(started) == 2 and multiprocessing.active_children() == []
+
+    def test_no_block_crosses_a_pipe(self, tmp_path, monkeypatch, started):
+        # Each renderer writes its own blocks; this process receives only the turns' replies, each block's min and
+        # max, where it received every block's bytes when the workers sent them over their pipes.
+        report_cpus(monkeypatch, 3)
+        received, parent = [], os.getpid()
+        connection = multiprocessing.connection.Connection
+        recv, recv_bytes = connection.recv, connection.recv_bytes
+
+        def counted(receive, size):
+            def wrapper(self, *args):
+                result = receive(self, *args)
+                if os.getpid() == parent:
+                    received.append(size(result))
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(connection, "recv", counted(recv, lambda result: len(pickle.dumps(result))))
+        monkeypatch.setattr(connection, "recv_bytes", counted(recv_bytes, len))
+        out = tmp_path / "sample.csv"
+        assert run_cli("sample", "--theta", "0.785", "--n", 100_000, "--seed", 3, "--out", out) == 0
+        assert out.stat().st_size > 2 * 10**6
+        assert len(started) == 2 and 0 < sum(received) < 64 * 1024, f"{sum(received)} bytes in {len(received)}"
+
+    def test_closing_joins_every_worker_of_an_endless_range(self, tmp_path, monkeypatch, started):
+        # A list of 10**12 tasks cannot be built; the workers take lazy slices of the range.
+        report_cpus(monkeypatch, 3)
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            results = cli._ordered(lambda task: (b"%d\n" % task, (task, os.getpid())), range(10**12), fh.fileno())
+            (first, first_pid), (second, second_pid) = next(results), next(results)
+            results.close()
+        assert (first, second) == (0, 1) and out.read_bytes() == b"0\n1\n"
+        assert first_pid == os.getpid() and second_pid == started[0].pid
+        assert len(started) == 2 and all(p.exitcode is not None for p in started)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_an_error(self, tmp_path, monkeypatch, started):
         # The last worker started dies: its pipe must still show end of file.
-        report_cpus(monkeypatch, 2)
+        report_cpus(monkeypatch, 3)
 
         def render(task):
-            if task == 3:
-                os._exit(3)  # only ever on a forked worker: two CPUs and five tasks
-            return task
+            if task == 5:
+                os._exit(3)  # only ever on a forked worker: three CPUs and seven tasks
+            return b"%d\n" % task, task
 
-        results = cli._ordered(render, range(5))
-        assert [next(results) for _ in range(3)] == [0, 1, 2]
-        with pytest.raises(ChildProcessError, match="worker 1 exited before sending result 3"):
-            next(results)
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            results = cli._ordered(render, range(7), fh.fileno())
+            assert [next(results) for _ in range(5)] == [0, 1, 2, 3, 4]
+            with pytest.raises(ChildProcessError, match="worker 2 exited before sending result 5"):
+                next(results)
+        assert out.read_bytes() == b"0\n1\n2\n3\n4\n"
         assert len(started) == 2 and started[0].exitcode is not None and started[1].exitcode == 3
         assert multiprocessing.active_children() == []
 
-    def test_one_task_renders_in_process(self, monkeypatch, started):
+    def test_one_task_renders_in_process(self, tmp_path, monkeypatch, started):
         report_cpus(monkeypatch, 3)
-        assert list(cli._ordered(lambda task: (task, os.getpid()), range(1))) == [(0, os.getpid())]
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            assert list(cli._ordered(lambda task: (b"row\n", (task, os.getpid())), range(1), fh.fileno())) == [
+                (0, os.getpid())
+            ]
+        assert out.read_bytes() == b"row\n"
         assert started == []
 
 
@@ -1277,34 +1394,52 @@ class TestBlockSizes:
             started.clear()
             assert run_cli(*argv, "--out", tmp_path / "blocked.csv") == 0
             assert (tmp_path / "blocked.csv").read_bytes() == default
-            # Only sample forks, one worker per CPU when there is more than one.
-            assert len(started) == (cpus if name == "sample" and cpus > 1 else 0)
+            # Only sample forks: one worker per CPU but the one this process renders on.
+            assert len(started) == (cpus - 1 if name == "sample" else 0)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_rows_reach_the_file_as_bytes(self, name, tmp_path, monkeypatch, started):
-        # Every chunk _write_rows gets is bytes, written as it is; sample's come through two workers' pipes.
+        # Every chunk is bytes, written as it is: _write_rows gets each command's but sample's; sample's blocks go to
+        # _write_all, from this process and its one worker in turn, and only its summary row goes through the file.
         argv, rows, divisor = self.CASES[name]
         monkeypatch.setattr(cli, "_BLOCK_ROWS", divisor)
         monkeypatch.setattr(chsh, "_HAAR_CHUNK", divisor)
         report_cpus(monkeypatch, 2)
-        chunks, write_rows = [], cli._write_rows
+        chunks, write_rows, write_all, log = [], cli._write_rows, cli._write_all, tmp_path / "blocks.log"
 
         def recorded(path, header, lines):
             write_rows(path, header, (chunks.append(chunk) or chunk for chunk in lines))
 
+        def logged(fd, data):
+            # A worker's chunks reach this process only through the log, in the order of the turns.
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {type(data).__name__} {len(data)}\n")
+            write_all(fd, data)
+
         monkeypatch.setattr(cli, "_write_rows", recorded)
+        monkeypatch.setattr(cli, "_write_all", logged)
         out = tmp_path / "out.csv"
         assert run_cli(*argv, "--out", out) == 0
-        assert len(chunks) == rows // divisor + (name == "sample")
-        assert all(type(chunk) is bytes for chunk in chunks), [type(chunk) for chunk in chunks]
-        assert out.read_bytes().split(b"\n", 1)[1] == b"".join(chunks)
-        assert len(started) == (2 if name == "sample" else 0)
+        body = out.read_bytes().split(b"\n", 1)[1]
+        if name == "sample":
+            blocks = [line.split() for line in log.read_text().splitlines()]
+            assert [(int(pid), kind) for pid, kind, _ in blocks] == [
+                (os.getpid() if i % 2 == 0 else started[0].pid, "bytes") for i in range(rows // divisor)
+            ]
+            # The blocks' bytes are the output's rows up to the summary row, which goes through the file.
+            assert body.index(b"summary,") == sum(int(size) for *_, size in blocks)
+        else:
+            assert not log.exists() and len(chunks) == rows // divisor
+            assert all(type(chunk) is bytes for chunk in chunks), [type(chunk) for chunk in chunks]
+            assert body == b"".join(chunks)
+        assert len(started) == (1 if name == "sample" else 0)
 
 
 class TestSampleMemory:
     def test_rows_are_written_in_bounded_blocks(self, tmp_path):
-        # cmd_sample holds one block of samples and of rows at a time, so its peak does not grow with n: about
-        # 34 MiB at both n, where keeping every block's values peaked at 34.7 and 48.5 MiB.
+        # cmd_sample holds one block of samples and of rows at a time, so its peak does not grow with n: 35.2 and
+        # 35.6 MiB now that this process renders a share of the blocks (32.5 and 32.6 MiB when it only relayed the
+        # workers' blocks), where keeping every block's values peaked at 34.7 and 48.5 MiB.
         peaks = []
         for n in (200_000, 2_000_000):
             out = tmp_path / "sample.csv"
@@ -1321,9 +1456,9 @@ class TestSampleMemory:
         len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="on one CPU sample forks no worker"
     )
     def test_workers_keep_their_heap(self, tmp_path):
-        # The workers keep their heap between blocks, so their page faults and peak do not grow with n: on two CPUs
-        # 3,251 and 3,597 faults, 28.0 and 28.5 MiB, where glibc's heap trim after each block took 16,489 and
-        # 148,752 faults.
+        # The workers keep their heap between blocks, so their page faults and peak do not grow with n: on two CPUs,
+        # where one worker renders half the blocks, 1,813 and 1,955 faults, 28.9 and 29.2 MiB; two workers took
+        # 3,282 and 3,493 faults, where glibc's heap trim after each block took them 16,489 and 148,752.
         usage = [
             cli_worker_usage("sample", "--theta", 0.785, "--n", n, "--seed", 1, "--out", tmp_path / "sample.csv")
             for n in (200_000, 2_000_000)
