@@ -65,27 +65,21 @@ def xi_param(xi):
     return _wrapped(_validated(xi, np.isfinite, "xi must be finite"), math.pi)
 
 
-# The settings table.  Analyzer a takes (a1, a2) = (2 theta, 0) and b takes
-# (b1, b2) = (theta, 3 theta); S's terms measure the pairs (a_i, b_j) for
-# (i, j) in _SETTINGS, in that order: (a1, b1), (a2, b1), (a1, b2), (a2, b2).
-_ANALYZER_MULTIPLES = ((2.0, 0.0), (1.0, 3.0))
-_SETTINGS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def _analyzers(theta) -> tuple:
-    """The reduced analyzer angles ((a1, a2), (b1, b2)) at theta; broadcasts over arrays.
+def _settings(theta) -> tuple:
+    """Cabello's settings (a1, a2, b1, b2) = (2 theta, 0, theta, 3 theta), reduced; broadcasts over arrays.
 
     a2 stays the scalar 0.0, so the kernel broadcasts its two terms from one row
     of a (theta, xi) grid instead of computing them on the whole grid.
     """
     t = theta_param(theta)
     # A multiple of a checked theta is finite, so it needs analyzer_angle's reduction but not its check.
-    return tuple(tuple(_wrapped(np.multiply(m, t), TWO_PI) if m else 0.0 for m in side) for side in _ANALYZER_MULTIPLES)
+    a1, b1, b2 = (_wrapped(np.multiply(m, t), TWO_PI) for m in (2.0, 1.0, 3.0))
+    return a1, 0.0, b1, b2
 
 
-def _settings(a, b) -> list:
-    """The pairs (a[i], b[j]) of the settings table, in S order, for per-analyzer values a and b."""
-    return [(a[i], b[j]) for i, j in _SETTINGS]
+def _pairs(a1, a2, b1, b2) -> tuple:
+    """Per-analyzer values paired in S's term order: (a1, b1), (a2, b1), (a1, b2), (a2, b2)."""
+    return (a1, b1), (a2, b1), (a1, b2), (a2, b2)
 
 
 def _combine(terms):
@@ -164,7 +158,7 @@ def s_parameter(theta, xi):
 
     Broadcasts over arrays of theta and xi; scalars give a float.
     """
-    pairs, x = _settings(*_analyzers(theta)), xi_param(xi)
+    pairs, x = _pairs(*_settings(theta)), xi_param(xi)
     return _scalar_or_array(_combine(_correlation(a, b, x) for a, b in pairs))
 
 
@@ -173,8 +167,8 @@ def bell_operator(theta) -> np.ndarray:
 
     An array of theta gives a stack of operators of shape ``theta.shape + (4, 4)``.
     """
-    a, b = ([observable(angle).matrix for angle in side] for side in _analyzers(theta))
-    return _combine(tensor(oa, ob) for oa, ob in _settings(a, b))
+    matrices = [observable(angle).matrix for angle in _settings(theta)]  # one per analyzer, not one per term
+    return _combine(tensor(oa, ob) for oa, ob in _pairs(*matrices))
 
 
 @dataclass(frozen=True)
@@ -213,13 +207,13 @@ def family_extremum(theta):
 
 def classical_s_values() -> list[float]:
     """CHSH values of all 16 deterministic +-1 assignments, (a1, a2, b1, b2) with a1 slowest."""
-    signs = list(itertools.product((-1, 1), repeat=2))
-    return [float(_combine(x * y for x, y in _settings(a, b))) for a in signs for b in signs]
+    return [float(_combine(x * y for x, y in _pairs(*signs))) for signs in itertools.product((-1, 1), repeat=4)]
 
 
 def _whole(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as an int, once it is a whole number in [low, high], or at least low when high is None."""
-    count = int(value)
+    # NaN and the infinities have no int, so they fail as non-whole numbers.
+    count = int(value) if value == value and abs(value) != math.inf else None
     if count != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if count < low:

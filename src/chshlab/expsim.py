@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import _analyzers, _combine, _scalar_or_array, _settings, _whole, analyzer_angle, xi_param
+from .chsh import _combine, _pairs, _scalar_or_array, _settings, _whole, analyzer_angle, xi_param
 from .rng import _unit, binomial, derive_seed, words
 
 # Pairs per setting above this are refused.  The cap bounds time and float exactness, not memory,
@@ -101,7 +101,7 @@ def estimate_s(theta, xi, pairs: int, noise: NoiseModel, seed) -> SEstimate:
     """
     pairs = _whole(pairs, "pairs", 2, MAX_PAIRS)
     # The settings on the last axis, in S order.
-    angles = zip(*_settings(*_analyzers(theta)))
+    angles = zip(*_pairs(*_settings(theta)))
     alphas, betas = (np.stack(np.broadcast_arrays(*side), axis=-1) for side in angles)
     # Replications share the (theta, xi) table: the seeds' axes are not in it.
     p_same = setting_probabilities(alphas, betas, np.asarray(xi)[..., None], noise)

@@ -141,12 +141,12 @@ class TestObservable:
 
 class TestSettingsTable:
     def test_multiples_of_theta(self):
-        (a1, a2), (b1, b2) = chsh._analyzers(0.3)
+        a1, a2, b1, b2 = chsh._settings(0.3)
         assert (a1, a2) == pytest.approx((0.6, 0.0), abs=1e-12)
         assert (b1, b2) == pytest.approx((0.3, 0.9), abs=1e-12)
 
     def test_reduction_near_top_of_range(self):
-        (a1, a2), (b1, b2) = chsh._analyzers(math.pi)
+        a1, a2, b1, b2 = chsh._settings(math.pi)
         assert a1 == pytest.approx(0.0, abs=1e-12)  # 2*pi wraps
         assert b2 == pytest.approx(math.pi, abs=1e-12)  # 3*pi wraps
         assert a2 == 0.0 and b1 == math.pi
@@ -323,6 +323,17 @@ class TestBellOperator:
         assert stack.shape == (4, 25, 4, 4)
         per_theta = np.array([[bell_operator(t) for t in row] for row in thetas])
         assert stack.tobytes() == per_theta.tobytes()
+
+    def test_landau_spectrum_at_arbitrary_settings(self):
+        # Landau (1987): B at any settings (a1, a2, b1, b2) has the eigenvalues +-2 sqrt(1 +- |x|),
+        # x = sin(a1 - a2) sin(b1 - b2); the oracle for a closed-form spectrum.
+        a1, a2, b1, b2 = np.random.default_rng(42).uniform(0.0, 2 * math.pi, (4, 20000))
+        matrices = [observable(alpha).matrix for alpha in (a1, a2, b1, b2)]
+        b = chsh._combine(tensor(oa, ob) for oa, ob in chsh._pairs(*matrices))
+        x = np.abs(np.sin(a1 - a2) * np.sin(b1 - b2))
+        high, low = 2 * np.sqrt(1 + x), 2 * np.sqrt(1 - x)
+        closed = np.stack([-high, -low, low, high], axis=-1)
+        assert np.max(np.abs(np.linalg.eigvalsh(b) - closed)) <= 1e-13
 
 
 class TestQuantumBounds:

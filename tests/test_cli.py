@@ -773,6 +773,8 @@ class TestCountChecks:
             (lambda out: haar_sample_s(0.3, 0.0, 1), "n must be at least 1, got 0"),
             (lambda out: haar_sample_s(0.3, -3, 1), "n must be at least 1, got -3"),
             (lambda out: haar_sample_s(0.3, 2.5, 1), "n must be a whole number, got 2.5"),
+            (lambda out: haar_sample_s(0.3, float("inf"), 1), "n must be a whole number, got inf"),
+            (lambda out: haar_sample_s(0.3, float("-inf"), 1), "n must be a whole number, got -inf"),
             (lambda out: estimate_s(0.3, 0.1, 2, NoiseModel(), 0), None),
             (lambda out: estimate_s(0.3, 0.1, 1, NoiseModel(), 0), "pairs must be at least 2, got 1"),
             (lambda out: estimate_s(0.3, 0.1, 1.0, NoiseModel(), 0), "pairs must be at least 2, got 1"),
@@ -781,6 +783,8 @@ class TestCountChecks:
                 "pairs must be at most 1000000000000, got 1000000000001",
             ),
             (lambda out: estimate_s(0.3, 0.1, 100.5, NoiseModel(), 0), "pairs must be a whole number, got 100.5"),
+            (lambda out: estimate_s(0.3, 0.1, float("nan"), NoiseModel(), 0), "pairs must be a whole number, got nan"),
+            (lambda out: estimate_s(0.3, 0.1, float("inf"), NoiseModel(), 0), "pairs must be a whole number, got inf"),
             (lambda out: simulate_with_replications(1, out), None),
             (lambda out: simulate_with_replications(0, out), "replications must be at least 1, got 0"),
             (lambda out: simulate_with_replications(1.5, out), "replications must be a whole number, got 1.5"),

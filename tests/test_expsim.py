@@ -495,7 +495,7 @@ class TestEstimateS:
         theta, xi, pairs, seed = 0.9, 0.1, 2000, 11
         noise = NoiseModel(analyzer_offset_a=0.01, analyzer_offset_b=-0.03)
         est = estimate_s(theta, xi, pairs, noise, seed=seed)
-        plan = chsh._settings(*chsh._analyzers(theta))
+        plan = chsh._pairs(*chsh._settings(theta))
         assert len(plan) == 4
         for index, (a, b) in enumerate(plan):
             p = setting_probabilities(a, b, xi, noise)
