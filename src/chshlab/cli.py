@@ -30,112 +30,137 @@ DEFAULT_ANGLE_LIST = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 
 _NOISE_FIELDS = tuple(field.name for field in dataclasses.fields(NoiseModel))
 
 
-_CELL = b"%.12g"
-_BLOCK_ROWS = 1024
-
-
-def _lines(*columns):
-    """CSV bytes of the broadcast columns, yielded _BLOCK_ROWS whole lines at a time.
-
-    A bytes column is a literal cell, the same on every row; a % in it is escaped as %% in the row template.  Every
-    other column is numeric, broadcasts against the rest and is formatted with _CELL: 12 significant digits, as
-    ``format(value, ".12g")`` gives them, which writes every integer of fewer than 13 digits as %d would.  Rows run in C
-    order of the broadcast shape, so the first axis runs slowest.  A block of k rows is one % operation: the row
-    template repeated k times, applied to the block's cells interleaved row by row into one flat list.
-
-    No value is formatted twice.  A column with fewer values than there are rows, and at most _BLOCK_ROWS of them, such
-    as a constant, is formatted once per value and its bytes fill %s cells; so memory stays at about one block of cells
-    per column.  Every other column is formatted block by block.  Each value gets _CELL on every path, so the bytes do
-    not depend on the path.
-    """
-    columns = [c if isinstance(c, bytes) else np.asarray(c) for c in columns]
-    shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, bytes)))
-    size = math.prod(shape)
-    specs, flats = [], []
-    for c in columns:
-        if isinstance(c, bytes):
-            specs.append(c.replace(b"%", b"%%"))
-            continue
-        spec = _CELL
-        if c.size < size and c.size <= _BLOCK_ROWS:
-            spec, c = b"%s", np.array([_CELL % v for v in c.ravel().tolist()], dtype=object).reshape(c.shape)
-        specs.append(spec)
-        flats.append(np.broadcast_to(c, shape).flat)
-    template, width = b",".join(specs) + b"\n", len(flats)
-    for start in range(0, size, _BLOCK_ROWS):
-        k = min(_BLOCK_ROWS, size - start)
-        cells = [None] * (k * width)
-        for c, f in enumerate(flats):
-            cells[c::width] = f[start : start + k].tolist()
-        yield (template * k) % tuple(cells)
+_CELL, _BLOCK_ROWS = b"%.12g", 4096
+_LEAD, _PLAIN, _HEAD, _POW10 = 10**4, 2 * 10**4, 3 * 10**4, 10 ** np.arange(17, dtype=np.int64)
 
 
 @functools.cache
 def _tables() -> np.ndarray:
-    """_sample_rows' words, built once on first use.  The 4 ASCII digits of each k < 10**4 as one uint32, in three
-    tables laid end to end: from 0 with trailing zeros as NUL (k = 0 all NUL), from _LEAD with leading zeros but the
-    last as NUL, and from _PLAIN as they are; then from _HEAD, at 20 * sign + 2 * digit + point, the 40 words of a
-    comma, "-" or NUL, a digit, and "." or NUL."""
+    """_lines' words: the 4 digits of each k < 10**4 as one uint32, from 0 with trailing zeros as NUL, from _LEAD with
+    leading zeros but the last as NUL, from _PLAIN as they are; from _HEAD + 40 * first + 20 * sign + 2 * digit +
+    point, a comma (NUL in a row's first cell), "-" or NUL, a digit, and "." or NUL."""
     k, place = np.arange(10**4, dtype=np.int16)[:, None], 10 ** np.arange(3, -1, -1, dtype=np.int16)
     plain = (k // place % 10 + ord("0")).astype(np.uint8)
     trail = np.where(k % (10 * place) != 0, plain, 0)
     lead = np.where((k >= place) | (place == 1), plain, 0)
-    head = b"".join(bytes([ord(","), s, d, p]) for s in b"\0-" for d in b"0123456789" for p in b"\0.")
-    return np.concatenate([trail, lead, plain, np.frombuffer(head, np.uint8).reshape(40, 4)]).view(np.uint32).ravel()
+    head = b"".join(bytes([c, s, d, p]) for c in b",\0" for s in b"\0-" for d in b"0123456789" for p in b"\0.")
+    return np.concatenate([trail, lead, plain, np.frombuffer(head, np.uint8).reshape(80, 4)]).view(np.uint32).ravel()
 
 
-_LEAD, _PLAIN, _HEAD = 10**4, 2 * 10**4, 3 * 10**4
-_CELLS, _NEWLINE = np.frombuffer(b",,,,\n\0\0\0", np.uint32)
-_POW10 = 10 ** np.arange(17, dtype=np.int64)
+def _fixed(values: np.ndarray, head: np.ndarray, out: list) -> np.ndarray:
+    """Write the words of each float of values[j] into the 5 rows of out[j]; return where they write what _CELL does.
 
-
-def _sample_rows(start: int, values: np.ndarray) -> bytes:
-    """``b"".join(_lines(np.arange(start, start + values.size), values, b"", b"", b"", b""))``, indices below 10**12.
-
-    A value x with 1e-4 <= |x| < 10, which holds for every Bell-operator expectation (|x| <= 2 sqrt 2), is written
-    in fixed notation from its 12 significant digits rint(|x| * 10**(11 - e)), e its decade: 10**(11 - e) is an
-    exact double and the product is rounded by at most 2**-13, so the digits are exact unless the product lies
-    within 2**-11 of a rounding tie.  log10 only guesses e; a product outside [1e11, 1e12) shows a wrong guess.  A
-    value with a wrong guess, near a tie or rounding to 10, and every value outside that range, gets its row from
-    %.  Each other row is laid out in as few uint32 words as the block needs: its index in as many 4-digit groups
-    as the block's last index has, NUL before its first digit; one _HEAD word of comma, sign, whole digit and
-    point; 4 words of fraction and 2 of trailer.  The NULs are dropped at the end.
+    That is where 1e-4 <= |x| < 10, from the 12 significant digits d = rint(|x| * 10**(11 - e)), e the decade log10
+    guesses: 10**(11 - e) is exact and the product is rounded by at most 2**-13, so d is exact unless the product is
+    within 2**-11 of a tie, and a product outside [1e11, 1e12) shows a wrong guess.  d * 10**(5 + e) gives the words:
+    head[j] + sign, whole digit and point, then 16 fraction digits in 4 words, up to the last nonzero one.
     """
-    table, n, x = _tables(), values.size, np.abs(values)
-    fast = (x >= 1e-4) & (x < 10)
-    x = np.where(fast, x, 1.0)
-    e = np.floor(np.log10(x)).astype(np.intp)
-    scale = _POW10[11 - e]
-    y = x * scale
-    fast &= (y >= 1e11) & (y < 1e12) & (abs(y - np.floor(y) - 0.5) >= 2.0**-11)
-    # Exact in doubles: the digits (which may round up to 10**12), scale, whole * scale and floor(digits / scale).
+    table, x = _tables(), np.abs(values)
+    clipped = np.fmin(np.fmax(x, 1e-4), 9.999999999999998)  # NaN to 1e-4: finite arithmetic where nothing is written
+    e = np.floor(np.log10(clipped)).astype(np.intp)
+    y = clipped * _POW10[11 - e]
     digits = np.rint(y)
-    whole = np.floor(digits / scale).astype(np.intp)
-    rest = (digits - whole * scale).astype(np.int64) * _POW10[5 + e]  # the fraction's first 16 digits
-    fast &= whole < 10
-    i, groups = start + np.arange(n), 1 + (start + n > 10**4) + (start + n > 10**8)
-    words = np.empty((groups + 7, n), np.uint32)
-    # Each index's group count; every index has the block's count unless the block starts below 10**(4 * groups - 4).
-    count = groups if start >= 10 ** (4 * groups - 4) else 1 + (i >= 10**4) + (i >= 10**8)
-    for g, row in enumerate(words[groups - 1 :: -1]):
-        # Group g from the last is from _PLAIN below the index's first digit, from _LEAD at it, and 0 (all NUL) above.
+    fast = (clipped == x) & (y >= 1e11) & (y < 1e12) & (abs(y - digits) <= 0.5 - 2.0**-11)
+    rest = digits.astype(np.int64) * _POW10[5 + e]
+    whole = rest // 10**16
+    rest -= whole * 10**16
+    index = head + 20 * (values < 0) + 2 * whole + (rest != 0)
+    for g in range(5):
+        for rows, i in zip(out, index):
+            table.take(i, out=rows[g], mode="clip")  # an unwritten value's index may be past the table
+        if g < 3:
+            group = rest // 10 ** (12 - 4 * g)
+            rest -= group * 10 ** (12 - 4 * g)
+        index = group + (rest != 0) * _PLAIN if g < 3 else rest
+    return (fast & (whole < 10)).all(axis=0)
+
+
+def _digits(values: np.ndarray, out: np.ndarray) -> bool:
+    """Write the 4-digit groups of each int of ``values`` into the rows of out, NUL before its first digit; return
+    whether they write what _CELL does: whether 0 <= i < 10**(4 * len(out)) for all."""
+    i, groups = values.astype(np.int64, copy=False), len(out)
+    lo, hi = i.min(), i.max()
+    count = groups if lo >= 10 ** (4 * groups - 4) else 1 + (i >= 10**4) + (i >= 10**8)  # each value's groups
+    for g, row in enumerate(out[::-1]):
+        # Group g from the last is from _PLAIN below the value's first digit, from _LEAD at it, and 0 (all NUL) above.
         i, low = i // 10**4, i
-        np.take(table, low - i * 10**4 + np.clip(count - g, 0, 2) * _LEAD, out=row)
-    # A fallback row's whole part may be out of the table; clipping keeps its (unused) word in it.
-    np.take(table, _HEAD + 20 * (values < 0) + 2 * whole + (rest != 0), out=words[groups], mode="clip")
-    for row, place in zip(words[groups + 1 : groups + 5], (10**12, 10**8, 10**4, 1)):
-        group = rest // place
-        rest = rest - group * place
-        # A group is written in full when a later one is nonzero, else with its trailing zeros dropped.
-        np.take(table, group + (rest != 0) * _PLAIN, out=row)
-    words[-2], words[-1] = _CELLS, _NEWLINE
-    pieces, done = [], 0
-    for r in np.flatnonzero(~fast).tolist() + [n]:
-        pieces.append(words.T[done:r].tobytes().translate(None, b"\0"))
-        if r < n:
-            pieces.append((b"%d," + _CELL + b",,,,\n") % (start + r, values[r]))
-        done = r + 1
-    return b"".join(pieces)
+        _tables().take(low - i * 10**4 + np.clip(count - g, 0, 2) * _LEAD, out=row, mode="clip")
+    return lo >= 0 and hi < 10 ** (4 * groups)
+
+
+def _padded(texts: list[bytes]) -> np.ndarray:
+    """The texts as the columns of a uint32 array, each padded with NUL to the longest."""
+    width = -(-max(map(len, texts)) // 4)
+    return np.frombuffer(b"".join(t.ljust(4 * width, b"\0") for t in texts), np.uint32).reshape(-1, width).T.copy()
+
+
+def _percent(template: bytes, cells) -> bytes:
+    """A row that _lines' words do not write, written whole by %."""
+    return template % tuple(cells)
+
+
+def _lines(*columns, block: int | None = None):
+    """CSV bytes of the broadcast columns, yielded ``block`` (default _BLOCK_ROWS) whole lines at a time.
+
+    A bytes column is a literal cell with no NUL.  Every other column is numeric, broadcasts against the rest and is
+    written as _CELL writes it, rows in C order.  A column with fewer values than rows, and at most _BLOCK_ROWS, is
+    formatted once per value, and is a literal if it has one.  A row is laid out in uint32 words, NUL where no byte
+    goes: literal runs, with commas and newline; repeated columns' texts; float columns' words from _fixed and int
+    columns' from _digits.  One translate per run of rows drops the NULs; _percent writes the rows they cannot.
+    """
+    columns = [c if isinstance(c, bytes) else np.asarray(c) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, bytes)))
+    size, specs, parts, sources, heads, run = math.prod(shape), [], [], [], [], b""
+    # parts: (kind, words, column, width) of a literal run or a repeated column ("words"), a float ("f") or an int
+    # ("i"); a column indexes sources, each numeric column's values, or its value index and texts if repeated.
+    for n, c in enumerate(columns):
+        comma = b"," if n else b""
+        if not isinstance(c, bytes) and c.size < size and c.size <= _BLOCK_ROWS:
+            texts = [_CELL % v for v in c.ravel().tolist()]
+            if len(texts) > 1:
+                words, run = _padded([run + comma + t for t in texts]), b""
+                parts.append(("words", words, len(sources), len(words)))
+                sources.append((np.broadcast_to(np.arange(c.size).reshape(c.shape), shape).flat, texts))
+                specs.append(b"%s")
+                continue
+            c = texts[0]
+        if isinstance(c, bytes):
+            specs.append(c.replace(b"%", b"%%"))
+            run += comma + c
+            continue
+        kind, hi = ("i", min(max(int(c.max(initial=0)), 1), 10**12 - 1)) if c.dtype.kind in "iu" else ("f", 0)
+        run += comma if kind == "i" else b""  # a float's first word holds its comma
+        heads += [[_HEAD + 40 * (n == 0)]] if kind == "f" else []
+        parts += [("words", _padded([run]), None, -(-len(run) // 4))] if run else []
+        parts.append((kind, None, len(sources), 5 if kind == "f" else 1 + (hi >= 10**4) + (hi >= 10**8)))
+        specs.append(_CELL)
+        sources.append((c.reshape(-1) if c.size == size else np.broadcast_to(c, shape).flat, None))
+        run = b""
+    parts.append(("words", _padded([run + b"\n"]), None, len(run) // 4 + 1))
+    template, heads, block = b",".join(specs) + b"\n", np.array(heads, np.intp), block or _BLOCK_ROWS
+    for start in range(0, size, block):
+        k = min(size - start, block)
+        got = [source[start : start + k] for source, _ in sources]
+        words, fast, floats, end = np.empty((sum(p[3] for p in parts), k), np.uint32), np.ones(k, bool), [], 0
+        for kind, data, j, width in parts:
+            rows, end = words[end : end + width], end + width
+            if kind == "i":
+                fast &= _digits(got[j], rows)
+            elif kind == "f":
+                floats.append(rows)
+            elif j is None:
+                rows[:] = data
+            else:
+                data.take(got[j], axis=1, out=rows, mode="clip")
+        if floats:
+            fast &= _fixed(np.array([got[p[2]] for p in parts if p[0] == "f"], np.float64), heads, floats)
+        pieces, done = [], 0
+        for r in np.flatnonzero(~fast).tolist() + [k]:
+            pieces.append(words.T[done:r].tobytes().translate(None, b"\0"))
+            if r < k:
+                pieces.append(_percent(template, (t[g[r]] if t else g[r] for g, (_, t) in zip(got, sources))))
+            done = r + 1
+        yield b"".join(pieces)
 
 
 @contextlib.contextmanager
@@ -334,7 +359,8 @@ def cmd_sample(args: argparse.Namespace) -> None:
     def block(start):
         """The CSV bytes of the states of haar_block at start, and their min and max."""
         values = haar_block(lam, args.seed, start, min(chunk, count - start))
-        return _sample_rows(start, values), (values.min(), values.max())
+        rows = next(_lines(np.arange(start, start + values.size), values, b"", b"", b"", b"", block=values.size))
+        return rows, (values.min(), values.max())
 
     _tables()  # built before the fork, so the workers share them
     with _csv_file(args.out, ("index", "s_sample", "sample_min", "sample_max", "s_qmin", "s_qmax")) as fh:

@@ -24,7 +24,6 @@ from chshlab import chsh, cli, expsim
 from chshlab.chsh import bell_spectrum, haar_sample_s, quantum_bounds, s_parameter
 from chshlab.cli import (
     _lines,
-    _sample_rows,
     _write_rows,
     build_parser,
     cmd_simulate,
@@ -870,7 +869,8 @@ def first_difference(got, expected):
 
 
 class TestSampleRows:
-    """_sample_rows against % cell by cell and against _lines row by row; thresholds fixed before the first run."""
+    """_lines' word tables against % cell by cell and against joined_rows row by row; thresholds fixed before the
+    first run."""
 
     @staticmethod
     def cell_values():
@@ -893,20 +893,28 @@ class TestSampleRows:
             10.0 ** rng.uniform(-6.0, 13.0, 400_000) * rng.choice([-1.0, 1.0], 400_000),
         ])
 
-    def test_cells_match_percent_formatting(self, monkeypatch):
+    @pytest.mark.parametrize("layout", ["sample", "bounds"])
+    def test_cells_match_percent_formatting(self, layout, monkeypatch):
         values, block = self.cell_values(), 2**16
         assert values.size >= 10**6
-        # _sample_rows finds the rows it leaves to % with one np.flatnonzero call.
-        fallbacks, flatnonzero = [], np.flatnonzero
-        monkeypatch.setattr(np, "flatnonzero", lambda a: fallbacks.append(flatnonzero(a)) or fallbacks[-1])
+        # _lines writes each row its tables do not write with one _percent call.
+        fallbacks, percent = [], cli._percent
+        monkeypatch.setattr(cli, "_percent", lambda template, cells: fallbacks.append(1) or percent(template, cells))
         for start in range(0, values.size, block):
             chunk = values[start : start + block]
             cells = [None] * (2 * chunk.size)
-            cells[0::2], cells[1::2] = range(start, start + chunk.size), chunk.tolist()
-            expected = (b"%d,%.12g,,,,\n" * chunk.size) % tuple(cells)
-            got = _sample_rows(start, chunk)
+            if layout == "sample":
+                # sample's blocks: an index column, the values, four literal cells.
+                cells[0::2], cells[1::2] = range(start, start + chunk.size), chunk.tolist()
+                expected = (b"%d,%.12g,,,,\n" * chunk.size) % tuple(cells)
+                got = b"".join(_lines(np.arange(start, start + chunk.size), chunk, b"", b"", b"", b"", block=block))
+            else:
+                # bounds' rows: a leading float column, whose first word has no comma, between constants and literals.
+                cells[0::2], cells[1::2] = chunk.tolist(), (-chunk).tolist()
+                expected = (b"%.12g,2,%.12g,2.82842712475,\n" * chunk.size) % tuple(cells)
+                got = b"".join(_lines(chunk, 2.0, -chunk, chsh.CIRELSON_LIMIT, b""))
             assert got == expected, first_difference(got, expected)
-        assert values.size - sum(map(len, fallbacks)) >= 5 * 10**5, "rows written by the kernel"
+        assert values.size - len(fallbacks) >= 5 * 10**5, "rows written by the kernel"
 
     # Each fallback case (near a tie, below 1e-4, from 10, rounding to 10, not finite, zero, subnormal) between
     # values the kernel writes, whole parts 0 to 9 with and without a fraction in both signs among them; the first
@@ -923,20 +931,25 @@ class TestSampleRows:
     @pytest.mark.parametrize("start", [0, 9, 9_990, 9_999, 10**4, 99_990, 99_999_990, 99_999_999, 10**8, 10**12 - 5])
     def test_rows_match_lines(self, start):
         values = np.array(self.MIXED[: 10**12 - start])
-        expected = b"".join(_lines(np.arange(start, start + values.size), values, b"", b"", b"", b""))
-        assert _sample_rows(start, values) == expected
+        columns = (np.arange(start, start + values.size), values, b"", b"", b"", b"")
+        assert b"".join(_lines(*columns, block=values.size)) == joined_rows(*columns)
 
     @pytest.mark.parametrize("shift", [-0.5, -1e-12, 1e-12, 0.5])
     def test_bytes_do_not_depend_on_the_decade_guess(self, shift, monkeypatch):
         # log10 only guesses each value's decade; a guess a decade off, or off in its last bits as on another
-        # SIMD dispatch, changes no byte.
+        # SIMD dispatch, changes no byte: in sample's layout, and in a theta x xi layout of repeated columns.
         decades = (10.0 ** np.arange(-5, 13)[:, None] * (1 + np.arange(-3, 4) * 2.0**-52)).ravel()
         values = np.concatenate([self.MIXED, decades, -decades, np.random.default_rng(7).uniform(-3.0, 3.0, 1000)])
-        expected = _sample_rows(0, values)
-        assert expected == b"".join(_lines(np.arange(values.size), values, b"", b"", b"", b""))
+        grid = values[: values.size // 5 * 5].reshape(-1, 5)
+        layouts = [
+            (np.arange(values.size), values, b"", b"", b"", b""),
+            (np.linspace(0.0, 1.0, grid.shape[0])[:, None], np.linspace(-3.0, 3.0, 5), grid),
+        ]
+        expected = [joined_rows(*columns) for columns in layouts]
+        assert [b"".join(_lines(*columns)) for columns in layouts] == expected
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
-        assert _sample_rows(0, values) == expected
+        assert [b"".join(_lines(*columns)) for columns in layouts] == expected
 
 
 class TestSampleWorkers:
@@ -1334,8 +1347,33 @@ class TestFormatting:
             (b"a", 2.0),
             *((b"%", np.asarray(v), b"50%") for v in (-0.0, math.nan, math.inf, 2.0 * SQRT2, 10**12)),
         ]
+        # Each cell the word tables do not write, at the first and last row of a block and across a block boundary:
+        # below 1e-4, from 10, a tie at 12 digits and NaN in a leading float column, then ints from 10**12 and
+        # negative ones after a literal cell.
+        edges = [0, n - 1, n, 2 * n]
+        for cell in (5e-5, -12.5, 4097 / 2**12, math.nan):
+            column = np.linspace(0.1, 2.0, 2 * n + 1)
+            column[edges] = cell
+            cases.append((column, 2.0, b"x"))
+        for cell in (10**12, -7):
+            column = np.arange(2 * n + 1)
+            column[edges] = cell
+            cases.append((b"i", column, np.linspace(-1.0, 1.0, 2 * n + 1)))
         for columns in cases:
             assert b"".join(_lines(*columns)) == joined_rows(*columns)
+
+    # The rows an output leaves to %, counted when the bound was set: surface 32 of 32,761, bounds 3 of 181 and
+    # sample 111 of 100,000.  A change that sends more rows to % fails here even when its bytes still match.
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [(("surface",), 32), (("bounds",), 3), (("sample", "--theta", "0.785", "--n", "100000"), 125)],
+    )
+    def test_rows_written_by_percent_are_few(self, argv, bound, tmp_path, monkeypatch):
+        report_cpus(monkeypatch, 1)  # so that sample renders every block in this process
+        fallbacks, percent = [], cli._percent
+        monkeypatch.setattr(cli, "_percent", lambda template, cells: fallbacks.append(1) or percent(template, cells))
+        assert run_cli(*argv, "--out", tmp_path / "out.csv") == 0
+        assert 0 < len(fallbacks) <= bound
 
     def test_a_repeated_column_is_formatted_once_per_value(self):
         calls = []
