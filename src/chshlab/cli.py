@@ -48,7 +48,7 @@ def _tables() -> np.ndarray:
 
 
 def _fixed(values: np.ndarray, head: np.ndarray, out: list) -> np.ndarray:
-    """Write the words of each float of values[j] into the 5 rows of out[j]; return where they write what _CELL does.
+    """Write the words of each float of values[j] into the 5 rows of out[j]; return whether each wrote what _CELL does.
 
     That is where 1e-4 <= |x| < 10, from the 12 significant digits d = rint(|x| * 10**(11 - e)), e the decade log10
     guesses: 10**(11 - e) is exact and the product is rounded by at most 2**-13, so d is exact unless the product is
@@ -72,31 +72,29 @@ def _fixed(values: np.ndarray, head: np.ndarray, out: list) -> np.ndarray:
             group = rest // 10 ** (12 - 4 * g)
             rest -= group * 10 ** (12 - 4 * g)
         index = group + (rest != 0) * _PLAIN if g < 3 else rest
-    return (fast & (whole < 10)).all(axis=0)
+    return fast & (whole < 10)
 
 
-def _digits(values: np.ndarray, out: np.ndarray) -> bool:
-    """Write the 4-digit groups of each int of ``values`` into the rows of out, NUL before its first digit; return
-    whether they write what _CELL does: whether 0 <= i < 10**(4 * len(out)) for all."""
+def _digits(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the 4-digit groups of each int of ``values``, all in [0, 10**(4 * len(out))), into the rows of out, NUL
+    before its first digit: what _CELL writes."""
     i, groups = values.astype(np.int64, copy=False), len(out)
-    lo, hi = i.min(), i.max()
-    count = groups if lo >= 10 ** (4 * groups - 4) else 1 + (i >= 10**4) + (i >= 10**8)  # each value's groups
+    count = groups if i.min() >= 10 ** (4 * groups - 4) else 1 + (i >= 10**4) + (i >= 10**8)  # each value's groups
     for g, row in enumerate(out[::-1]):
         # Group g from the last is from _PLAIN below the value's first digit, from _LEAD at it, and 0 (all NUL) above.
         i, low = i // 10**4, i
         _tables().take(low - i * 10**4 + np.clip(count - g, 0, 2) * _LEAD, out=row, mode="clip")
-    return lo >= 0 and hi < 10 ** (4 * groups)
 
 
-def _padded(texts: list[bytes]) -> np.ndarray:
-    """The texts as the columns of a uint32 array, each padded with NUL to the longest."""
-    width = -(-max(map(len, texts)) // 4)
+def _padded(texts: list[bytes], width: int | None = None) -> np.ndarray:
+    """The texts as the columns of a uint32 array of ``width`` rows (default the longest's), each padded with NUL."""
+    width = width or -(-max(map(len, texts)) // 4)
     return np.frombuffer(b"".join(t.ljust(4 * width, b"\0") for t in texts), np.uint32).reshape(-1, width).T.copy()
 
 
-def _percent(template: bytes, cells) -> bytes:
-    """A row that _lines' words do not write, written whole by %."""
-    return template % tuple(cells)
+def _percent(lead: bytes, values: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` words of lead and _CELL's text of each of ``values``: the cells _lines' tables do not write."""
+    return _padded([lead + _CELL % v for v in values.tolist()], width)
 
 
 def _lines(*columns, block: int | None = None):
@@ -105,14 +103,17 @@ def _lines(*columns, block: int | None = None):
     A bytes column is a literal cell with no NUL.  Every other column is numeric, broadcasts against the rest and is
     written as _CELL writes it, rows in C order.  A column with fewer values than rows, and at most _BLOCK_ROWS, is
     formatted once per value, and is a literal if it has one.  A row is laid out in uint32 words, NUL where no byte
-    goes: literal runs, with commas and newline; repeated columns' texts; float columns' words from _fixed and int
-    columns' from _digits.  One translate per run of rows drops the NULs; _percent writes the rows they cannot.
+    goes: literal runs, with commas and newline; repeated columns' texts; float columns' words from _fixed and the
+    words of an int column in [0, 10**12) from _digits.  _percent writes each float cell that _fixed does not, and
+    every cell of any other int column, into the cell's own 5 words: a comma and _CELL's text take at most 20 bytes,
+    as ",-1.23456789012e-308" does.  One translate per block drops the NULs.
     """
     columns = [c if isinstance(c, bytes) else np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, bytes)))
-    size, specs, parts, sources, heads, run = math.prod(shape), [], [], [], [], b""
-    # parts: (kind, words, column, width) of a literal run or a repeated column ("words"), a float ("f") or an int
-    # ("i"); a column indexes sources, each numeric column's values, or its value index and texts if repeated.
+    size, parts, sources, run = math.prod(shape), [], [], b""
+    # parts: (kind, data, column, width) of a literal run's or a repeated column's words ("words"), or of a float ("f")
+    # or an int column ("i" if in [0, 10**12), else "%"), data its comma; a column indexes sources, each numeric
+    # column's values, or its value indices if repeated.
     for n, c in enumerate(columns):
         comma = b"," if n else b""
         if not isinstance(c, bytes) and c.size < size and c.size <= _BLOCK_ROWS:
@@ -120,47 +121,44 @@ def _lines(*columns, block: int | None = None):
             if len(texts) > 1:
                 words, run = _padded([run + comma + t for t in texts]), b""
                 parts.append(("words", words, len(sources), len(words)))
-                sources.append((np.broadcast_to(np.arange(c.size).reshape(c.shape), shape).flat, texts))
-                specs.append(b"%s")
+                sources.append(np.broadcast_to(np.arange(c.size).reshape(c.shape), shape).flat)
                 continue
             c = texts[0]
         if isinstance(c, bytes):
-            specs.append(c.replace(b"%", b"%%"))
             run += comma + c
             continue
-        kind, hi = ("i", min(max(int(c.max(initial=0)), 1), 10**12 - 1)) if c.dtype.kind in "iu" else ("f", 0)
-        run += comma if kind == "i" else b""  # a float's first word holds its comma
-        heads += [[_HEAD + 40 * (n == 0)]] if kind == "f" else []
+        ints = c.dtype.kind in "iu"
+        hi = int(c.max(initial=0)) if ints else 0
+        kind = "f" if not ints else "i" if c.min(initial=0) >= 0 and hi < 10**12 else "%"
+        run += comma if kind == "i" else b""  # a float's first word, or a "%" int's, holds its comma
         parts += [("words", _padded([run]), None, -(-len(run) // 4))] if run else []
-        parts.append((kind, None, len(sources), 5 if kind == "f" else 1 + (hi >= 10**4) + (hi >= 10**8)))
-        specs.append(_CELL)
-        sources.append((c.reshape(-1) if c.size == size else np.broadcast_to(c, shape).flat, None))
+        parts.append((kind, comma, len(sources), 1 + (hi >= 10**4) + (hi >= 10**8) if kind == "i" else 5))
+        sources.append(c.reshape(-1) if c.size == size else np.broadcast_to(c, shape).flat)
         run = b""
     parts.append(("words", _padded([run + b"\n"]), None, len(run) // 4 + 1))
-    template, heads, block = b",".join(specs) + b"\n", np.array(heads, np.intp), block or _BLOCK_ROWS
+    block = block or _BLOCK_ROWS
     for start in range(0, size, block):
         k = min(size - start, block)
-        got = [source[start : start + k] for source, _ in sources]
-        words, fast, floats, end = np.empty((sum(p[3] for p in parts), k), np.uint32), np.ones(k, bool), [], 0
+        got = [source[start : start + k] for source in sources]
+        words, floats, end = np.empty((sum(p[3] for p in parts), k), np.uint32), [], 0
         for kind, data, j, width in parts:
             rows, end = words[end : end + width], end + width
             if kind == "i":
-                fast &= _digits(got[j], rows)
+                _digits(got[j], rows)
+            elif kind == "%":
+                rows[:] = _percent(data, got[j], width)
             elif kind == "f":
-                floats.append(rows)
+                floats.append((rows, data, got[j]))
             elif j is None:
                 rows[:] = data
             else:
                 data.take(got[j], axis=1, out=rows, mode="clip")
         if floats:
-            fast &= _fixed(np.array([got[p[2]] for p in parts if p[0] == "f"], np.float64), heads, floats)
-        pieces, done = [], 0
-        for r in np.flatnonzero(~fast).tolist() + [k]:
-            pieces.append(words.T[done:r].tobytes().translate(None, b"\0"))
-            if r < k:
-                pieces.append(_percent(template, (t[g[r]] if t else g[r] for g, (_, t) in zip(got, sources))))
-            done = r + 1
-        yield b"".join(pieces)
+            out, leads, values = zip(*floats)
+            values, heads = np.array(values, np.float64), np.array([[_HEAD + 40 * (not lead)] for lead in leads])
+            for rows, lead, cells, fast in zip(out, leads, values, _fixed(values, heads, out)):
+                rows[:, ~fast] = _percent(lead, cells[~fast], 5)
+        yield words.T.tobytes().translate(None, b"\0")
 
 
 @contextlib.contextmanager
@@ -186,7 +184,7 @@ def _csv_file(path: str, header: tuple[str, ...]):
     except ChildProcessError:  # a worker's exit, not the file's error
         raise
     except OSError as exc:
-        raise OSError(f"cannot write output file {path!r}: {exc}") from exc
+        raise OSError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
     finally:
         if atomic and os.path.exists(tmp):
             os.unlink(tmp)

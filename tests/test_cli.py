@@ -73,6 +73,18 @@ def report_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def percent_cells(monkeypatch):
+    """The number of values of each cli._percent call from here on: the cells _lines leaves to %."""
+    counts, percent = [], cli._percent
+
+    def spy(lead, values, width):
+        counts.append(len(values))
+        return percent(lead, values, width)
+
+    monkeypatch.setattr(cli, "_percent", spy)
+    return counts
+
+
 @pytest.fixture
 def started(monkeypatch):
     """The forked processes started during the test, in start order."""
@@ -897,9 +909,7 @@ class TestSampleRows:
     def test_cells_match_percent_formatting(self, layout, monkeypatch):
         values, block = self.cell_values(), 2**16
         assert values.size >= 10**6
-        # _lines writes each row its tables do not write with one _percent call.
-        fallbacks, percent = [], cli._percent
-        monkeypatch.setattr(cli, "_percent", lambda template, cells: fallbacks.append(1) or percent(template, cells))
+        fallbacks = percent_cells(monkeypatch)  # the cells _lines' tables do not write
         for start in range(0, values.size, block):
             chunk = values[start : start + block]
             cells = [None] * (2 * chunk.size)
@@ -914,7 +924,8 @@ class TestSampleRows:
                 expected = (b"%.12g,2,%.12g,2.82842712475,\n" * chunk.size) % tuple(cells)
                 got = b"".join(_lines(chunk, 2.0, -chunk, chsh.CIRELSON_LIMIT, b""))
             assert got == expected, first_difference(got, expected)
-        assert values.size - len(fallbacks) >= 5 * 10**5, "rows written by the kernel"
+        floats = values.size * (1 if layout == "sample" else 2)
+        assert floats - sum(fallbacks) >= 5 * 10**5, "cells written by the kernel"
 
     # Each fallback case (near a tie, below 1e-4, from 10, rounding to 10, not finite, zero, subnormal) between
     # values the kernel writes, whole parts 0 to 9 with and without a fraction in both signs among them; the first
@@ -1185,10 +1196,12 @@ class TestErrorHandling:
         assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_path(self, tmp_path, capsys):
+        # The message names the path asked for, not the temporary file beside it.
         missing_dir = tmp_path / "absent" / "out.csv"
         rc = run_cli("bounds", "--theta-grid", "0:1:3", "--out", missing_dir)
         assert rc == 1
-        assert str(missing_dir) in capsys.readouterr().err
+        message = f"cannot write output file {str(missing_dir)!r}: No such file or directory"
+        assert capsys.readouterr() == ("", f"chshlab: error: {message}\n")
 
     def test_theta_grid_outside_domain(self, tmp_path, capsys):
         rc = run_cli("bounds", "--theta-grid", "0:7:3", "--out", tmp_path / "x.csv")
@@ -1359,21 +1372,37 @@ class TestFormatting:
             column = np.arange(2 * n + 1)
             column[edges] = cell
             cases.append((b"i", column, np.linspace(-1.0, 1.0, 2 * n + 1)))
+        # The longest texts: ",-1.23456789012e-308" fills a float cell's 5 words after another float column, and
+        # the extreme int64 and uint64 fill theirs after a literal cell.
+        tiny = -1.23456789012e-308
+        cases.append((
+            np.array([0.5, tiny, 2.0]), np.array([tiny, -1.5, tiny]), b"x", np.array([np.iinfo(np.int64).min, 0, 7]),
+            b"y", np.array([2**64 - 1, 10**12, 1], np.uint64),
+        ))
+        # Misfits in the first and last float columns of a row, the cells between written by the tables.
+        cases.append((np.array([1e20, 0.25]), np.array([0.5, np.nan]), np.array([-3.125, 7.0]), np.array([-0.0, 5e-5])))
         for columns in cases:
             assert b"".join(_lines(*columns)) == joined_rows(*columns)
 
-    # The rows an output leaves to %, counted when the bound was set: surface 32 of 32,761, bounds 3 of 181 and
-    # sample 111 of 100,000.  A change that sends more rows to % fails here even when its bytes still match.
+    # The cells an output leaves to %, counted when the bound was set: surface 32 of 32,761 s cells, bounds 3 of
+    # 543 float cells and sample 111 of 100,000.  A change that sends more cells to % fails here even when its bytes
+    # still match.
     @pytest.mark.parametrize(
         "argv, bound",
         [(("surface",), 32), (("bounds",), 3), (("sample", "--theta", "0.785", "--n", "100000"), 125)],
     )
     def test_rows_written_by_percent_are_few(self, argv, bound, tmp_path, monkeypatch):
         report_cpus(monkeypatch, 1)  # so that sample renders every block in this process
-        fallbacks, percent = [], cli._percent
-        monkeypatch.setattr(cli, "_percent", lambda template, cells: fallbacks.append(1) or percent(template, cells))
+        fallbacks = percent_cells(monkeypatch)
         assert run_cli(*argv, "--out", tmp_path / "out.csv") == 0
-        assert 0 < len(fallbacks) <= bound
+        assert 0 < sum(fallbacks) <= bound
+
+    def test_percent_writes_a_cell_not_its_row(self, monkeypatch):
+        # One NaN among three float columns.
+        cells = percent_cells(monkeypatch)
+        columns = (np.array([0.5, 1.0]), np.array([np.nan, 2.0]), np.array([-0.75, 3.5]))
+        assert b"".join(_lines(*columns)) == joined_rows(*columns)
+        assert sum(cells) == 1
 
     def test_a_repeated_column_is_formatted_once_per_value(self):
         calls = []
