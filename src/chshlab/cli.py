@@ -92,9 +92,9 @@ def _padded(texts: list[bytes], width: int | None = None) -> np.ndarray:
     return np.frombuffer(b"".join(t.ljust(4 * width, b"\0") for t in texts), np.uint32).reshape(-1, width).T.copy()
 
 
-def _percent(lead: bytes, values: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` words of lead and _CELL's text of each of ``values``: the cells _lines' tables do not write."""
-    return _padded([lead + _CELL % v for v in values.tolist()], width)
+def _percent(lead: bytes, values: np.ndarray) -> np.ndarray:
+    """The 5 words of lead and _CELL's text of each of ``values``: the float cells _fixed does not write."""
+    return _padded([lead + _CELL % v for v in values.tolist()], 5)
 
 
 def _lines(*columns, block: int | None = None):
@@ -102,62 +102,52 @@ def _lines(*columns, block: int | None = None):
 
     A bytes column is a literal cell with no NUL.  Every other column is numeric, broadcasts against the rest and is
     written as _CELL writes it, rows in C order.  A column with fewer values than rows, and at most _BLOCK_ROWS, is
-    formatted once per value, and is a literal if it has one.  A row is laid out in uint32 words, NUL where no byte
-    goes: literal runs, with commas and newline; repeated columns' texts; float columns' words from _fixed and the
-    words of an int column in [0, 10**12) from _digits.  _percent writes each float cell that _fixed does not, and
-    every cell of any other int column, into the cell's own 5 words: a comma and _CELL's text take at most 20 bytes,
-    as ",-1.23456789012e-308" does.  One translate per block drops the NULs.
+    repeated; every other int column must be in [0, 10**12).  A row is laid out in uint32 words, NUL where no byte
+    goes, from two kinds of part.  A table holds padded texts, and each row gathers its words by an index with one
+    take: a literal run (cells, commas and the newline) is a table of one text, and a repeated column one of its values'
+    texts, each after the literal run before it.  A kernel column's words come from _fixed for floats and _digits for
+    ints.  _percent writes each float cell that _fixed does not into the cell's own 5 words: a comma and _CELL's text
+    take at most 20 bytes, as ",-1.23456789012e-308" does.  One translate per block drops the NULs.
     """
     columns = [c if isinstance(c, bytes) else np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns if not isinstance(c, bytes)))
-    size, parts, sources, run = math.prod(shape), [], [], b""
-    # parts: (kind, data, column, width) of a literal run's or a repeated column's words ("words"), or of a float ("f")
-    # or an int column ("i" if in [0, 10**12), else "%"), data its comma; a column indexes sources, each numeric
-    # column's values, or its value indices if repeated.
+    size, parts, run = math.prod(shape), [], b""
+    literal = np.broadcast_to(0, (size,))
+    # parts: (kind, data, source, width) of a table ("t", data its words, source each row's text index), or of a float
+    # ("f", data its comma) or an int column ("i"), source its values.
     for n, c in enumerate(columns):
         comma = b"," if n else b""
-        if not isinstance(c, bytes) and c.size < size and c.size <= _BLOCK_ROWS:
-            texts = [_CELL % v for v in c.ravel().tolist()]
-            if len(texts) > 1:
-                words, run = _padded([run + comma + t for t in texts]), b""
-                parts.append(("words", words, len(sources), len(words)))
-                sources.append(np.broadcast_to(np.arange(c.size).reshape(c.shape), shape).flat)
-                continue
-            c = texts[0]
         if isinstance(c, bytes):
             run += comma + c
-            continue
-        ints = c.dtype.kind in "iu"
-        hi = int(c.max(initial=0)) if ints else 0
-        kind = "f" if not ints else "i" if c.min(initial=0) >= 0 and hi < 10**12 else "%"
-        run += comma if kind == "i" else b""  # a float's first word, or a "%" int's, holds its comma
-        parts += [("words", _padded([run]), None, -(-len(run) // 4))] if run else []
-        parts.append((kind, comma, len(sources), 1 + (hi >= 10**4) + (hi >= 10**8) if kind == "i" else 5))
-        sources.append(c.reshape(-1) if c.size == size else np.broadcast_to(c, shape).flat)
-        run = b""
-    parts.append(("words", _padded([run + b"\n"]), None, len(run) // 4 + 1))
+        elif c.size < size and c.size <= _BLOCK_ROWS:
+            words, run = _padded([run + comma + _CELL % v for v in c.ravel().tolist()]), b""
+            parts.append(("t", words, np.broadcast_to(np.arange(c.size).reshape(c.shape), shape).flat, len(words)))
+        else:
+            ints = c.dtype.kind in "iu"
+            run += comma if ints else b""  # a float's first word holds its comma
+            parts += [("t", _padded([run]), literal, -(-len(run) // 4))] if run else []
+            source = c.reshape(-1) if c.size == size else np.broadcast_to(c, shape).flat
+            hi = int(c.max(initial=0)) if ints else 0
+            parts.append(("i", b"", source, 1 + (hi >= 10**4) + (hi >= 10**8)) if ints else ("f", comma, source, 5))
+            run = b""
+    parts.append(("t", _padded([run + b"\n"]), literal, len(run) // 4 + 1))
     block = block or _BLOCK_ROWS
     for start in range(0, size, block):
         k = min(size - start, block)
-        got = [source[start : start + k] for source in sources]
         words, floats, end = np.empty((sum(p[3] for p in parts), k), np.uint32), [], 0
-        for kind, data, j, width in parts:
-            rows, end = words[end : end + width], end + width
-            if kind == "i":
-                _digits(got[j], rows)
-            elif kind == "%":
-                rows[:] = _percent(data, got[j], width)
-            elif kind == "f":
-                floats.append((rows, data, got[j]))
-            elif j is None:
-                rows[:] = data
+        for kind, data, source, width in parts:
+            rows, end, got = words[end : end + width], end + width, source[start : start + k]
+            if kind == "t":
+                data.take(got, axis=1, out=rows, mode="clip")
+            elif kind == "i":
+                _digits(got, rows)
             else:
-                data.take(got[j], axis=1, out=rows, mode="clip")
+                floats.append((rows, data, got))
         if floats:
             out, leads, values = zip(*floats)
             values, heads = np.array(values, np.float64), np.array([[_HEAD + 40 * (not lead)] for lead in leads])
             for rows, lead, cells, fast in zip(out, leads, values, _fixed(values, heads, out)):
-                rows[:, ~fast] = _percent(lead, cells[~fast], 5)
+                rows[:, ~fast] = _percent(lead, cells[~fast])
         yield words.T.tobytes().translate(None, b"\0")
 
 
@@ -460,6 +450,7 @@ def main(argv=None) -> int:
             if read is not None:
                 dest = keywords.get("dest", flag[2:].replace("-", "_"))
                 setattr(args, dest, read(getattr(args, dest), args.degrees))
+        _whole(args.seed, "seed", 0, 2**64 - 1)
         handler(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"chshlab: error: {exc}", file=sys.stderr)

@@ -77,9 +77,9 @@ def percent_cells(monkeypatch):
     """The number of values of each cli._percent call from here on: the cells _lines leaves to %."""
     counts, percent = [], cli._percent
 
-    def spy(lead, values, width):
+    def spy(lead, values):
         counts.append(len(values))
-        return percent(lead, values, width)
+        return percent(lead, values)
 
     monkeypatch.setattr(cli, "_percent", spy)
     return counts
@@ -643,8 +643,10 @@ class TestSimulate:
             (("simulate",), "--replications", "0"),
             (("simulate",), "--pairs", "1"),
             (("sample", "--theta", "0.3"), "--n", "0"),
+            (("simulate",), "--seed", "-1"),
+            (("sample", "--theta", "0.3"), "--seed", "-1"),
         ],
-        ids=["--replications-0", "--pairs-1", "--n-0"],
+        ids=["--replications-0", "--pairs-1", "--n-0", "--seed-simulate", "--seed-sample"],
     )
     def test_counts_below_minimum_fail(self, command, flag, value, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -652,11 +654,21 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"chshlab: error: {flag.lstrip('-')} must be at least")
         assert not out.exists()
 
-    def test_pairs_above_cap_fail(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, name, cap",
+        [
+            (("simulate", "--pairs", 10**12 + 1), "pairs", 10**12),
+            # A seed from 2**64 is refused, not taken modulo 2**64 as the seed 0.
+            (("simulate", "--pairs", "100", "--seed", 2**64), "seed", 2**64 - 1),
+            (("sample", "--theta", "0.3", "--seed", 2**64), "seed", 2**64 - 1),
+        ],
+        ids=["pairs", "seed-simulate", "seed-sample"],
+    )
+    def test_pairs_above_cap_fail(self, argv, name, cap, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert run_cli("simulate", "--pairs", 10**12 + 1, "--out", out) == 1
+        assert run_cli(*argv, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err == "chshlab: error: pairs must be at most 1000000000000, got 1000000000001\n"
+        assert err == f"chshlab: error: {name} must be at most {cap}, got {cap + 1}\n"
         assert not out.exists()
 
     def test_degrees_applies_to_noise_offsets(self, tmp_path):
@@ -1301,15 +1313,15 @@ class TestFormatting:
         assert text == "".join(format(v, ".12g") + "\n" for v in self.EDGES).encode()
 
     def test_int_column(self):
-        ints = np.array([0, 7, -3, 10**11, 999_999_999_999])
+        ints = np.array([0, 7, 10**11, 999_999_999_999])
         text = b"".join(_lines(ints, 0.5))
         assert text == "".join(f"{format(int(i), '.12g')},0.5\n" for i in ints).encode()
 
     def test_int_cells_at_the_digit_limit(self):
-        # In full strictly inside +-10**12, 1e+12 from there on: format(i, ".12g") either way.
-        edges = [10**12 - 1, 1 - 10**12, 10**12, -(10**12), 10**15]
+        # A column of as many ints as rows holds them in [0, 10**12), the digits _CELL writes in full.
+        edges = [10**12 - 1, 0]
         columns = [np.array([v]) for v in edges] + [np.array(edges)]
-        columns += [np.array(edges[:1], dtype=np.uint64), np.array([10**12 - 1, 10**12], dtype=np.uint64)]
+        columns += [np.array([v], dtype=np.uint64) for v in edges] + [np.array(edges, dtype=np.uint64)]
         for ints in columns:
             assert b"".join(_lines(ints)) == "".join(format(int(i), ".12g") + "\n" for i in ints).encode()
 
@@ -1344,9 +1356,12 @@ class TestFormatting:
         n = cli._BLOCK_ROWS
         values = np.random.default_rng(5).normal(size=(5, 5, 3)) * 10.0 ** np.arange(-6, 9, 1).reshape(5, 1, 3)
         angles = np.array(self.EDGES[:5])
-        # Integer columns written in full (strictly inside +-10**12) and not, as int64 and uint64.
+        # Integer columns written in full (strictly inside +-10**12) and not, as int64 and uint64.  They are repeated
+        # columns, formatted by %, but kernel columns at _BLOCK_ROWS 1, which hold ints in [0, 10**12) only.
         ints_in, ints_out = np.array([10**12 - 1, 1 - 10**12, 0]), np.array([10**12, -5, -(10**12)])
         uints_in, uints_out = np.array([10**12 - 1, 0], np.uint64), np.array([10**12, 2**64 - 1], np.uint64)
+        if n == 1:
+            ints_in, ints_out, uints_out = np.array([10**12 - 1, 7, 0]), np.array([10**4, 0, 10**8 - 1]), uints_in
         cases = [
             (np.array([[0.25], [1.5], [-0.0]]), np.array([1.0, 3e-7, math.pi, -1.0 / 3.0]), b"50%"),
             # The simulate layout: theta, xi, s_hat and std_err per replication, s_ideal per setting.
@@ -1358,26 +1373,26 @@ class TestFormatting:
             # Calls of literal cells and constants only: one row, whose % cells are written as they are.
             (b"50%",),
             (b"a", 2.0),
-            *((b"%", np.asarray(v), b"50%") for v in (-0.0, math.nan, math.inf, 2.0 * SQRT2, 10**12)),
+            *((b"%", np.asarray(v), b"50%") for v in (-0.0, math.nan, math.inf, 2.0 * SQRT2, 10**12 - 1)),
         ]
         # Each cell the word tables do not write, at the first and last row of a block and across a block boundary:
-        # below 1e-4, from 10, a tie at 12 digits and NaN in a leading float column, then ints from 10**12 and
-        # negative ones after a literal cell.
+        # below 1e-4, from 10, a tie at 12 digits and NaN in a leading float column.  Then the ends of the digits'
+        # range, 10**12 - 1 and 0, among ints of one and two digit groups after a literal cell.
         edges = [0, n - 1, n, 2 * n]
         for cell in (5e-5, -12.5, 4097 / 2**12, math.nan):
             column = np.linspace(0.1, 2.0, 2 * n + 1)
             column[edges] = cell
             cases.append((column, 2.0, b"x"))
-        for cell in (10**12, -7):
+        for cell in (10**12 - 1, 0):
             column = np.arange(2 * n + 1)
             column[edges] = cell
             cases.append((b"i", column, np.linspace(-1.0, 1.0, 2 * n + 1)))
         # The longest texts: ",-1.23456789012e-308" fills a float cell's 5 words after another float column, and
-        # the extreme int64 and uint64 fill theirs after a literal cell.
+        # the largest int64 and uint64 the digits write fill their 3 groups after a literal cell.
         tiny = -1.23456789012e-308
         cases.append((
-            np.array([0.5, tiny, 2.0]), np.array([tiny, -1.5, tiny]), b"x", np.array([np.iinfo(np.int64).min, 0, 7]),
-            b"y", np.array([2**64 - 1, 10**12, 1], np.uint64),
+            np.array([0.5, tiny, 2.0]), np.array([tiny, -1.5, tiny]), b"x", np.array([10**12 - 1, 0, 7]),
+            b"y", np.array([10**12 - 1, 10**8, 1], np.uint64),
         ))
         # Misfits in the first and last float columns of a row, the cells between written by the tables.
         cases.append((np.array([1e20, 0.25]), np.array([0.5, np.nan]), np.array([-3.125, 7.0]), np.array([-0.0, 5e-5])))
