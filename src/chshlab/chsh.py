@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Z, herm_eigenvalues, tensor
+from .linalg import PAULI_X, PAULI_Z, _atan2, herm_eigenvalues, tensor
 from .rng import _unit, words
 
 TWO_PI = 2.0 * math.pi
@@ -198,10 +198,10 @@ def family_extremum(theta):
 
     On the state family S(theta, xi) = A cos(2 xi) + C sin(2 xi) with A = S(theta, 0)
     and C = S(theta, pi/4), so the maximum sqrt(A^2 + C^2) lies at xi* = atan2(C, A)/2,
-    reduced into [0, pi).  It is returned as s_parameter(theta, xi*).
+    reduced into [0, pi), with libm's atan2.  It is returned as s_parameter(theta, xi*).
     """
     t = theta_param(theta)
-    xi_star = xi_param(0.5 * np.arctan2(s_parameter(t, 0.25 * math.pi), s_parameter(t, 0.0)))
+    xi_star = xi_param(0.5 * _atan2(s_parameter(t, 0.25 * math.pi), s_parameter(t, 0.0)))
     return xi_star, s_parameter(t, xi_star)
 
 

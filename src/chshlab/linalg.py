@@ -14,8 +14,7 @@ _JACOBI_MAX_SWEEPS = 100
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
-_cos, _sin, _abs = (np.frompyfunc(f, 1, 1) for f in (math.cos, math.sin, abs))
+_atan2, _abs = np.frompyfunc(math.atan2, 2, 1), np.frompyfunc(abs, 1, 1)
 
 
 def require_hermitian(m: np.ndarray) -> None:
@@ -45,8 +44,8 @@ def jacobi_rotation(a_pp: np.ndarray, a_pq: np.ndarray, a_qq: np.ndarray) -> tup
     For M = [[a_pp, a_pq], [conj(a_pq), a_qq]] the returned pair (c, s) defines the
     unitary J = [[c, -s], [conj(s), c]] with (J^dagger M J) diagonal; the arguments
     broadcast elementwise.  The rotation angle is kept in (-pi/4, pi/4] for
-    stability; the atan2 form cannot overflow.  Modulus, atan2, cos and sin are libm's,
-    element by element, so the rotations do not depend on numpy's SIMD dispatch.
+    stability; the atan2 form cannot overflow.  Modulus and atan2 are libm's, element by element, and numpy's cos
+    and sin equal libm's on these angles, so the rotations do not depend on numpy's SIMD dispatch.
     """
     a_pq = np.asarray(a_pq, dtype=complex)
     mag = np.asarray(_abs(a_pq), dtype=float)
@@ -54,7 +53,7 @@ def jacobi_rotation(a_pp: np.ndarray, a_pq: np.ndarray, a_qq: np.ndarray) -> tup
     phase = np.divide(a_pq, mag, out=np.zeros_like(a_pq), where=mag != 0.0)
     angle = 0.5 * np.asarray(_atan2(2.0 * mag, np.subtract(a_pp, a_qq)), dtype=float)
     angle = np.where(angle > 0.25 * math.pi, angle - 0.5 * math.pi, angle)
-    return np.asarray(_cos(angle), dtype=float), np.asarray(_sin(angle), dtype=float) * phase
+    return np.cos(angle), np.sin(angle) * phase
 
 
 def herm_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -83,9 +82,9 @@ def herm_eigenvalues(m: np.ndarray) -> np.ndarray:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                # Pivots this far below scale cannot lift the off-mass above
-                # the goal; skipping them avoids denormal phase division.
-                idx = active[np.abs(a[active, p, q]) > 1e-18 * scale[active]]
+                # Pivots this far below scale cannot lift the off-mass above the goal; skipping them
+                # avoids denormal phase division.  The modulus is libm's, as in jacobi_rotation.
+                idx = active[_abs(a[active, p, q]).astype(float) > 1e-18 * scale[active]]
                 c, s = jacobi_rotation(a[idx, p, p].real, a[idx, p, q], a[idx, q, q].real)
                 j = np.eye(n, dtype=complex)[None].repeat(idx.size, axis=0)
                 j[:, [p, p, q, q], [p, q, p, q]] = np.array([c, -s, s.conj(), c]).T

@@ -22,6 +22,7 @@ from chshlab.chsh import (
     theta_param,
     xi_param,
 )
+from chshlab.cli import parse_grid
 from chshlab.linalg import PAULI_X, PAULI_Z, expectation, herm_eigenvalues, tensor
 from chshlab.rng import _unit, words
 
@@ -434,6 +435,14 @@ class TestFamilyExtremum:
             closed = 0.5 * math.atan2(c, a)
             gap = abs(got - closed) % math.pi
             assert min(gap, math.pi - gap) <= 1e-15
+
+    def test_xi_star_takes_libm_atan2(self):
+        # numpy's arctan2 differs from libm's in the last bit on some inputs, with its SIMD dispatch on.
+        thetas = parse_grid(None)
+        xi_star, _ = family_extremum(thetas)
+        a, c = s_parameter(thetas, 0.0), s_parameter(thetas, 0.25 * math.pi)
+        expected = xi_param(0.5 * np.array([math.atan2(y, x) for y, x in zip(c, a)]))
+        assert xi_star.tobytes() == expected.tobytes()
 
 
 class TestClassicalBound:

@@ -248,11 +248,61 @@ class TestEigensolver:
             herm_eigenvalues(stack)
 
 
+# Three of the stacks TestJacobiOracle.test_bell_spectra runs.
+BELL_STACKS = {
+    "grid-181": parse_grid(None),
+    "degrees-721": parse_grid("0:180:721", degrees=True),
+    "random-2000": np.random.default_rng(2026).uniform(0.0, math.pi, 2000),
+}
+
+
+def solver_angles(monkeypatch, theta):
+    """Every rotation angle herm_eigenvalues forms on the Bell operators at theta, recomputed as scalar_rotation does."""
+    calls = []
+
+    def recording(a_pp, a_pq, a_qq):
+        calls.append((a_pp, a_pq, a_qq))
+        return jacobi_rotation(a_pp, a_pq, a_qq)
+
+    monkeypatch.setattr(linalg, "jacobi_rotation", recording)
+    herm_eigenvalues(bell_operator(theta))
+    angles = [0.5 * math.atan2(2.0 * abs(a_pq), a_pp - a_qq) for call in calls for a_pp, a_pq, a_qq in zip(*call)]
+    return np.array([x - 0.5 * math.pi if x > 0.25 * math.pi else x for x in angles])
+
+
+class TestNumpyCosSinAreLibm:
+    """numpy's float64 cos and sin equal libm's bit for bit on the angles the package gives them.
+
+    The S kernel, observable and the Jacobi rotations all take numpy's cos and
+    sin, and the one-matrix reference below takes math.cos and math.sin, so
+    both the golden digests and TestJacobiOracle rest on this.  A numpy build
+    that dispatches its own float64 cos or sin fails here by name.  CI runs it
+    with numpy's SIMD dispatch on and off.
+    """
+
+    @staticmethod
+    def assert_libm(x):
+        assert x.size > 0
+        assert np.cos(x).tobytes() == np.array([math.cos(v) for v in x]).tobytes()
+        assert np.sin(x).tobytes() == np.array([math.sin(v) for v in x]).tobytes()
+
+    @pytest.mark.parametrize("stack", list(BELL_STACKS))
+    def test_solver_rotation_angles(self, monkeypatch, stack):
+        self.assert_libm(solver_angles(monkeypatch, BELL_STACKS[stack]))
+
+    def test_uniform_angles_in_the_rotation_range(self):
+        # (-pi/4, pi/4], the range jacobi_rotation keeps its angles in.
+        self.assert_libm(0.25 * math.pi - np.random.default_rng(45).uniform(0.0, 0.5 * math.pi, 10**5))
+
+
 class TestJacobiOracle:
     """The stacked solver against the one-matrix reference, byte for byte.
 
-    Both take libm's atan2, cos, sin and complex abs and BLAS's zgemm for
-    every rotation, so no tolerance is needed.
+    Both take libm's atan2 and complex modulus, at every pivot-skip test and
+    every rotation, and BLAS's zgemm for every rotation; no branch of the
+    solver reads numpy's modulus.  The solver takes numpy's cos and sin, the
+    reference math.cos and math.sin, which TestNumpyCosSinAreLibm checks are
+    the same bits.  So no tolerance is needed.
     """
 
     @pytest.mark.parametrize(
@@ -274,6 +324,26 @@ class TestJacobiOracle:
     def test_dense_hermitian_stacks(self, n, scale):
         rng = np.random.default_rng(22 + n)
         stack = scale * np.array([random_hermitian(rng, n) for _ in range(200)])
+        assert herm_eigenvalues(stack).tobytes() == one_matrix_at_a_time(stack).tobytes()
+
+    @pytest.mark.parametrize("size", [1.0, 1e6])
+    def test_pivots_at_the_skip_threshold(self, size):
+        # Pivot (0, 1) has equal diagonal entries, so a rotation there splits them by about 2|a_01|, and a skip
+        # leaves them equal: the eigenvalue bytes show which way the test at 1e-18 * scale went.  Its modulus is
+        # libm's at the threshold and one ulp either side; numpy's modulus differs from libm's on some of these.
+        base = size * np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0.5, 0.25], [0, 0, 0.25, -0.25]], dtype=complex)
+        threshold = 1e-18 * np.maximum(1.0, np.linalg.norm(base))
+        phis = np.random.default_rng(46).uniform(0.0, 2.0 * math.pi, 64)
+        stack = []
+        for target in (np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)):
+            for phi in phis:
+                z = complex(target * math.cos(phi), target * math.sin(phi))
+                if abs(z) == target:
+                    m = base.copy()
+                    m[0, 1], m[1, 0] = z, z.conjugate()
+                    stack.append(m)
+        stack = np.array(stack)
+        assert len(stack) >= 30
         assert herm_eigenvalues(stack).tobytes() == one_matrix_at_a_time(stack).tobytes()
 
 
